@@ -94,15 +94,14 @@ def cmd_build_manifold(args) -> int:
     if n < 10:
         _log(f"warning: only {n} training samples; statistics will be poor")
     params = manifold.sample_ffd_params(n, ffd_cfg.bounds, cfg.sampling.seed)
-    _log(f"manifold: morphing {n} training geometries")
+    _log(f"manifold: reducing {n} training geometries")
     basis, alpha = manifold.build_geometry_pod(
         mesh, ffd_cfg, params, cfg.geometry_truncation
     )
-    training = manifold.TrainingSet(mu_ffd=params, alpha=alpha, basis=basis)
     _log(f"manifold: kept {basis.rank} geometry modes")
     space = manifold.build_reduced_space(
-        training.basis,
-        training.alpha,
+        basis,
+        alpha,
         r2_threshold=cfg.reduction.r2_threshold,
         max_vertices=cfg.reduction.max_vertices,
         pair=cfg.reduction.pair,
@@ -110,8 +109,8 @@ def cmd_build_manifold(args) -> int:
     )
     out = cfg.output_dir / "manifold"
     artifacts.save_reduced_space(out, space)
-    artifacts.save_decay_csv(out / "decay.csv", pod.decay_report(training.basis))
-    artifacts.save_coefficients_csv(out / "coefficients.csv", training.alpha)
+    artifacts.save_decay_csv(out / "decay.csv", pod.decay_report(basis))
+    artifacts.save_coefficients_csv(out / "coefficients.csv", alpha)
     _log(
         f"manifold: {space.dim} free parameters "
         f"({len(basis.singular_values)} modes, "
@@ -145,13 +144,11 @@ def cmd_evaluate(args) -> int:
             n, ffd_cfg.bounds, cfg.sampling.seed + 1
         )
         _log(f"evaluate: {n} full-space samples")
-        morpher = ffd.MeshMorpher(
-            mesh.vertices, ffd_cfg.origin, ffd_cfg.axes, ffd_cfg.dims
-        )
+        ffd.check_params(ffd_cfg, params)
+        jac = ffd.displacement_jacobian(ffd_cfg, mesh.vertices)
 
         def geometry_for(mu):
-            lattice = ffd.apply_params(ffd_cfg, mu)
-            verts = mesh.vertices + morpher.displacement(lattice.displacements)
+            verts = mesh.vertices + (jac @ mu).reshape(-1, 3)
             return TriMesh(verts, mesh.facets, mesh.weld_tolerance)
 
         out = cfg.output_dir / "db_full"

@@ -232,28 +232,64 @@ class FfdConfig:
         return self.param_map.param_dim
 
 
-def apply_params(config: FfdConfig, mu) -> FfdLattice:
-    """Turn a design-parameter vector into a displaced lattice.
+def check_params(config: FfdConfig, params) -> np.ndarray:
+    """Validate design parameters against the configuration.
 
-    Entries referencing the same control point and axis add up.
-    Parameters outside the configured box trigger a warning but still
-    morph; the box is a sampling convention, not a hard constraint.
+    ``params`` is one vector or a matrix with one vector per row; its last
+    axis must have ``param_dim`` entries. Rows outside the configured box
+    trigger a warning but are returned unchanged; the box is a sampling
+    convention, not a hard constraint.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if mu.size != config.param_dim:
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if params.shape[-1] != config.param_dim:
         raise DimensionMismatch(
-            f"expected {config.param_dim} parameters, got {mu.size}"
+            f"expected {config.param_dim} parameters, got {params.shape[-1]}"
         )
-    if np.any(mu < config.bounds[:, 0] - 1e-12) or np.any(
-        mu > config.bounds[:, 1] + 1e-12
+    if np.any(params < config.bounds[:, 0] - 1e-12) or np.any(
+        params > config.bounds[:, 1] + 1e-12
     ):
-        warnings.warn("parameter vector outside the configured bounds", stacklevel=2)
+        warnings.warn("parameter vector outside the configured bounds", stacklevel=3)
+    return params
+
+
+def _control_displacements(config: FfdConfig, mu: np.ndarray) -> np.ndarray:
+    # Lay the map entries on the control grid; entries referencing the
+    # same control point and axis add up.
     l, m, n = config.dims
     disp = np.zeros((l + 1, m + 1, n + 1, 3))
     for e in config.param_map.entries:
         i, j, k = e.point
         disp[i, j, k, e.axis] += e.weight * mu[e.param]
-    return FfdLattice(config.origin, config.axes, config.dims, disp)
+    return disp
+
+
+def apply_params(config: FfdConfig, mu) -> FfdLattice:
+    """Turn a design-parameter vector into a displaced lattice.
+
+    Entries referencing the same control point and axis add up.
+    Parameters outside the configured box trigger a warning but still
+    morph (see :func:`check_params`).
+    """
+    mu = check_params(config, np.reshape(mu, -1))
+    return FfdLattice(
+        config.origin, config.axes, config.dims, _control_displacements(config, mu)
+    )
+
+
+def displacement_jacobian(config: FfdConfig, points) -> np.ndarray:
+    """Displacement of a point set per unit of each design parameter.
+
+    Column ``j`` is the flattened displacement field (x1, y1, z1, x2, ...)
+    of the morph with parameter ``j`` at one and all others at zero. The
+    morph is linear in the parameters, so the points moved by ``mu`` are
+    ``flatten(points) + J @ mu`` exactly. Returns a (3 n_points, p) array.
+    """
+    morpher = MeshMorpher(points, config.origin, config.axes, config.dims)
+    jac = np.empty((3 * morpher.point_count, config.param_dim))
+    for j, unit in enumerate(np.eye(config.param_dim)):
+        grid = _control_displacements(config, unit)
+        jac[:, j] = morpher.displacement(grid).reshape(-1)
+    return jac
 
 
 def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:

@@ -1,12 +1,14 @@
-"""Reduced geometric parameter space built from deformation snapshots.
+"""Reduced geometric parameter space built from a family of deformations.
 
-Workflow: sample the design-parameter box, build the family of deformed
-geometries, extract an orthonormal basis of the displacement fields, and
-keep the modal coefficients as new shape parameters. Linear dependencies
-between coefficients are detected and folded away; the remaining free
-coefficients, restricted to a convex feasible polygon fitted around the
-training cloud, form the reduced space that downstream sampling and
-optimization operate on.
+Workflow: sample the design-parameter box, extract an orthonormal basis
+of the displacement fields of the deformed geometries, and keep the modal
+coefficients as new shape parameters. The FFD morph is linear in the
+design parameters, so the basis comes in closed form from the
+displacement Jacobian and no deformed geometry is ever built. Linear
+dependencies between coefficients are detected and folded away; the
+remaining free coefficients, restricted to a convex feasible polygon
+fitted around the training cloud, form the reduced space that downstream
+sampling and optimization operate on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     InfeasibleRegion,
     OutOfRegion,
 )
-from .ffd import FfdConfig, MeshMorpher, apply_params
+from .ffd import FfdConfig, check_params, displacement_jacobian
 from .mesh import TriMesh, flatten, unflatten
 
 
@@ -48,49 +50,32 @@ def build_geometry_pod(
 ):
     """Deformation family -> orthonormal displacement basis + coefficients.
 
-    Every parameter row morphs the reference mesh; the flattened
-    coordinates are centered on the reference (so zero coefficients mean
-    the undeformed geometry) and decomposed. Returns the (optionally
+    Each parameter row ``mu`` morphs the reference to ``flatten(reference)
+    + J @ mu``, where ``J`` is the N x p displacement Jacobian of the FFD
+    map (:func:`shapemanifold.ffd.displacement_jacobian`). Centered on the
+    reference (so zero coefficients mean the undeformed geometry), the
+    family is therefore exactly ``J @ params.T``. With ``J = Q R`` its
+    singular values and modes are those of the small p x M product
+    ``R @ params.T``, mapped back through ``Q``: the cost is O(N p^2) plus
+    O(p^2 M) and no N x M array is formed. Returns the (optionally
     truncated) basis and the per-sample coefficient matrix, one row per
     training geometry.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[0] < 2:
         raise ValueError("need a 2-D parameter matrix with at least 2 rows")
-    ref_flat = flatten(reference)
-    morpher = MeshMorpher(reference.vertices, config.origin, config.axes, config.dims)
-    centered = np.empty((ref_flat.size, params.shape[0]))
-    for i, mu in enumerate(params):
-        lattice = apply_params(config, mu)
-        centered[:, i] = morpher.displacement(lattice.displacements).reshape(-1)
-    basis = pod.compute_pod(centered, center=ref_flat)
+    check_params(config, params)
+    jac = displacement_jacobian(config, reference.vertices)
+    q, r = np.linalg.qr(jac)
+    basis = pod._basis_from_factors(q, r @ params.T, flatten(reference))
     if basis.rank == 0:
         raise DegenerateTrainingSet(
             "deformation family has no variation; check the parameter map"
         )
     if rule is not None:
         basis = pod.truncate(basis, rule)
-    alpha = (basis.modes.T @ centered).T
+    alpha = params @ (jac.T @ basis.modes)
     return basis, alpha
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Sampled design parameters with their modal coefficients and basis."""
-
-    mu_ffd: np.ndarray
-    alpha: np.ndarray
-    basis: pod.PodBasis
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu_ffd, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if mu.shape[0] != alpha.shape[0]:
-            raise ValueError("parameter and coefficient row counts differ")
-        if alpha.shape[1] < 1:
-            raise ValueError("need at least one coefficient column")
-        object.__setattr__(self, "mu_ffd", mu)
-        object.__setattr__(self, "alpha", alpha)
 
 
 def linear_fit(x, y):

@@ -1,7 +1,10 @@
 """Snapshot matrices and SVD-based orthonormal bases.
 
-Shared by the geometry pipeline (coordinates of deformed meshes) and the
-solution pipeline (solver output fields). State dimension is written N,
+The solution pipeline decomposes solver output fields with
+:func:`compute_pod` (method of snapshots). The geometry pipeline builds
+its basis in closed form from the FFD displacement Jacobian (see
+:func:`shapemanifold.manifold.build_geometry_pod`); both finish through
+the same rank cutoff and sign convention. State dimension is written N,
 snapshot count M; snapshots are matrix columns.
 """
 
@@ -157,6 +160,25 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
+def _basis_from_factors(
+    q: np.ndarray | None, small: np.ndarray, center: np.ndarray
+) -> PodBasis:
+    """POD of a snapshot matrix given in factored form ``q @ small``.
+
+    ``q`` has orthonormal columns (``None`` stands for the identity), so
+    the singular values of ``small`` are those of the full matrix and its
+    left singular vectors map to the modes through ``q``. Singular values
+    below ``RANK_CUTOFF`` times the largest are dropped and each mode's
+    sign is fixed; a zero matrix yields an empty basis.
+    """
+    u_small, sigma, _ = np.linalg.svd(small, full_matrices=False)
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        return PodBasis(np.zeros((center.size, 0)), np.zeros(0), center)
+    keep = sigma >= RANK_CUTOFF * sigma[0]
+    modes = u_small[:, keep] if q is None else q @ u_small[:, keep]
+    return PodBasis(_fix_signs(np.ascontiguousarray(modes)), sigma[keep], center)
+
+
 def compute_pod(matrix: np.ndarray, center: np.ndarray | None = None) -> PodBasis:
     """Left singular vectors and singular values of a snapshot matrix.
 
@@ -168,8 +190,8 @@ def compute_pod(matrix: np.ndarray, center: np.ndarray | None = None) -> PodBasi
     values below sqrt(machine eps) of the largest are numerically
     invisible through the Gram matrix and count as rank deficiency.
 
-    Singular values below ``RANK_CUTOFF`` times the largest are dropped;
-    a zero matrix yields an empty basis.
+    The rank cutoff and sign convention are those of
+    :func:`_basis_from_factors`.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -177,28 +199,18 @@ def compute_pod(matrix: np.ndarray, center: np.ndarray | None = None) -> PodBasi
     n, m = a.shape
     if center is None:
         center = np.zeros(n)
-
-    if n >= m:
-        gram = a.T @ a
-        lam, phi = np.linalg.eigh(gram)
-        lam = lam[::-1]
-        phi = phi[:, ::-1]
-        floor = max(lam[0], 0.0) * m * np.finfo(float).eps
-        keep = lam > floor
-        if not keep.any():
-            return PodBasis(np.zeros((n, 0)), np.zeros(0), center)
-        q, _ = np.linalg.qr(a @ phi[:, keep])
-        small = q.T @ a
-        u_small, sigma, _ = np.linalg.svd(small, full_matrices=False)
-        modes = q @ u_small
-    else:
-        modes, sigma, _ = np.linalg.svd(a, full_matrices=False)
-
-    if sigma.size == 0 or sigma[0] <= 0.0:
+    if n < m:
+        return _basis_from_factors(None, a, center)
+    gram = a.T @ a
+    lam, phi = np.linalg.eigh(gram)
+    lam = lam[::-1]
+    phi = phi[:, ::-1]
+    floor = max(lam[0], 0.0) * m * np.finfo(float).eps
+    keep = lam > floor
+    if not keep.any():
         return PodBasis(np.zeros((n, 0)), np.zeros(0), center)
-    keep = sigma >= RANK_CUTOFF * sigma[0]
-    modes = _fix_signs(np.ascontiguousarray(modes[:, keep]))
-    return PodBasis(modes, sigma[keep], center)
+    q, _ = np.linalg.qr(a @ phi[:, keep])
+    return _basis_from_factors(q, q.T @ a, center)
 
 
 def truncate(basis: PodBasis, rule: TruncationRule) -> PodBasis:

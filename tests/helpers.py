@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the code paths they are used to check:
 the SVD oracle is a one-sided Jacobi iteration, point-in-polygon is ray
-casting, and the least-squares oracle uses the raw-sum formulas.
+casting, the least-squares oracle uses the raw-sum formulas, and the
+geometry-POD oracle morphs every sample and decomposes the snapshot
+matrix instead of using the closed form.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import math
 
 import numpy as np
 
-from shapemanifold.mesh import TriMesh
+from shapemanifold import pod
+from shapemanifold.ffd import MeshMorpher, apply_params
+from shapemanifold.mesh import TriMesh, flatten
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +165,20 @@ def ols_oracle(x, y):
     ss_tot = sum((b - ybar) ** 2 for b in y)
     r2 = 1.0 - ss_res / ss_tot
     return slope, intercept, r2
+
+
+def snapshot_geometry_pod(reference: TriMesh, config, params, rule=None):
+    """Geometry POD by the method of snapshots: morph every parameter row,
+    stack the displacement fields as columns of an N x M matrix centered
+    on the reference, and decompose it with ``pod.compute_pod``. Returns
+    (basis, alpha) like ``manifold.build_geometry_pod``."""
+    params = np.asarray(params, dtype=float)
+    morpher = MeshMorpher(reference.vertices, config.origin, config.axes, config.dims)
+    centered = np.empty((3 * reference.vertex_count, params.shape[0]))
+    for i, mu in enumerate(params):
+        lattice = apply_params(config, mu)
+        centered[:, i] = morpher.displacement(lattice.displacements).reshape(-1)
+    basis = pod.compute_pod(centered, center=flatten(reference))
+    if rule is not None:
+        basis = pod.truncate(basis, rule)
+    return basis, (basis.modes.T @ centered).T

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from shapemanifold.ffd import (
     apply_params,
     bernstein,
     bernstein_row,
+    check_params,
     config_from_dict,
     config_to_dict,
     default_config,
     deform_point,
+    displacement_jacobian,
     morph_mesh,
     to_reference,
 )
@@ -244,6 +248,51 @@ class TestMorphMesh:
         d2 = morph_mesh(mesh, apply_params(cfg, mu2)).vertices - mesh.vertices
         d12 = morph_mesh(mesh, apply_params(cfg, mu1 + mu2)).vertices - mesh.vertices
         assert np.abs(d12 - (d1 + d2)).max() < 1e-12
+
+
+class TestCheckParams:
+    def test_matrix_rows(self):
+        cfg = five_param_config(make_sphere(6, 8))
+        with pytest.raises(DimensionMismatch):
+            check_params(cfg, np.zeros((3, 4)))
+        with pytest.warns(UserWarning, match="outside the configured bounds"):
+            check_params(cfg, [[0.0] * 5, [0.0, 0.0, -0.5, 0.0, 0.0]])
+
+    def test_in_box_is_silent(self):
+        cfg = five_param_config(make_sphere(6, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = check_params(cfg, cfg.bounds.T)
+        np.testing.assert_array_equal(out, cfg.bounds.T)
+
+
+class TestDisplacementJacobian:
+    def test_matches_morph(self):
+        mesh = make_sphere(6, 9)
+        cfg = five_param_config(mesh)
+        jac = displacement_jacobian(cfg, mesh.vertices)
+        assert jac.shape == (3 * mesh.vertex_count, 5)
+        rng = np.random.default_rng(8)
+        for mu in rng.uniform(-0.3, 0.3, (4, 5)):
+            moved = morph_mesh(mesh, apply_params(cfg, mu)).vertices
+            assert np.abs(mesh.vertices + (jac @ mu).reshape(-1, 3) - moved).max() < 1e-14
+
+    def test_unit_vectors_do_not_warn(self):
+        mesh = make_sphere(6, 9)
+        cfg = five_param_config(mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            displacement_jacobian(cfg, mesh.vertices)
+
+    def test_disjoint_lattice_is_zero(self):
+        mesh = make_tetra()
+        cfg = FfdConfig(
+            origin=np.array([10.0, 10.0, 10.0]),
+            axes=np.eye(3),
+            dims=(2, 2, 2),
+            param_map=five_param_config(mesh).param_map,
+        )
+        assert np.all(displacement_jacobian(cfg, mesh.vertices) == 0.0)
 
 
 class TestConfigSerialization:

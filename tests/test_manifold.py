@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from shapemanifold.errors import (
     CollinearPoints,
     DegenerateAbscissa,
     DegenerateTrainingSet,
+    DimensionMismatch,
     InfeasibleRegion,
     OutOfRegion,
 )
@@ -26,7 +29,7 @@ from shapemanifold.manifold import (
 from shapemanifold.mesh import flatten
 from shapemanifold.pod import TruncationRule
 
-from helpers import make_sphere, ols_oracle, ray_cast_inside
+from helpers import make_sphere, ols_oracle, ray_cast_inside, snapshot_geometry_pod
 
 
 class TestSampleFfdParams:
@@ -112,6 +115,132 @@ class TestBuildGeometryPod:
         measured = np.sqrt(num / den)
         expected = np.sqrt((sigma[kept:] ** 2).sum() / (sigma**2).sum())
         assert measured == pytest.approx(expected, abs=1e-8)
+
+
+def _rotated_config(mesh):
+    """Degree (3, 2, 4) lattice with rotated, non-unit axes covering part of
+    the mesh; 20 map entries over 7 parameters, several of them adding to
+    the same (control point, axis) pair."""
+    c, s = np.cos(0.4), np.sin(0.4)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(-0.7), np.sin(-0.7)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    axes = np.diag([1.7, 2.1, 1.3]) @ (rx @ rz).T
+    origin = np.array([0.1, -0.2, 0.15]) - 0.5 * axes.sum(axis=0)
+    table = [
+        (0, (1, 1, 1), 0, 1.0), (0, (2, 1, 2), 1, -0.4), (0, (1, 0, 3), 2, 0.3),
+        (1, (2, 1, 1), 1, 0.8), (1, (1, 1, 2), 2, 0.5), (1, (1, 1, 1), 0, 0.25),
+        (2, (1, 2, 3), 2, -0.9), (2, (2, 1, 3), 0, 0.6), (3, (1, 1, 2), 2, 0.7),
+        (3, (2, 0, 1), 1, -0.3), (3, (1, 1, 3), 0, 0.45), (4, (2, 1, 2), 1, 1.1),
+        (4, (2, 2, 2), 0, -0.35), (5, (1, 1, 1), 2, 0.9), (5, (2, 1, 3), 0, -0.2),
+        (5, (3, 1, 2), 1, 0.4), (6, (1, 1, 2), 0, -0.75), (6, (2, 1, 1), 2, 0.55),
+        (6, (1, 1, 1), 0, 0.3), (6, (2, 1, 2), 1, 0.15),
+    ]
+    entries = tuple(MapEntry(*row) for row in table)
+    return FfdConfig(origin, axes, (3, 2, 4), ParamMap(entries, param_dim=7))
+
+
+def _single_entry_case():
+    mesh = make_sphere(6, 8)
+    cfg = FfdConfig(
+        origin=mesh.bounding_box()[:, 0],
+        axes=np.diag(np.ptp(mesh.vertices, axis=0)),
+        dims=(2, 2, 2),
+        param_map=ParamMap((MapEntry(0, (1, 1, 1), 0, 1.0),), param_dim=5),
+    )
+    params = np.zeros((20, 5))
+    params[:, 0] = np.linspace(-0.3, 0.3, 20)
+    return mesh, cfg, params
+
+
+def _default_case():
+    mesh = make_sphere(13, 16)
+    cfg = default_config(mesh)
+    return mesh, cfg, sample_ffd_params(200, cfg.bounds, seed=21)
+
+
+def _rotated_case():
+    mesh = make_sphere(13, 16)
+    cfg = _rotated_config(mesh)
+    return mesh, cfg, sample_ffd_params(200, cfg.bounds, seed=22)
+
+
+class TestGeometryPodOracle:
+    """The closed form against the per-sample snapshot loop."""
+
+    @pytest.mark.parametrize(
+        "case, rank",
+        [(_default_case, 3), (_rotated_case, 7), (_single_entry_case, 1)],
+        ids=["default-rank-deficient", "rotated-lattice", "single-entry"],
+    )
+    def test_matches_snapshot_loop(self, case, rank):
+        mesh, cfg, params = case()
+        basis, alpha = build_geometry_pod(mesh, cfg, params)
+        oracle, oracle_alpha = snapshot_geometry_pod(mesh, cfg, params)
+        assert basis.rank == oracle.rank == rank
+        sigma1 = oracle.singular_values[0]
+        assert np.abs(basis.singular_values - oracle.singular_values).max() <= 1e-12 * sigma1
+        assert np.abs(basis.modes - oracle.modes).max() <= 1e-12
+        scale = np.abs(oracle_alpha).max()
+        assert np.abs(alpha - oracle_alpha).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(basis.center, oracle.center)
+
+    def test_truncated_matches_snapshot_loop(self):
+        mesh, cfg, params = _rotated_case()
+        rule = TruncationRule.energy(0.9)
+        basis, alpha = build_geometry_pod(mesh, cfg, params, rule)
+        oracle, oracle_alpha = snapshot_geometry_pod(mesh, cfg, params, rule)
+        assert basis.rank == oracle.rank < 7
+        assert alpha.shape == (params.shape[0], basis.rank)
+        scale = np.abs(oracle_alpha).max()
+        assert np.abs(alpha - oracle_alpha).max() <= 1e-12 * scale
+
+
+class TestGeometryPodContract:
+    """Checks the per-sample morph loop used to perform."""
+
+    def test_wrong_column_count(self):
+        mesh = make_sphere(5, 6)
+        cfg = default_config(mesh)
+        with pytest.raises(DimensionMismatch):
+            build_geometry_pod(mesh, cfg, np.full((4, 4), 0.1))
+
+    def test_too_few_rows(self):
+        mesh = make_sphere(5, 6)
+        cfg = default_config(mesh)
+        with pytest.raises(ValueError):
+            build_geometry_pod(mesh, cfg, np.full((1, 5), 0.1))
+
+    def test_out_of_box_row_warns(self):
+        mesh = make_sphere(5, 6)
+        cfg = default_config(mesh)
+        params = sample_ffd_params(10, cfg.bounds, seed=5)
+        params[3, 2] = 0.9
+        with pytest.warns(UserWarning, match="parameter vector outside the configured bounds"):
+            build_geometry_pod(mesh, cfg, params)
+
+    def test_in_box_sample_is_silent(self):
+        # The Jacobian is built from unit parameter vectors, which lie
+        # outside the box; none of that may surface as a warning.
+        mesh = make_sphere(5, 6)
+        cfg = default_config(mesh)
+        params = sample_ffd_params(10, cfg.bounds, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_geometry_pod(mesh, cfg, params)
+
+    def test_lattice_without_vertices_degenerate(self):
+        mesh = make_sphere(5, 6)
+        default = default_config(mesh)
+        cfg = FfdConfig(
+            origin=np.array([10.0, 10.0, 10.0]),
+            axes=np.eye(3),
+            dims=(2, 2, 2),
+            param_map=default.param_map,
+        )
+        params = sample_ffd_params(10, cfg.bounds, seed=7)
+        with pytest.raises(DegenerateTrainingSet):
+            build_geometry_pod(mesh, cfg, params)
 
 
 class TestLinearFit:
