@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -153,29 +155,27 @@ def _load_json(path, expected_format: str) -> dict:
     return data
 
 
+@contextmanager
+def _fields_of(path):
+    """Report a missing or mistyped field of the JSON document at ``path``."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: missing or malformed field ({exc!r})") from exc
+
+
 def save_reduced_space(directory, space: ReducedSpace):
     """Directory artifact: space.json plus geometry_basis.bin."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_pod_basis(directory / "geometry_basis.bin", space.basis)
-    deps = []
-    for s in space.dependencies.status:
-        if s is None:
-            deps.append(None)
-        else:
-            deps.append(
-                {
-                    "source": s.source,
-                    "slope": s.slope,
-                    "intercept": s.intercept,
-                    "r2": s.r2,
-                }
-            )
     doc = {
         "format": JSON_FORMATS["space"],
         "version": _VERSION,
         "free_indices": list(space.free_indices),
-        "dependencies": deps,
+        "dependencies": [
+            None if s is None else asdict(s) for s in space.dependencies.status
+        ],
         "polygon": None
         if space.polygon is None
         else {
@@ -190,35 +190,37 @@ def save_reduced_space(directory, space: ReducedSpace):
 
 def load_reduced_space(directory) -> ReducedSpace:
     directory = Path(directory)
-    doc = _load_json(directory / "space.json", JSON_FORMATS["space"])
+    path = directory / "space.json"
+    doc = _load_json(path, JSON_FORMATS["space"])
     basis = load_pod_basis(directory / "geometry_basis.bin")
-    status = []
-    for entry in doc["dependencies"]:
-        if entry is None:
-            status.append(None)
-        else:
-            status.append(
-                Dependency(
-                    int(entry["source"]),
-                    float(entry["slope"]),
-                    float(entry["intercept"]),
-                    float(entry["r2"]),
+    with _fields_of(path):
+        status = []
+        for entry in doc["dependencies"]:
+            if entry is None:
+                status.append(None)
+            else:
+                status.append(
+                    Dependency(
+                        int(entry["source"]),
+                        float(entry["slope"]),
+                        float(entry["intercept"]),
+                        float(entry["r2"]),
+                    )
                 )
+        polygon = None
+        if doc["polygon"] is not None:
+            polygon = FeasiblePolygon(
+                axes=tuple(doc["polygon"]["axes"]),
+                vertices=np.asarray(doc["polygon"]["vertices"], dtype=float),
             )
-    polygon = None
-    if doc["polygon"] is not None:
-        polygon = FeasiblePolygon(
-            axes=tuple(doc["polygon"]["axes"]),
-            vertices=np.asarray(doc["polygon"]["vertices"], dtype=float),
+        return ReducedSpace(
+            basis=basis,
+            dependencies=DependencyModel(tuple(status)),
+            polygon=polygon,
+            free_indices=tuple(doc["free_indices"]),
+            bounding_box=np.asarray(doc["bounding_box"], dtype=float),
+            polygon_uses_regressed=bool(doc["polygon_uses_regressed"]),
         )
-    return ReducedSpace(
-        basis=basis,
-        dependencies=DependencyModel(tuple(status)),
-        polygon=polygon,
-        free_indices=tuple(doc["free_indices"]),
-        bounding_box=np.asarray(doc["bounding_box"], dtype=float),
-        polygon_uses_regressed=bool(doc["polygon_uses_regressed"]),
-    )
 
 
 def save_solution_database(directory, db: SolutionDatabase):
@@ -269,11 +271,14 @@ def _interp_to_dict(interp: Interpolator) -> dict:
 
 
 def _interp_from_dict(data: dict, nodes: np.ndarray) -> Interpolator:
+    weights = np.asarray(data["weights"], dtype=float)
+    if weights.ndim == 1:  # one output stored as a flat list
+        weights = weights[:, None]
     return Interpolator(
         kernel=data["kernel"],
         epsilon=float(data["epsilon"]),
         nodes=nodes,
-        weights=np.asarray(data["weights"], dtype=float),
+        weights=weights,
         tail=None if data["tail"] is None else np.asarray(data["tail"], dtype=float),
     )
 
@@ -297,26 +302,15 @@ def save_rom(directory, model: RomModel):
 
 def load_rom(directory) -> RomModel:
     directory = Path(directory)
-    doc = _load_json(directory / "interpolators.json", JSON_FORMATS["rom"])
+    path = directory / "interpolators.json"
+    doc = _load_json(path, JSON_FORMATS["rom"])
     basis = load_pod_basis(directory / "solution_basis.bin")
-    nodes = np.asarray(doc["nodes"], dtype=float)
-    coeff = _interp_from_dict(doc["coefficients"], nodes)
-    weights = np.asarray(doc["objective"]["weights"], dtype=float)
-    if weights.ndim == 1:
-        weights = weights[:, None]
-    objective = Interpolator(
-        kernel=doc["objective"]["kernel"],
-        epsilon=float(doc["objective"]["epsilon"]),
-        nodes=nodes,
-        weights=weights,
-        tail=None
-        if doc["objective"]["tail"] is None
-        else np.asarray(doc["objective"]["tail"], dtype=float),
-    )
-    return RomModel(
-        basis=basis,
-        coefficients=coeff,
-        objective=objective,
-        objective_mean=float(doc["objective_mean"]),
-        metadata=dict(doc.get("metadata", {})),
-    )
+    with _fields_of(path):
+        nodes = np.asarray(doc["nodes"], dtype=float)
+        return RomModel(
+            basis=basis,
+            coefficients=_interp_from_dict(doc["coefficients"], nodes),
+            objective=_interp_from_dict(doc["objective"], nodes),
+            objective_mean=float(doc["objective_mean"]),
+            metadata=dict(doc.get("metadata", {})),
+        )

@@ -61,16 +61,13 @@ def _parse_mu(text: str, expected: int | None = None) -> np.ndarray:
         mu = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ShapeManifoldError(f"cannot parse parameter vector {text!r}") from exc
+    if not np.isfinite(mu).all():
+        raise ShapeManifoldError(f"parameter vector {text!r} is not finite")
     if expected is not None and mu.size != expected:
         raise ShapeManifoldError(
             f"expected {expected} parameter components, got {mu.size}"
         )
     return mu
-
-
-def _modes_to_reach(report: np.ndarray, threshold: float) -> int:
-    cumulative = np.atleast_2d(report)[:, 3]
-    return int(np.searchsorted(cumulative, threshold - 1e-15) + 1)
 
 
 def cmd_morph(args) -> int:
@@ -178,12 +175,13 @@ def cmd_compare_decay(args) -> int:
     cfg = load_pipeline_config(args.config, args.out, args.seed)
     full_dir = Path(args.full) if args.full else cfg.output_dir / "db_full"
     reduced_dir = Path(args.reduced) if args.reduced else cfg.output_dir / "db_reduced"
-    reports = {}
+    spectra, reports = {}, {}
     for name, directory in (("full", full_dir), ("reduced", reduced_dir)):
         db = artifacts.load_solution_database(directory)
-        matrix, center = pod.assemble(list(db.fields), centering="mean")
+        matrix, center = pod.assemble(db.fields, centering="mean")
         basis = pod.compute_pod(matrix, center=center)
         reports[name] = pod.decay_report(basis)
+        spectra[name] = basis.singular_values
 
     rows = max(len(reports["full"]), len(reports["reduced"]))
     lines = [
@@ -203,8 +201,9 @@ def cmd_compare_decay(args) -> int:
     out.write_text("\n".join(lines) + "\n")
 
     for mark in _ENERGY_MARKS:
-        full_n = _modes_to_reach(reports["full"], mark)
-        reduced_n = _modes_to_reach(reports["reduced"], mark)
+        rule = pod.TruncationRule.energy(mark)
+        full_n = rule.select(spectra["full"])
+        reduced_n = rule.select(spectra["reduced"])
         print(f"energy {mark}: full={full_n} reduced={reduced_n}")
     _log(f"wrote {out}")
     return 0

@@ -76,12 +76,30 @@ class PipelineConfig:
         return self.sampling.seed + 3
 
 
-def _truncation_from_dict(data: dict) -> TruncationRule:
+# The keys the sections read by hand may set; the others reject unknown
+# keys through their dataclass constructors.
+_TOP_KEYS = ("reference_stl", "output_dir", "weld_tolerance", "ffd", "truncation",
+             "sampling", "reduction", "rom", "optimizer", "stub")
+_FFD_KEYS = ("origin", "axes", "dims", "parameters", "bounds")
+
+
+def _check_keys(data, allowed, section: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object")
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+
+
+def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
+    section = f"truncation.{name}"
+    data = trunc[name]
+    _check_keys(data, ("fixed", "energy"), section)
+    if len(data) != 1:
+        raise ValueError(f"{section} must set exactly one of 'fixed' and 'energy'")
     if "fixed" in data:
         return TruncationRule.fixed(int(data["fixed"]))
-    if "energy" in data:
-        return TruncationRule.energy(float(data["energy"]))
-    raise ArtifactError("truncation rule needs a 'fixed' or 'energy' key")
+    return TruncationRule.energy(float(data["energy"]))
 
 
 def load_pipeline_config(
@@ -98,18 +116,21 @@ def load_pipeline_config(
     base = path.resolve().parent
 
     try:
+        _check_keys(data, _TOP_KEYS, "top-level")
         cfg = PipelineConfig(reference_stl=(base / data["reference_stl"]))
         if "output_dir" in data:
             cfg.output_dir = base / data["output_dir"]
         if data.get("weld_tolerance") is not None:
             cfg.weld_tolerance = float(data["weld_tolerance"])
         if data.get("ffd") is not None:
+            _check_keys(data["ffd"], _FFD_KEYS, "ffd")
             cfg.ffd = ffd_mod.config_from_dict(data["ffd"])
         trunc = data.get("truncation", {})
+        _check_keys(trunc, ("geometry", "solution"), "truncation")
         if "geometry" in trunc:
-            cfg.geometry_truncation = _truncation_from_dict(trunc["geometry"])
+            cfg.geometry_truncation = _truncation_from_dict(trunc, "geometry")
         if "solution" in trunc:
-            cfg.solution_truncation = _truncation_from_dict(trunc["solution"])
+            cfg.solution_truncation = _truncation_from_dict(trunc, "solution")
         if "sampling" in data:
             cfg.sampling = SamplingConfig(**data["sampling"])
         if "reduction" in data:
@@ -130,5 +151,4 @@ def load_pipeline_config(
         cfg.output_dir = Path(out_override)
     if seed_override is not None:
         cfg.sampling.seed = seed_override
-        cfg.optimizer.seed = seed_override + 3
     return cfg

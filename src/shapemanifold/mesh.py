@@ -296,11 +296,15 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     )
 
 
+def _facet_cross(mesh: TriMesh) -> np.ndarray:
+    # Per-facet edge cross product: along the normal, twice the area long.
+    v, f = mesh.vertices, mesh.facets
+    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+
+
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding; degenerate facets get a zero normal.
-    v = mesh.vertices
-    f = mesh.facets
-    n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    n = _facet_cross(mesh)
     lengths = np.linalg.norm(n, axis=1)
     ok = lengths > 0.0
     n[ok] /= lengths[ok, None]

@@ -66,6 +66,12 @@ class PodBasis:
         return self.modes.shape[0]
 
 
+def _cumulative_energy(sigma: np.ndarray) -> np.ndarray:
+    # Share of the total squared singular values held by the first k modes.
+    energy = np.cumsum(sigma**2)
+    return energy / energy[-1]
+
+
 @dataclass(frozen=True)
 class TruncationRule:
     """Keep a fixed number of modes, or enough for an energy fraction.
@@ -108,8 +114,7 @@ class TruncationRule:
                     stacklevel=2,
                 )
             return min(self.fixed_count, sigma.size)
-        energy = np.cumsum(sigma**2)
-        energy /= energy[-1]
+        energy = _cumulative_energy(sigma)
         return int(np.searchsorted(energy, self.energy_threshold - 1e-15) + 1)
 
 
@@ -118,8 +123,8 @@ def assemble(snapshots, centering="none"):
 
     Parameters
     ----------
-    snapshots : sequence of 1-D arrays
-        All of one common length.
+    snapshots : sequence of arrays, or one array with a snapshot per row
+        Each snapshot is flattened; all must have one common shape.
     centering : "none", "mean", or a 1-D array
         What to subtract from every column; an explicit array centers on a
         reference state.
@@ -129,23 +134,25 @@ def assemble(snapshots, centering="none"):
     (matrix, center)
         The centered columns and the vector that was subtracted.
     """
-    cols = [np.asarray(s, dtype=float).reshape(-1) for s in snapshots]
-    if not cols:
+    try:
+        rows = np.asarray(snapshots, dtype=float)
+    except ValueError as exc:  # ragged input
+        raise DimensionMismatch("snapshots have differing lengths") from exc
+    if len(rows) == 0:
         raise EmptyDatabase("no snapshots to assemble")
-    length = cols[0].size
-    if any(c.size != length for c in cols):
-        raise DimensionMismatch("snapshots have differing lengths")
-    matrix = np.column_stack(cols)
+    # C order, as np.column_stack gives: BLAS rounds the snapshot products of
+    # a transposed view differently, which moves bases by about 1e-15.
+    matrix = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
     if isinstance(centering, str):
         if centering == "none":
-            center = np.zeros(length)
+            center = np.zeros(len(matrix))
         elif centering == "mean":
             center = matrix.mean(axis=1)
         else:
             raise ValueError(f"unknown centering mode {centering!r}")
     else:
         center = np.asarray(centering, dtype=float).reshape(-1)
-        if center.size != length:
+        if center.size != len(matrix):
             raise DimensionMismatch("centering vector length does not match snapshots")
     return matrix - center[:, None], center
 
@@ -251,8 +258,5 @@ def decay_report(basis: PodBasis) -> np.ndarray:
     if basis.rank == 0:
         raise EmptyBasis("no modes to report")
     sigma = basis.singular_values
-    energy = np.cumsum(sigma**2)
-    energy /= energy[-1]
-    return np.column_stack(
-        [np.arange(1, sigma.size + 1), sigma, sigma / sigma[0], energy]
-    )
+    index = np.arange(1, sigma.size + 1)
+    return np.column_stack([index, sigma, sigma / sigma[0], _cumulative_energy(sigma)])

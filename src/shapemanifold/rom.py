@@ -40,12 +40,13 @@ class SolutionDatabase:
             raise ValueError("database row counts disagree")
         if not (np.isfinite(params).all() and np.isfinite(fields).all()):
             raise ValueError("database entries must be finite")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.max(np.abs(params[i] - params[j])) < 1e-12:
-                    raise DuplicateParams(
-                        f"parameter rows {i} and {j} coincide within 1e-12"
-                    )
+        for i in range(m - 1):
+            close = np.abs(params[i + 1 :] - params[i]).max(axis=1) < 1e-12
+            if close.any():
+                j = i + 1 + int(np.argmax(close))
+                raise DuplicateParams(
+                    f"parameter rows {i} and {j} coincide within 1e-12"
+                )
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "objectives", objectives)
@@ -77,16 +78,6 @@ def _kernel_matrix(kernel: str, r: np.ndarray, epsilon: float) -> np.ndarray:
         out[mask] = r[mask] ** 2 * np.log(r[mask])
         return out
     raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def default_epsilon(nodes: np.ndarray) -> float:
-    """Shape parameter heuristic: inverse mean nearest-neighbor distance."""
-    if nodes.shape[0] < 2:
-        return 1.0
-    dist = _pairwise_distances(nodes, nodes)
-    np.fill_diagonal(dist, np.inf)
-    mean_nn = float(dist.min(axis=1).mean())
-    return 1.0 / mean_nn if mean_nn > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -146,8 +137,9 @@ def fit_interpolator(
     off_diag = dist + np.diag(np.full(m, np.inf))
     if m > 1 and off_diag.min() == 0.0:
         raise ValueError("interpolation nodes must be distinct")
-    if epsilon is None:
-        epsilon = default_epsilon(nodes)
+    if epsilon is None:  # inverse mean nearest-neighbour distance
+        mean_nn = float(off_diag.min(axis=1).mean()) if m > 1 else 0.0
+        epsilon = 1.0 / mean_nn if mean_nn > 0.0 else 1.0
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
 
@@ -155,10 +147,7 @@ def fit_interpolator(
     if kernel == "thin-plate":
         p = np.column_stack([np.ones(m), nodes])
         n_tail = p.shape[1]
-        system = np.zeros((m + n_tail, m + n_tail))
-        system[:m, :m] = k
-        system[:m, m:] = p
-        system[m:, :m] = p.T
+        system = np.block([[k, p], [p.T, np.zeros((n_tail, n_tail))]])
         rhs = np.vstack([values, np.zeros((n_tail, values.shape[1]))])
     else:
         system = k
@@ -174,10 +163,8 @@ def fit_interpolator(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"interpolation system is singular: {exc}") from exc
 
-    if kernel == "thin-plate":
-        interp = Interpolator(kernel, epsilon, nodes, solution[:m], solution[m:])
-    else:
-        interp = Interpolator(kernel, epsilon, nodes, solution)
+    tail = solution[m:] if kernel == "thin-plate" else None
+    interp = Interpolator(kernel, epsilon, nodes, solution[:m], tail)
     residual = np.abs(interp(nodes) - values)
     scale = 1.0 + np.abs(values).max(initial=0.0)
     if values.size and residual.max() > _RESIDUAL_RTOL * scale:
@@ -218,7 +205,7 @@ def build_rom(
     """Offline phase: reduce the fields and fit the coefficient maps."""
     if db.count < 2:
         raise ValueError("need at least two snapshots to build a model")
-    matrix, center = pod.assemble(list(db.fields), centering="mean")
+    matrix, center = pod.assemble(db.fields, centering="mean")
     basis = pod.truncate(pod.compute_pod(matrix, center=center), rule)
     coeffs = (basis.modes.T @ matrix).T  # training coefficients, one row per sample
     coeff_interp = fit_interpolator(db.params, coeffs, kernel, epsilon)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-from .mesh import TriMesh
+from .mesh import TriMesh, _facet_cross
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class SolutionSnapshot:
         object.__setattr__(self, "params", params)
 
 
-def _facet_areas(mesh: TriMesh) -> np.ndarray:
-    v = mesh.vertices
-    f = mesh.facets
-    n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return 0.5 * np.linalg.norm(n, axis=1)
-
-
 def evaluate(mesh: TriMesh, cfg: StubConfig, params=None) -> SolutionSnapshot:
     """Run the synthetic solver on one geometry.
 
@@ -83,7 +76,7 @@ def evaluate(mesh: TriMesh, cfg: StubConfig, params=None) -> SolutionSnapshot:
         kx, ky, kz = cfg.frequency
         values = cfg.amplitude * np.sin(kx * v[:, 0]) * np.cos(ky * v[:, 1])
         values = values + kz * v[:, 2] ** 2
-        areas = _facet_areas(mesh)
+        areas = 0.5 * np.linalg.norm(_facet_cross(mesh), axis=1)
         total = areas.sum()
         if total > 0.0:
             facet_mean = values[mesh.facets].mean(axis=1)
@@ -124,14 +117,11 @@ def stub_to_dict(cfg: StubConfig) -> dict:
 
 
 def stub_from_dict(data: dict) -> StubConfig:
-    kwargs = {"mode": data.get("mode", "field-synthetic")}
-    if "frequency" in data:
-        kwargs["frequency"] = tuple(data["frequency"])
-    if "amplitude" in data:
-        kwargs["amplitude"] = float(data["amplitude"])
-    if "target" in data:
-        kwargs["target"] = tuple(data["target"])
-    if data.get("region") is not None:
-        region = data["region"]
+    """Inverse of :func:`stub_to_dict`; an unknown key raises ``TypeError``."""
+    kwargs = dict(data)
+    if "amplitude" in kwargs:
+        kwargs["amplitude"] = float(kwargs["amplitude"])
+    if kwargs.get("region") is not None:
+        region = kwargs["region"]
         kwargs["region"] = np.column_stack([region["lower"], region["upper"]])
     return StubConfig(**kwargs)

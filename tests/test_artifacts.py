@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,9 @@ class TestDirectoryArtifacts:
         np.testing.assert_array_equal(again.polygon.vertices, space.polygon.vertices)
         np.testing.assert_array_equal(again.bounding_box, space.bounding_box)
         dep = again.dependencies.status[1]
-        assert dep.slope == space.dependencies.status[1].slope
+        assert dep == space.dependencies.status[1]
+        doc = json.loads((tmp_path / "space" / "space.json").read_text())
+        assert list(doc["dependencies"][1]) == ["source", "slope", "intercept", "r2"]
 
     def test_database_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -160,6 +164,73 @@ class TestDirectoryArtifacts:
         np.testing.assert_array_equal(f1, f2)
         assert o1 == o2
         assert again.metadata["mode_count"] == model.basis.rank
+
+    def saved_rom(self, tmp_path, kernel="gaussian"):
+        rng = np.random.default_rng(6)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (9, 2)),
+            rng.standard_normal((9, 20)),
+            rng.standard_normal(9),
+        )
+        model = build_rom(db, TruncationRule.energy(0.99), kernel=kernel)
+        save_rom(tmp_path / "rom", model)
+        return model, tmp_path / "rom" / "interpolators.json"
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate"])
+    def test_flat_objective_weights_load_as_a_column(self, tmp_path, kernel):
+        model, path = self.saved_rom(tmp_path, kernel)
+        doc = json.loads(path.read_text())
+        doc["objective"]["weights"] = [w[0] for w in doc["objective"]["weights"]]
+        path.write_text(json.dumps(doc))
+        again = load_rom(tmp_path / "rom")
+        assert again.objective.weights.shape == model.objective.weights.shape
+        np.testing.assert_array_equal(again.objective.weights, model.objective.weights)
+        for probe in ([0.2, -0.3], [0.9, 0.1]):
+            f1, o1 = predict(model, probe)
+            f2, o2 = predict(again, probe)
+            np.testing.assert_array_equal(f1, f2)
+            assert o1 == o2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("objective"),
+            lambda doc: doc["coefficients"].pop("weights"),
+            lambda doc: doc.update(nodes="not nodes"),
+            lambda doc: doc.update(objective_mean=None),
+            lambda doc: doc.update(metadata=[1, 2]),
+        ],
+    )
+    def test_malformed_rom_fields_name_the_file(self, tmp_path, edit):
+        _, path = self.saved_rom(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="interpolators.json"):
+            load_rom(tmp_path / "rom")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("bounding_box"),
+            lambda doc: doc.update(dependencies=3),
+            lambda doc: doc["polygon"].pop("axes"),
+            lambda doc: doc.update(polygon_uses_regressed=None, free_indices=None),
+        ],
+    )
+    def test_malformed_space_fields_name_the_file(self, tmp_path, edit):
+        rng = np.random.default_rng(5)
+        a0 = rng.uniform(-1, 1, 50)
+        alpha = np.column_stack([a0, rng.uniform(-1, 1, 50)])
+        space = build_reduced_space(compute_pod(rng.standard_normal((10, 2))), alpha)
+        save_reduced_space(tmp_path / "space", space)
+        path = tmp_path / "space" / "space.json"
+        doc = json.loads(path.read_text())
+        assert doc["polygon"] is not None
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="space.json"):
+            load_reduced_space(tmp_path / "space")
 
     def test_corrupt_json_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -64,6 +64,14 @@ class TestMorph:
         err = capsys.readouterr().err
         assert "error:" in err and "sphere.stl" in err
 
+    @pytest.mark.parametrize("mu", ["nan,0,0,0,0", "inf,0,0,0,0", "0,0,-inf,0,0"])
+    def test_non_finite_mu_rejected(self, workspace, capsys, mu):
+        root, cfg = workspace
+        assert run(cfg, "morph", "--mu", mu) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and "not finite" in err[-1]
+        assert not (root / "out" / "morphed.stl").exists()
+
     def test_ascii_output(self, workspace):
         root, cfg = workspace
         assert run(cfg, "morph", "--mu", "0.1,0,0,0,0", "--format", "ascii") == 0
@@ -203,6 +211,31 @@ class TestRomCommands:
         assert len(best_mu) == 3
         float(out_lines[1])  # best value parses
         assert (root / "out" / "optimization_trace.csv").exists()
+
+    @pytest.mark.parametrize("mu", ["nan,nan,nan", "inf,0,0"])
+    def test_predict_rejects_non_finite_mu(self, workspace, capsys, mu):
+        root, cfg = workspace
+        self.prepare(cfg)
+        capsys.readouterr()
+        assert run(cfg, "predict", "--mu", mu) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_missing_rom_field_clean_error(self, workspace, capsys):
+        root, cfg = workspace
+        self.prepare(cfg)
+        path = root / "out" / "rom" / "interpolators.json"
+        doc = json.loads(path.read_text())
+        del doc["objective"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(cfg, "predict", "--mu", "0,0,0") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert "interpolators.json" in err[0] and "objective" in err[0]
 
     def test_corrupt_rom_artifact(self, workspace, capsys):
         root, cfg = workspace

@@ -200,6 +200,14 @@ class TestWriteStl:
         soup = read_stl(write_stl(mesh, "binary"))
         np.testing.assert_allclose(soup.normals[0], [0.0, 0.0, 1.0])
 
+    def test_normals_are_unit_edge_cross_products(self):
+        mesh = make_sphere(7, 9, radius=0.6)
+        v, f = mesh.vertices, mesh.facets
+        n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        soup = read_stl(write_stl(mesh, "binary"))
+        np.testing.assert_array_equal(soup.normals, n.astype(np.float32))
+
 
 class TestFlatten:
     def test_layout(self):

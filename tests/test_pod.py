@@ -44,6 +44,36 @@ class TestAssemble:
         with pytest.raises(DimensionMismatch):
             assemble([[1.0, 2.0], [1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("centering", ["none", "mean"])
+    def test_array_and_list_agree_bitwise(self, centering):
+        rows = np.random.default_rng(3).standard_normal((7, 40))
+        m1, c1 = assemble(rows, centering=centering)
+        m2, c2 = assemble(list(rows), centering=centering)
+        assert m1.tobytes() == m2.tobytes() and c1.tobytes() == c2.tobytes()
+        assert m1.shape == (40, 7) and m1.flags.c_contiguous
+
+    def test_scalar_snapshots_have_length_one(self):
+        matrix, center = assemble([1.0, 2.0, 6.0], centering="mean")
+        np.testing.assert_array_equal(matrix, [[-2.0, -1.0, 3.0]])
+        np.testing.assert_array_equal(center, [3.0])
+
+    def test_vertex_array_snapshots_are_flattened(self):
+        shapes = np.random.default_rng(4).standard_normal((3, 5, 3))
+        matrix, _ = assemble(shapes)
+        for j, shape in enumerate(shapes):
+            np.testing.assert_array_equal(matrix[:, j], shape.reshape(-1))
+        np.testing.assert_array_equal(matrix, assemble(list(shapes))[0])
+
+    def test_ragged_arrays_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            assemble([np.zeros(4), np.zeros(5)])
+        with pytest.raises(DimensionMismatch):
+            assemble([np.zeros((2, 3)), np.zeros((3, 3))])
+
+    def test_empty_array(self):
+        with pytest.raises(EmptyDatabase):
+            assemble(np.zeros((0, 6)))
+
 
 class TestComputePod:
     def test_diagonal_case(self):
@@ -181,6 +211,41 @@ class TestTruncate:
     def test_full_energy_keeps_everything(self):
         basis = compute_pod(np.random.default_rng(2).standard_normal((6, 4)))
         assert truncate(basis, TruncationRule.energy(1.0)).rank == basis.rank
+
+
+def modes_to_reach(report, threshold):
+    # Reference: the mode count compare-decay printed when it read the
+    # cumulative-energy column of the decay table.
+    cumulative = np.atleast_2d(report)[:, 3]
+    return int(np.searchsorted(cumulative, threshold - 1e-15) + 1)
+
+
+class TestEnergyCount:
+    def spectra(self):
+        rng = np.random.default_rng(12)
+        yield np.array([4.0, 2.0, 1.0])  # energies 16/21, 20/21, 1
+        yield np.array([3.0, 1.0])  # first mode holds exactly 0.9
+        yield np.array([5.0])
+        for k in range(20):
+            decay = rng.exponential(size=rng.integers(1, 12)) ** (k % 4 + 1)
+            yield np.sort(decay)[::-1]
+
+    def test_matches_decay_table_count(self):
+        for sigma in self.spectra():
+            n = sigma.size
+            report = decay_report(PodBasis(np.eye(n + 2)[:, :n], sigma, np.zeros(n + 2)))
+            marks = [0.9, 0.99, 0.999, 0.9999, 1.0, *report[:, 3]]
+            marks += [np.nextafter(e, 0.0) for e in report[:, 3]]
+            marks += [min(e + 1e-15, 1.0) for e in report[:, 3]]
+            for mark in marks:
+                expected = modes_to_reach(report, mark)
+                assert TruncationRule.energy(mark).select(sigma) == expected, mark
+
+    def test_exact_threshold_hit_keeps_that_mode(self):
+        sigma = np.array([4.0, 2.0, 1.0])
+        assert TruncationRule.energy(16.0 / 21.0).select(sigma) == 1
+        assert TruncationRule.energy(20.0 / 21.0).select(sigma) == 2
+        assert TruncationRule.energy(0.9).select(np.array([3.0, 1.0])) == 1
 
 
 class TestProjectReconstruct:

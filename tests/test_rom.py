@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shapemanifold import rom
 from shapemanifold.errors import DuplicateParams, SingularSystem
 from shapemanifold.pod import TruncationRule
 from shapemanifold.rom import (
@@ -37,6 +38,45 @@ class TestSolutionDatabase:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             SolutionDatabase(np.ones((3, 2)), np.ones((2, 4)), np.zeros(3))
+
+    @staticmethod
+    def first_duplicate(params):
+        # Reference: the pairwise scan in row-major (i, j) order.
+        m = params.shape[0]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if np.max(np.abs(params[i] - params[j])) < 1e-12:
+                    return i, j
+        return None
+
+    def test_duplicate_scan_matches_pairwise_reference(self):
+        rng = np.random.default_rng(21)
+        flagged = 0
+        for _ in range(200):
+            m, d = int(rng.integers(2, 25)), int(rng.integers(1, 5))
+            params = rng.uniform(-1, 1, (m, d))
+            gaps = [5e-13] * int(rng.integers(3)) + [2e-12] * int(rng.integers(3))
+            for gap in gaps:
+                i, j = rng.choice(m, size=2, replace=False)
+                params[j] = params[i]
+                params[j, rng.integers(d)] += gap * rng.choice([-1.0, 1.0])
+            expected = self.first_duplicate(params)
+            if expected is None:
+                SolutionDatabase(params, np.zeros((m, 3)), np.zeros(m))
+                continue
+            flagged += not np.array_equal(params[expected[0]], params[expected[1]])
+            with pytest.raises(DuplicateParams) as info:
+                SolutionDatabase(params, np.zeros((m, 3)), np.zeros(m))
+            i, j = expected
+            assert str(info.value) == f"parameter rows {i} and {j} coincide within 1e-12"
+        assert 50 < flagged < 200
+
+    def test_near_duplicate_thresholds(self):
+        params = np.array([[0.5, 0.25], [0.5 + 2e-12, 0.25], [0.5, 0.25 - 2e-12]])
+        assert SolutionDatabase(params, np.zeros((3, 2)), np.zeros(3)).count == 3
+        params[2] = [0.5 + 5e-13, 0.25]
+        with pytest.raises(DuplicateParams, match="rows 0 and 2 "):
+            SolutionDatabase(params, np.zeros((3, 2)), np.zeros(3))
 
 
 class TestFitInterpolator:
@@ -73,6 +113,28 @@ class TestFitInterpolator:
         values = np.arange(6.0)
         with pytest.raises(SingularSystem):
             fit_interpolator(nodes, values, "gaussian", epsilon=1e-8)
+
+    @staticmethod
+    def nearest_neighbour_epsilon(nodes):
+        # Reference: inverse mean nearest-neighbour distance from a fresh
+        # distance matrix, 1.0 for a single node.
+        if nodes.shape[0] < 2:
+            return 1.0
+        dist = np.sqrt(((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        mean_nn = float(dist.min(axis=1).mean())
+        return 1.0 / mean_nn if mean_nn > 0.0 else 1.0
+
+    def test_default_epsilon_matches_reference(self):
+        rng = np.random.default_rng(8)
+        cases = [np.array([[0.3, -0.2]]), np.array([[0.0], [0.4]])]
+        cases += [rng.uniform(-1, 1, (m, d)) for m in (3, 9, 20) for d in (1, 2, 3)]
+        for nodes in cases:
+            kernel = "linear-rbf" if len(nodes) > 1 else "gaussian"
+            interp = fit_interpolator(nodes, np.ones(len(nodes)), kernel)
+            assert interp.epsilon == self.nearest_neighbour_epsilon(nodes)
+        assert fit_interpolator(cases[0], [2.0]).epsilon == 1.0
+        assert fit_interpolator(cases[1], [0.0, 1.0]).epsilon == 2.5
 
     def test_coincident_nodes_rejected(self):
         nodes = np.array([[0.0], [0.0]])
@@ -189,6 +251,19 @@ class TestLooError:
         errors, _ = loo_error(db, TruncationRule.energy(1.0 - 1e-12), kernel="linear-rbf")
         # Endpoints extrapolate; reported, larger than the typical interior one.
         assert errors[0] > np.median(errors[1:-1])
+
+    def test_each_fold_rebuilds_through_build_rom(self, monkeypatch):
+        db = linear_span_database(m=7)
+        calls = []
+        build = rom.build_rom
+
+        def counted(fold_db, *args, **kwargs):
+            calls.append(fold_db.count)
+            return build(fold_db, *args, **kwargs)
+
+        monkeypatch.setattr(rom, "build_rom", counted)
+        loo_error(db, TruncationRule.energy(0.9999))
+        assert calls == [6] * 7
 
     def test_needs_three_samples(self):
         db = SolutionDatabase(

@@ -14,6 +14,15 @@ def translated(mesh: TriMesh, shift) -> TriMesh:
 
 
 class TestFieldSynthetic:
+    def test_objective_is_area_weighted_facet_mean(self):
+        mesh = make_sphere(7, 9, radius=0.6)
+        v, f = mesh.vertices, mesh.facets
+        n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        areas = 0.5 * np.linalg.norm(n, axis=1)
+        snap = evaluate(mesh, StubConfig())
+        expected = (areas * snap.field[f].mean(axis=1)).sum() / areas.sum()
+        assert snap.objective == float(expected)
+
     def test_zero_amplitude_zero_field(self):
         cfg = StubConfig(mode="field-synthetic", frequency=(1.0, 1.0, 0.0), amplitude=0.0)
         snap = evaluate(make_sphere(5, 6), cfg)
