@@ -3,11 +3,14 @@
 Binary artifacts carry an eight-byte magic string, a little-endian uint32
 version, and little-endian 64-bit floats; anything plottable goes to CSV.
 Readers reject unknown magic strings and versions instead of misreading.
+Every file is written atomically, so an interrupted run leaves either the
+previous file or the new one, never a partial artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -35,8 +38,25 @@ JSON_FORMATS = {
 }
 
 
-def _write_header(handle, magic: bytes):
-    handle.write(magic + struct.pack("<I", _VERSION))
+def _write_atomic(path, chunks):
+    # Write the byte chunks to a temporary file beside ``path`` and rename
+    # it over ``path``; on any failure the temporary file is removed and
+    # ``path`` is untouched.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _header(magic: bytes) -> bytes:
+    return magic + struct.pack("<I", _VERSION)
 
 
 def _check_header(handle, magic: bytes, path):
@@ -50,13 +70,13 @@ def _check_header(handle, magic: bytes, path):
 
 def save_pod_basis(path, basis: PodBasis):
     """Binary layout: magic, version, N, r, modes (column-major), sigma, center."""
-    path = Path(path)
-    with open(path, "wb") as handle:
-        _write_header(handle, _MAGIC_BASIS)
-        handle.write(struct.pack("<QQ", basis.state_dim, basis.rank))
-        handle.write(np.asarray(basis.modes, dtype="<f8").tobytes(order="F"))
-        handle.write(np.asarray(basis.singular_values, dtype="<f8").tobytes())
-        handle.write(np.asarray(basis.center, dtype="<f8").tobytes())
+    _write_atomic(path, [
+        _header(_MAGIC_BASIS),
+        struct.pack("<QQ", basis.state_dim, basis.rank),
+        np.asarray(basis.modes, dtype="<f8").tobytes(order="F"),
+        np.asarray(basis.singular_values, dtype="<f8").tobytes(),
+        np.asarray(basis.center, dtype="<f8").tobytes(),
+    ])
 
 
 def load_pod_basis(path) -> PodBasis:
@@ -86,10 +106,11 @@ def load_pod_basis(path) -> PodBasis:
 def save_vector(path, values: np.ndarray):
     """Binary layout: magic, version, length, float64 payload."""
     values = np.asarray(values, dtype=float).reshape(-1)
-    with open(path, "wb") as handle:
-        _write_header(handle, _MAGIC_VECTOR)
-        handle.write(struct.pack("<Q", values.size))
-        handle.write(values.astype("<f8").tobytes())
+    _write_atomic(path, [
+        _header(_MAGIC_VECTOR),
+        struct.pack("<Q", values.size),
+        values.astype("<f8").tobytes(),
+    ])
 
 
 def load_vector(path) -> np.ndarray:
@@ -110,6 +131,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_lines(path, lines):
+    _write_atomic(path, [("\n".join(lines) + "\n").encode()])
+
+
 def save_decay_csv(path, report: np.ndarray):
     """Decay table rows as emitted by the mode-decay report."""
     lines = ["index,sigma,ratio,cumulative_energy"]
@@ -117,7 +142,7 @@ def save_decay_csv(path, report: np.ndarray):
         lines.append(
             f"{int(row[0])},{_fmt(row[1])},{_fmt(row[2])},{_fmt(row[3])}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def save_coefficients_csv(path, alpha: np.ndarray):
@@ -127,7 +152,7 @@ def save_coefficients_csv(path, alpha: np.ndarray):
     lines = [header]
     for row in alpha:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def save_trace_csv(path, traces):
@@ -139,7 +164,7 @@ def save_trace_csv(path, traces):
         for it, (mu, value) in enumerate(trace):
             mu_cols = ",".join(_fmt(v) for v in mu)
             lines.append(f"{start},{it},{mu_cols},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _load_json(path, expected_format: str) -> dict:
@@ -185,7 +210,7 @@ def save_reduced_space(directory, space: ReducedSpace):
         "bounding_box": space.bounding_box.tolist(),
         "polygon_uses_regressed": space.polygon_uses_regressed,
     }
-    (directory / "space.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_lines(directory / "space.json", [json.dumps(doc, indent=1)])
 
 
 def load_reduced_space(directory) -> ReducedSpace:
@@ -235,7 +260,7 @@ def save_solution_database(directory, db: SolutionDatabase):
         save_vector(fields_dir / f"sample_{i:05d}.bin", db.fields[i])
         mu_cols = ",".join(_fmt(v) for v in db.params[i])
         lines.append(f"{i},{mu_cols},{_fmt(db.objectives[i])}")
-    (directory / "index.csv").write_text("\n".join(lines) + "\n")
+    _write_lines(directory / "index.csv", lines)  # last: marks the database complete
 
 
 def load_solution_database(directory) -> SolutionDatabase:
@@ -250,11 +275,17 @@ def load_solution_database(directory) -> SolutionDatabase:
     if header[0] != "sample_id" or header[-1] != "objective":
         raise ArtifactError(f"{index}: unexpected column layout")
     params, objectives, fields = [], [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cols = line.split(",")
-        sample_id = int(cols[0])
-        params.append([float(c) for c in cols[1:-1]])
-        objectives.append(float(cols[-1]))
+        try:
+            if len(cols) != len(header):
+                raise ValueError(f"{len(cols)} columns, the header has {len(header)}")
+            sample_id = int(cols[0])
+            values = [float(c) for c in cols[1:]]
+        except ValueError as exc:
+            raise ArtifactError(f"{index}: line {number}: malformed row ({exc})") from exc
+        params.append(values[:-1])
+        objectives.append(values[-1])
         fields.append(load_vector(directory / "fields" / f"sample_{sample_id:05d}.bin"))
     return SolutionDatabase(
         np.asarray(params), np.asarray(fields), np.asarray(objectives)
@@ -297,7 +328,7 @@ def save_rom(directory, model: RomModel):
         "objective_mean": model.objective_mean,
         "metadata": model.metadata,
     }
-    (directory / "interpolators.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_lines(directory / "interpolators.json", [json.dumps(doc, indent=1)])
 
 
 def load_rom(directory) -> RomModel:

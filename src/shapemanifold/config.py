@@ -81,6 +81,7 @@ class PipelineConfig:
 _TOP_KEYS = ("reference_stl", "output_dir", "weld_tolerance", "ffd", "truncation",
              "sampling", "reduction", "rom", "optimizer", "stub")
 _FFD_KEYS = ("origin", "axes", "dims", "parameters", "bounds")
+_FFD_ENTRY_KEYS = ("param", "point", "axis", "weight")
 
 
 def _check_keys(data, allowed, section: str):
@@ -89,6 +90,14 @@ def _check_keys(data, allowed, section: str):
     unknown = [key for key in data if key not in allowed]
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
+
+
+def _check_ffd_keys(data):
+    _check_keys(data, _FFD_KEYS, "ffd")
+    _check_keys(data["parameters"], ("dim", "entries"), "ffd.parameters")
+    for i, entry in enumerate(data["parameters"]["entries"]):
+        _check_keys(entry, _FFD_ENTRY_KEYS, f"ffd.parameters.entries[{i}]")
+    _check_keys(data["bounds"], ("lower", "upper"), "ffd.bounds")
 
 
 def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
@@ -123,7 +132,7 @@ def load_pipeline_config(
         if data.get("weld_tolerance") is not None:
             cfg.weld_tolerance = float(data["weld_tolerance"])
         if data.get("ffd") is not None:
-            _check_keys(data["ffd"], _FFD_KEYS, "ffd")
+            _check_ffd_keys(data["ffd"])
             cfg.ffd = ffd_mod.config_from_dict(data["ffd"])
         trunc = data.get("truncation", {})
         _check_keys(trunc, ("geometry", "solution"), "truncation")

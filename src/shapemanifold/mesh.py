@@ -6,6 +6,12 @@ with a canonical vertex order, so that every deformation of the same
 reference produces coordinate vectors with one shared layout. Welding is
 done once, on the reference geometry; deformed geometries are obtained by
 transforming the welded vertex list, never by re-welding.
+
+The weld is array code: one stable sort finds the distinct corners, and
+sorted cell ranks find the few points that share a cell of width ``tol``,
+or a neighbouring one, with another point. Only those go through the
+greedy first-match rule one by one, so that loop's cost follows the number
+of near-duplicates, not of corners.
 """
 
 from __future__ import annotations
@@ -234,6 +240,61 @@ def default_weld_tolerance(soup: FacetSoup) -> float:
     return 1e-8 * diag
 
 
+def _first_occurrences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Number the distinct rows of ``points`` in order of first occurrence.
+    # Returns the row of each distinct point's first occurrence (ascending)
+    # and each row's distinct-point number. Adding 0.0 folds -0.0 onto
+    # +0.0, because the two compare equal as coordinates.
+    folded = points + 0.0
+    order = np.lexsort(folded.T)
+    ordered = folded[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    heads = order[starts]  # the sort is stable: the earliest row of each run
+    by_first = np.argsort(heads)
+    number = np.empty(len(heads), dtype=np.int64)
+    number[by_first] = np.arange(len(heads))
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = number[np.cumsum(starts) - 1]
+    return heads[by_first], labels
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    # Position of each key in the sorted ``table``, or -1 where it is absent.
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return np.where(table[pos] == keys, pos, -1)
+
+
+def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # Join per-offset ranks of leading axes (k, n) with those of one more
+    # axis (3, n) into ranks of the occupied (k * 3, n) tuples, keeping
+    # -1 for tuples no point occupies. Keys stay below n**2, inside int64
+    # for up to 3e9 points.
+    size = right.max() + 1
+    valid = (left[:, None] >= 0) & (right[None] >= 0)
+    keys = np.where(valid, left[:, None] * size + right[None], -1)
+    keys = keys.reshape(-1, left.shape[1])
+    return _find(np.unique(keys[len(keys) // 2]), keys)
+
+
+def _neighbour_cells(cells: np.ndarray) -> np.ndarray:
+    # Entry (o, i) is the rank, among the occupied cells, of the cell
+    # ``cells[i]`` shifted by the o-th offset in {-1, 0, 1}**3 (x slowest,
+    # z fastest), or -1 if no point lies in it. Each axis is ranked on its
+    # own and the axes are joined one at a time, so no key depends on the
+    # coordinate range. Shifted coordinates wrap as int64 arithmetic does,
+    # like the scalar cell sums of the one-by-one rule.
+    ranks = []
+    for axis in cells.T:
+        values = np.unique(axis)
+        ranks.append(np.stack([_find(values, axis + d) for d in (-1, 0, 1)]))
+    return _combine(_combine(ranks[0], ranks[1]), ranks[2])
+
+
+# Offset (0, 0, 0) among the 27 rows of ``_neighbour_cells``.
+_SELF = 13
+
+
 def weld(soup: FacetSoup, tol: float) -> TriMesh:
     """Deduplicate facet corners into an indexed mesh.
 
@@ -241,59 +302,45 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     vertex reuse its index. Vertices are numbered in first-occurrence
     order (facet by facet, corner by corner), so two welds of the same
     soup with the same tolerance produce identical meshes.
+
+    Corners with equal coordinates (``-0.0`` equals ``+0.0``) are one point,
+    found by one stable sort; each vertex keeps the coordinates of its
+    first occurrence. For ``tol > 0`` the distinct points are hashed into
+    cubic cells of width ``tol``, so a match can only lie in the 27 cells
+    around a point. A point with no other point in those cells becomes a
+    vertex of its own, whatever the visiting order. The remaining points
+    are visited in first-occurrence order: each takes the first registered
+    vertex within ``tol``, probing the cells in a fixed offset order and
+    each cell in registration order, or else registers as a new vertex.
     """
     if not tol >= 0.0:
         raise ValueError("weld tolerance must be >= 0")
     corners = soup.corners.reshape(-1, 3)
-    vertices: list[np.ndarray] = []
-    indices = np.empty(len(corners), dtype=np.int64)
-    exact: dict[tuple, int] = {}
-
-    if tol == 0.0:
-        for n, p in enumerate(corners):
-            key = (p[0], p[1], p[2])
-            idx = exact.get(key)
-            if idx is None:
-                idx = len(vertices)
-                exact[key] = idx
-                vertices.append(p)
-            indices[n] = idx
-    else:
-        # Spatial hash with cell width tol: any match lies in one of the
-        # 27 neighboring cells. An exact-coordinate dictionary handles the
-        # common case of bitwise-identical shared corners first.
-        cells: dict[tuple, list[int]] = {}
-        cell_ids = np.floor(corners / tol).astype(np.int64)
-        offsets = [
-            (di, dj, dk)
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for dk in (-1, 0, 1)
-        ]
-        for n, p in enumerate(corners):
-            key = (p[0], p[1], p[2])
-            idx = exact.get(key)
-            if idx is None:
-                ci, cj, ck = cell_ids[n]
-                for di, dj, dk in offsets:
-                    for cand in cells.get((ci + di, cj + dj, ck + dk), ()):
-                        if np.max(np.abs(vertices[cand] - p)) <= tol:
-                            idx = cand
-                            break
-                    if idx is not None:
+    heads, labels = _first_occurrences(corners)
+    points = corners[heads]
+    if tol > 0.0:
+        cells = _neighbour_cells(np.floor(points / tol).astype(np.int64))
+        own = cells[_SELF]
+        crowded = (np.bincount(own)[own] > 1) | ((cells >= 0).sum(axis=0) > 1)
+        # Greedy rule for the crowded points only; ``owner`` maps each
+        # distinct point to the point that registered its vertex.
+        owner = np.arange(len(points))
+        registered: dict[int, list[int]] = {}
+        for i in np.flatnonzero(crowded).tolist():
+            p = points[i]
+            for cell in cells[:, i].tolist():
+                found = registered.get(cell)
+                if found:
+                    near = np.abs(points[found] - p).max(axis=1) <= tol
+                    if near.any():
+                        owner[i] = found[int(near.argmax())]
                         break
-                if idx is None:
-                    idx = len(vertices)
-                    vertices.append(p)
-                    cells.setdefault((ci, cj, ck), []).append(idx)
-                exact[key] = idx
-            indices[n] = idx
-
-    return TriMesh(
-        np.array(vertices, dtype=float),
-        indices.reshape(-1, 3),
-        weld_tolerance=tol,
-    )
+            else:
+                registered.setdefault(int(own[i]), []).append(i)
+        new = owner == np.arange(len(points))
+        labels = (np.cumsum(new) - 1)[owner][labels]
+        points = points[new]
+    return TriMesh(points, labels.reshape(-1, 3), weld_tolerance=tol)
 
 
 def _facet_cross(mesh: TriMesh) -> np.ndarray:

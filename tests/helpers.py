@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they are used to check:
 the SVD oracle is a one-sided Jacobi iteration, point-in-polygon is ray
 casting, the least-squares oracle uses the raw-sum formulas, and the
 geometry-POD oracle morphs every sample and decomposes the snapshot
-matrix instead of using the closed form.
+matrix instead of using the closed form. The weld oracle is the
+per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from shapemanifold import pod
 from shapemanifold.ffd import MeshMorpher, apply_params
-from shapemanifold.mesh import TriMesh, flatten
+from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +183,77 @@ def snapshot_geometry_pod(reference: TriMesh, config, params, rule=None):
     if rule is not None:
         basis = pod.truncate(basis, rule)
     return basis, (basis.modes.T @ centered).T
+
+
+def loop_weld(soup: FacetSoup, tol: float) -> TriMesh:
+    """Weld corner by corner: an exact-coordinate dictionary, then a
+    spatial hash with cell width ``tol`` probed over the 27 neighbouring
+    cells. ``mesh.weld`` must match it bitwise."""
+    if not tol >= 0.0:
+        raise ValueError("weld tolerance must be >= 0")
+    corners = soup.corners.reshape(-1, 3)
+    vertices: list[np.ndarray] = []
+    indices = np.empty(len(corners), dtype=np.int64)
+    exact: dict[tuple, int] = {}
+
+    if tol == 0.0:
+        for n, p in enumerate(corners):
+            key = (p[0], p[1], p[2])
+            idx = exact.get(key)
+            if idx is None:
+                idx = len(vertices)
+                exact[key] = idx
+                vertices.append(p)
+            indices[n] = idx
+    else:
+        # Spatial hash with cell width tol: any match lies in one of the
+        # 27 neighboring cells. An exact-coordinate dictionary handles the
+        # common case of bitwise-identical shared corners first.
+        cells: dict[tuple, list[int]] = {}
+        cell_ids = np.floor(corners / tol).astype(np.int64)
+        offsets = [
+            (di, dj, dk)
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for dk in (-1, 0, 1)
+        ]
+        for n, p in enumerate(corners):
+            key = (p[0], p[1], p[2])
+            idx = exact.get(key)
+            if idx is None:
+                ci, cj, ck = cell_ids[n]
+                for di, dj, dk in offsets:
+                    for cand in cells.get((ci + di, cj + dj, ck + dk), ()):
+                        if np.max(np.abs(vertices[cand] - p)) <= tol:
+                            idx = cand
+                            break
+                    if idx is not None:
+                        break
+                if idx is None:
+                    idx = len(vertices)
+                    vertices.append(p)
+                    cells.setdefault((ci, cj, ck), []).append(idx)
+                exact[key] = idx
+            indices[n] = idx
+
+    return TriMesh(
+        np.array(vertices, dtype=float),
+        indices.reshape(-1, 3),
+        weld_tolerance=tol,
+    )
+
+
+def soup_of(corners) -> FacetSoup:
+    """Facet soup with zero normals and attributes around (F, 3, 3) corners."""
+    corners = np.asarray(corners, dtype=float)
+    count = corners.shape[0]
+    return FacetSoup(np.zeros((count, 3)), corners, np.zeros(count, dtype=np.uint16))
+
+
+def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
+    """Require ``weld`` to give the loop oracle's mesh bit for bit."""
+    got, want = weld(soup, tol), loop_weld(soup, tol)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.facets.tobytes() == want.facets.tobytes()
+    assert got.weld_tolerance == want.weld_tolerance
+    return got

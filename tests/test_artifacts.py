@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shapemanifold import artifacts
 from shapemanifold.artifacts import (
     load_pod_basis,
     load_reduced_space,
@@ -18,6 +20,7 @@ from shapemanifold.artifacts import (
     save_trace_csv,
     save_vector,
 )
+from shapemanifold.cli import main
 from shapemanifold.errors import ArtifactError
 from shapemanifold.manifold import build_reduced_space
 from shapemanifold.pod import TruncationRule, compute_pod, decay_report
@@ -148,6 +151,58 @@ class TestDirectoryArtifacts:
         np.testing.assert_array_equal(again.fields, db.fields)
         np.testing.assert_array_equal(again.objectives, db.objectives)
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda cols: cols.__setitem__(1, "x"), "could not convert string to float: 'x'"),
+            (lambda cols: cols.__setitem__(3, ""), "could not convert string to float: ''"),
+            (lambda cols: cols.__setitem__(0, "one"), "invalid literal for int"),
+            (lambda cols: cols.pop(), "3 columns, the header has 4"),
+            (lambda cols: cols.append("0.5"), "5 columns, the header has 4"),
+        ],
+        ids=["mu", "objective", "sample_id", "short", "long"],
+    )
+    def test_malformed_index_row_names_the_file_and_line(self, tmp_path, edit, reason):
+        directory = self.saved_database_with_row_edit(tmp_path, edit)
+        with pytest.raises(ArtifactError) as info:
+            load_solution_database(directory)
+        message = str(info.value)
+        assert message.startswith(f"{directory / 'index.csv'}: line 3: malformed row (")
+        assert reason in message
+
+    def test_malformed_index_row_cli_exits_with_one_line(self, tmp_path, capsys):
+        directory = self.saved_database_with_row_edit(
+            tmp_path, lambda cols: cols.__setitem__(1, "x")
+        )
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        assert main(["build-rom", "--db", str(directory), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {directory / 'index.csv'}: line 3: malformed row "
+            "(could not convert string to float: 'x')\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def saved_database_with_row_edit(tmp_path, edit):
+        rng = np.random.default_rng(3)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (4, 2)),
+            rng.standard_normal((4, 5)),
+            rng.standard_normal(4),
+        )
+        directory = tmp_path / "db"
+        save_solution_database(directory, db)
+        index = directory / "index.csv"
+        lines = index.read_text().splitlines()
+        cols = lines[2].split(",")
+        edit(cols)
+        lines[2] = ",".join(cols)
+        index.write_text("\n".join(lines) + "\n")
+        return directory
+
     def test_rom_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         db = SolutionDatabase(
@@ -242,3 +297,67 @@ class TestDirectoryArtifacts:
         (tmp_path / "space" / "space.json").write_text("{\"format\": \"nope\"}")
         with pytest.raises(ArtifactError):
             load_reduced_space(tmp_path / "space")
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def failing_open(path, before):
+        # An open() whose file accepts a few bytes and then fails, while
+        # the previous artifact must still be in place.
+        class Failing:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:5])
+                assert path.read_bytes() == before
+                raise OSError("disk full")
+
+        return lambda file, mode: Failing(open(file, mode))
+
+    def test_failure_mid_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "values.bin"
+        save_vector(path, np.arange(3.0))
+        before = path.read_bytes()
+        monkeypatch.setattr(artifacts, "open", self.failing_open(path, before), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_vector(path, np.arange(100.0))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["values.bin"]
+
+    def test_failure_at_rename_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "alpha.csv"
+        save_coefficients_csv(path, np.eye(2))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(artifacts.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_coefficients_csv(path, np.ones((3, 2)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["alpha.csv"]
+
+    def test_database_index_is_written_last(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = artifacts.os.replace
+
+        def recording_replace(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(artifacts.os, "replace", recording_replace)
+        rng = np.random.default_rng(8)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        )
+        save_solution_database(tmp_path / "db", db)
+        assert replaced == [f"sample_{i:05d}.bin" for i in range(3)] + ["index.csv"]
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["fields", "index.csv"]

@@ -48,6 +48,20 @@ BAD_SECTIONS = {
     "rule-empty": ({"truncation": {"solution": {}}}, "truncation.solution"),
     "stub": ({"stub": {"mode": "field-synthetic", "frequncy": [1, 2, 3]}}, "'frequncy'"),
     "ffd": ({"ffd": {**FFD, "degree": [2, 2, 2]}}, "'degree'"),
+    "ffd-parameters": (
+        {"ffd": {**FFD, "parameters": {**FFD["parameters"], "extra": 1}}},
+        "unknown ffd.parameters key 'extra'",
+    ),
+    "ffd-entry": (
+        {"ffd": {**FFD, "parameters": {"dim": 1, "entries": [
+            {**FFD["parameters"]["entries"][0], "scale": 9}
+        ]}}},
+        "'scale'",
+    ),
+    "ffd-bounds": (
+        {"ffd": {**FFD, "bounds": {**FFD["bounds"], "mid": [0.0]}}},
+        "unknown ffd.bounds key 'mid'",
+    ),
     "sampling": ({"sampling": {"n_trian": 5}}, "'n_trian'"),
 }
 

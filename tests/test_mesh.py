@@ -15,7 +15,13 @@ from shapemanifold.mesh import (
     write_stl,
 )
 
-from helpers import ascii_stl_one_facet, make_sphere, make_tetra
+from helpers import (
+    ascii_stl_one_facet,
+    assert_weld_matches_loop,
+    make_sphere,
+    make_tetra,
+    soup_of,
+)
 
 
 def one_facet_binary() -> bytes:
@@ -156,6 +162,85 @@ class TestWeld:
         soup = two_facet_soup()
         expected = 1e-8 * np.linalg.norm([1.0, 1.0, 0.0])
         assert default_weld_tolerance(soup) == pytest.approx(expected)
+
+
+WELD_TOLERANCES = [0.0, 1e-6, 1.5e-6, 3e-6]
+
+
+def planted_soup(rng, unit: float = 1e-6) -> FacetSoup:
+    # Random points plus planted exact and near duplicates, signed zeros
+    # and points on a grid of half tolerance units, so that matches,
+    # chains, exact-tolerance gaps and cell boundaries all occur.
+    n = int(rng.integers(2, 30))
+    base = rng.integers(-4, 5, size=(n, 3)) * (0.5 * unit)
+    base += rng.choice([0.0, 1e-9, 0.3 * unit], size=(n, 1)) * rng.normal(size=(n, 3))
+    near = base[rng.integers(0, n, size=n)] + rng.uniform(-unit, unit, size=(n, 3))
+    points = np.concatenate([base, near])
+    points[rng.random(points.shape) < 0.15] = 0.0
+    points[rng.random(points.shape) < 0.15] = -0.0
+    count = int(rng.integers(1, 25))
+    return soup_of(points[rng.integers(0, len(points), size=(count, 3))])
+
+
+class TestWeldMatchesLoop:
+    """The sort-based weld against the per-corner loop in tests/helpers."""
+
+    @pytest.mark.parametrize("tol", WELD_TOLERANCES)
+    def test_random_soups_with_planted_duplicates(self, tol):
+        rng = np.random.default_rng(2024)
+        merged = 0
+        for _ in range(150):
+            soup = planted_soup(rng)
+            mesh = assert_weld_matches_loop(soup, tol)
+            merged += mesh.vertex_count < weld(soup, 0.0).vertex_count
+        # The greedy first-match rule must actually run.
+        assert (merged > 0) == (tol > 0.0)
+
+    @pytest.mark.parametrize("tol", WELD_TOLERANCES)
+    def test_chain_is_not_transitive(self, tol):
+        # b is within tol of a and c, but c is not within tol of a; the
+        # order of first occurrence decides which pairs merge.
+        a, b, c = [0.0, 0.0, 0.0], [0.9e-6, 0.0, 0.0], [1.8e-6, 0.0, 0.0]
+        far = [1.0, 1.0, 1.0]
+        for tri in ([a, b, c], [b, a, c], [c, a, b], [a, c, b]):
+            mesh = assert_weld_matches_loop(soup_of([tri, [far, c, a]]), tol)
+            if tol == 1e-6:
+                assert mesh.vertex_count in (2, 3)
+
+    def test_points_exactly_tol_apart_merge(self):
+        tol = 0.25
+        soup = soup_of([[[0.5, 0.0, 0.0], [0.75, 0.0, 0.0], [0.5, 0.25, -0.25]]])
+        mesh = assert_weld_matches_loop(soup, tol)
+        assert mesh.vertex_count == 1
+
+    @pytest.mark.parametrize("tol", WELD_TOLERANCES[1:])
+    def test_points_on_both_sides_of_a_cell_boundary(self, tol):
+        edge = 7 * tol
+        below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
+        tri = [[below, 0.0, 0.0], [above, 0.0, 0.0], [edge, below, above]]
+        mesh = assert_weld_matches_loop(soup_of([tri]), tol)
+        assert mesh.vertex_count == 2
+        assert np.floor(below / tol) != np.floor(above / tol)
+
+    @pytest.mark.parametrize("tol", WELD_TOLERANCES)
+    def test_signed_zeros_are_one_vertex_with_the_first_sign(self, tol):
+        tri1 = [[-0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        tri2 = [[0.0, -0.0, 0.0], [1.0, -0.0, 0.0], [-0.0, 1.0, 0.0]]
+        mesh = assert_weld_matches_loop(soup_of([tri1, tri2]), tol)
+        assert mesh.vertex_count == 3
+        assert np.signbit(mesh.vertices[0]).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("tol", WELD_TOLERANCES)
+    def test_one_facet_soup(self, tol):
+        assert_weld_matches_loop(read_stl(ascii_stl_one_facet()), tol)
+
+    @pytest.mark.parametrize("tol", [0.0, None])
+    def test_reference_sphere_stl(self, tol):
+        soup = read_stl(write_stl(make_sphere(101, 101), "binary"))
+        if tol is None:
+            tol = default_weld_tolerance(soup)
+        mesh = assert_weld_matches_loop(soup, tol)
+        assert mesh.vertex_count == 10102
 
 
 class TestWriteStl:
