@@ -11,15 +11,12 @@ from . import artifacts, cli, config
 from .errors import ShapeManifoldError
 from .ffd import (
     FfdConfig,
-    FfdLattice,
     MapEntry,
     ParamMap,
-    apply_params,
     bernstein,
     default_config,
-    deform_point,
-    morph_mesh,
-    to_reference,
+    displacement_jacobian,
+    morph,
 )
 from .manifold import (
     DependencyModel,

@@ -3,8 +3,9 @@
 Binary artifacts carry an eight-byte magic string, a little-endian uint32
 version, and little-endian 64-bit floats; anything plottable goes to CSV.
 Readers reject unknown magic strings and versions instead of misreading.
-Every file is written atomically, so an interrupted run leaves either the
-previous file or the new one, never a partial artifact.
+Every file is written atomically through :func:`write_atomic`, so an
+interrupted run leaves either the previous file or the new one, never a
+partial artifact.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ JSON_FORMATS = {
 }
 
 
-def _write_atomic(path, chunks):
-    # Write the byte chunks to a temporary file beside ``path`` and rename
-    # it over ``path``; on any failure the temporary file is removed and
-    # ``path`` is untouched.
+def write_atomic(path, chunks):
+    """Write the byte chunks to a temporary file beside ``path`` and rename
+    it over ``path``; on any failure the temporary file is removed and
+    ``path`` is untouched."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "xb")
@@ -70,7 +71,7 @@ def _check_header(handle, magic: bytes, path):
 
 def save_pod_basis(path, basis: PodBasis):
     """Binary layout: magic, version, N, r, modes (column-major), sigma, center."""
-    _write_atomic(path, [
+    write_atomic(path, [
         _header(_MAGIC_BASIS),
         struct.pack("<QQ", basis.state_dim, basis.rank),
         np.asarray(basis.modes, dtype="<f8").tobytes(order="F"),
@@ -106,7 +107,7 @@ def load_pod_basis(path) -> PodBasis:
 def save_vector(path, values: np.ndarray):
     """Binary layout: magic, version, length, float64 payload."""
     values = np.asarray(values, dtype=float).reshape(-1)
-    _write_atomic(path, [
+    write_atomic(path, [
         _header(_MAGIC_VECTOR),
         struct.pack("<Q", values.size),
         values.astype("<f8").tobytes(),
@@ -132,7 +133,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_lines(path, lines):
-    _write_atomic(path, [("\n".join(lines) + "\n").encode()])
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def save_decay_csv(path, report: np.ndarray):
@@ -281,6 +282,8 @@ def load_solution_database(directory) -> SolutionDatabase:
             if len(cols) != len(header):
                 raise ValueError(f"{len(cols)} columns, the header has {len(header)}")
             sample_id = int(cols[0])
+            if sample_id != number - 2:
+                raise ValueError(f"sample_id {sample_id}, expected {number - 2}")
             values = [float(c) for c in cols[1:]]
         except ValueError as exc:
             raise ArtifactError(f"{index}: line {number}: malformed row ({exc})") from exc

@@ -74,11 +74,11 @@ def cmd_morph(args) -> int:
     cfg = load_pipeline_config(args.config, args.out, args.seed)
     mesh = _load_reference(cfg)
     ffd_cfg = _resolve_ffd(cfg, mesh)
-    mu = _parse_mu(args.mu, ffd_cfg.param_dim)
-    morphed = ffd.morph_mesh(mesh, ffd.apply_params(ffd_cfg, mu))
+    mu = ffd.check_params(ffd_cfg, _parse_mu(args.mu, ffd_cfg.param_dim))
+    morphed = ffd.morph(mesh, ffd.displacement_jacobian(ffd_cfg, mesh.vertices), mu)
     out = Path(args.stl_out) if args.stl_out else cfg.output_dir / "morphed.stl"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(write_stl(morphed, args.format))
+    artifacts.write_atomic(out, [write_stl(morphed, args.format)])
     _log(f"wrote {out}")
     return 0
 
@@ -122,7 +122,7 @@ def _evaluate_samples(stub_cfg, geometry_for, params, jobs: int):
     (the heavy work is in GIL-releasing numpy kernels)."""
 
     def run(mu):
-        return solver.evaluate(geometry_for(mu), stub_cfg, mu)
+        return solver.evaluate(geometry_for(mu), stub_cfg)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -145,8 +145,7 @@ def cmd_evaluate(args) -> int:
         jac = ffd.displacement_jacobian(ffd_cfg, mesh.vertices)
 
         def geometry_for(mu):
-            verts = mesh.vertices + (jac @ mu).reshape(-1, 3)
-            return TriMesh(verts, mesh.facets, mesh.weld_tolerance)
+            return ffd.morph(mesh, jac, mu)
 
         out = cfg.output_dir / "db_full"
     else:
@@ -198,7 +197,7 @@ def cmd_compare_decay(args) -> int:
         lines.append(",".join(cols))
     out = cfg.output_dir / "decay_comparison.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    artifacts.write_atomic(out, [("\n".join(lines) + "\n").encode()])
 
     for mark in _ENERGY_MARKS:
         rule = pod.TruncationRule.energy(mark)

@@ -9,9 +9,12 @@ keeps the deformation local.
 The blend is evaluated in displacement form: with undisplaced control
 points the Bernstein tensor product reproduces the local coordinates
 exactly (linear precision), so the deformation reduces to adding the
-blended control-point displacements. This is algebraically identical to
-blending the displaced control points and makes the zero-displacement
-morph an exact identity.
+blended control-point displacements. Those displacements are linear in
+the design parameters, so the morph of a fixed point set is one matrix:
+:func:`displacement_jacobian` builds the (3 n_points, p) Jacobian ``J``
+once, and :func:`morph` moves the reference by ``J mu``. Every consumer
+of a parameter vector morphs through :func:`morph`, so all of them see
+the same geometry, and the zero morph is an exact identity.
 """
 
 from __future__ import annotations
@@ -72,53 +75,13 @@ def _validate_frame(origin, axes):
     return origin, axes
 
 
-@dataclass(frozen=True)
-class FfdLattice:
-    """Control-point lattice with displacements in lattice coordinates.
-
-    ``dims`` are the polynomial degrees (l, m, n) per axis; the grid has
-    (l+1) x (m+1) x (n+1) control points. ``axes`` rows are the three edge
-    vectors of the box, required to be pairwise orthogonal so the local
-    frame is invertible.
-    """
-
-    origin: np.ndarray
-    axes: np.ndarray
-    dims: tuple[int, int, int]
-    displacements: np.ndarray
-
-    def __post_init__(self):
-        origin, axes = _validate_frame(self.origin, self.axes)
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError("lattice degrees must be three integers >= 1")
-        shape = (dims[0] + 1, dims[1] + 1, dims[2] + 1, 3)
-        disp = np.asarray(self.displacements, dtype=float)
-        if disp.shape != shape:
-            raise ValueError(f"displacement array must have shape {shape}")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "displacements", disp)
-
-
-def to_reference(lattice: FfdLattice, x) -> np.ndarray:
-    """Local (s, t, u) coordinates of a physical point; may leave [0, 1]."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    mat = lattice.axes.T
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLattice("lattice axes are not invertible") from exc
-    return inv @ (x - lattice.origin)
-
-
 class MeshMorpher:
     """Precomputed blend weights of a fixed point set against a lattice frame.
 
     Building the weights costs one Bernstein evaluation per point; after
-    that, each new displacement array is a single small matrix product.
-    Used to generate large families of deformations of one reference mesh.
+    that, each control-grid displacement array is a single small matrix
+    product. :func:`displacement_jacobian` blends one unit grid per design
+    parameter through it to build ``J``.
     """
 
     def __init__(self, points: np.ndarray, origin, axes, dims):
@@ -146,27 +109,6 @@ class MeshMorpher:
             local = self.weights @ displacements.reshape(-1, 3)
             out[self.inside] = local @ self.axes
         return out
-
-
-def deform_point(lattice: FfdLattice, x) -> np.ndarray:
-    """Deformed position of one point; points outside the box are fixed."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    morpher = MeshMorpher(x[None, :], lattice.origin, lattice.axes, lattice.dims)
-    return x + morpher.displacement(lattice.displacements)[0]
-
-
-def morph_mesh(mesh: TriMesh, lattice: FfdLattice) -> TriMesh:
-    """Apply the deformation to every vertex.
-
-    Connectivity, vertex count, and vertex order are unchanged, so flat
-    coordinate vectors of the output align with those of the input.
-    """
-    morpher = MeshMorpher(mesh.vertices, lattice.origin, lattice.axes, lattice.dims)
-    return TriMesh(
-        mesh.vertices + morpher.displacement(lattice.displacements),
-        mesh.facets,
-        weld_tolerance=mesh.weld_tolerance,
-    )
 
 
 @dataclass(frozen=True)
@@ -263,26 +205,14 @@ def _control_displacements(config: FfdConfig, mu: np.ndarray) -> np.ndarray:
     return disp
 
 
-def apply_params(config: FfdConfig, mu) -> FfdLattice:
-    """Turn a design-parameter vector into a displaced lattice.
-
-    Entries referencing the same control point and axis add up.
-    Parameters outside the configured box trigger a warning but still
-    morph (see :func:`check_params`).
-    """
-    mu = check_params(config, np.reshape(mu, -1))
-    return FfdLattice(
-        config.origin, config.axes, config.dims, _control_displacements(config, mu)
-    )
-
-
 def displacement_jacobian(config: FfdConfig, points) -> np.ndarray:
     """Displacement of a point set per unit of each design parameter.
 
     Column ``j`` is the flattened displacement field (x1, y1, z1, x2, ...)
     of the morph with parameter ``j`` at one and all others at zero. The
-    morph is linear in the parameters, so the points moved by ``mu`` are
-    ``flatten(points) + J @ mu`` exactly. Returns a (3 n_points, p) array.
+    blend is linear in the parameters, so the points moved by ``mu`` are
+    ``flatten(points) + J @ mu`` (see :func:`morph`). Returns a
+    (3 n_points, p) array.
     """
     morpher = MeshMorpher(points, config.origin, config.axes, config.dims)
     jac = np.empty((3 * morpher.point_count, config.param_dim))
@@ -290,6 +220,20 @@ def displacement_jacobian(config: FfdConfig, points) -> np.ndarray:
         grid = _control_displacements(config, unit)
         jac[:, j] = morpher.displacement(grid).reshape(-1)
     return jac
+
+
+def morph(reference: TriMesh, jac: np.ndarray, mu) -> TriMesh:
+    """The reference moved by design parameters ``mu``: its vertices plus
+    ``jac @ mu``, where ``jac`` is the :func:`displacement_jacobian` of
+    those vertices.
+
+    Connectivity, vertex count, vertex order and weld tolerance are
+    unchanged, so flat coordinate vectors of the output align with those
+    of the input. ``mu`` is not checked against the box; see
+    :func:`check_params`.
+    """
+    vertices = reference.vertices + (jac @ mu).reshape(-1, 3)
+    return TriMesh(vertices, reference.facets, reference.weld_tolerance)
 
 
 def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:

@@ -49,28 +49,20 @@ class StubConfig:
 
 @dataclass(frozen=True)
 class SolutionSnapshot:
-    """One solver run: per-vertex field, scalar objective, parameter tag."""
+    """One solver run: per-vertex field and scalar objective."""
 
     field: np.ndarray
     objective: float
-    params: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.field, dtype=float).reshape(-1)
-        params = np.asarray(self.params, dtype=float).reshape(-1)
         if not np.isfinite(values).all() or not np.isfinite(self.objective):
             raise ValueError("solver output must be finite")
         object.__setattr__(self, "field", values)
-        object.__setattr__(self, "params", params)
 
 
-def evaluate(mesh: TriMesh, cfg: StubConfig, params=None) -> SolutionSnapshot:
-    """Run the synthetic solver on one geometry.
-
-    ``params`` tags the snapshot with the parameter vector that produced
-    the geometry; it is carried along, never used in the computation.
-    """
-    tag = np.zeros(0) if params is None else np.asarray(params, dtype=float)
+def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
+    """Run the synthetic solver on one geometry."""
     v = mesh.vertices
     if cfg.mode == "field-synthetic":
         kx, ky, kz = cfg.frequency
@@ -83,7 +75,7 @@ def evaluate(mesh: TriMesh, cfg: StubConfig, params=None) -> SolutionSnapshot:
             objective = float((areas * facet_mean).sum() / total)
         else:  # fully degenerate tessellation; fall back to the plain mean
             objective = float(values.mean())
-        return SolutionSnapshot(values, objective, tag)
+        return SolutionSnapshot(values, objective)
 
     # quadratic-centroid
     target = np.asarray(cfg.target, dtype=float)
@@ -98,7 +90,7 @@ def evaluate(mesh: TriMesh, cfg: StubConfig, params=None) -> SolutionSnapshot:
         raise EmptyRegion("no vertices inside the region box")
     centroid = v[inside].mean(axis=0)
     objective = float(((centroid - target) ** 2).sum())
-    return SolutionSnapshot(values, objective, tag)
+    return SolutionSnapshot(values, objective)
 
 
 def stub_to_dict(cfg: StubConfig) -> dict:

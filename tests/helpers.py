@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the code paths they are used to check:
 the SVD oracle is a one-sided Jacobi iteration, point-in-polygon is ray
-casting, the least-squares oracle uses the raw-sum formulas, and the
-geometry-POD oracle morphs every sample and decomposes the snapshot
-matrix instead of using the closed form. The weld oracle is the
+casting, the least-squares oracle uses the raw-sum formulas, the FFD
+oracle lays each parameter vector on the control grid and blends that
+grid once instead of going through the displacement Jacobian, and the
+geometry-POD oracle morphs every sample that way and decomposes the
+snapshot matrix instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 """
 
@@ -15,7 +17,14 @@ import math
 import numpy as np
 
 from shapemanifold import pod
-from shapemanifold.ffd import MeshMorpher, apply_params
+from shapemanifold.ffd import (
+    FfdConfig,
+    MapEntry,
+    MeshMorpher,
+    ParamMap,
+    displacement_jacobian,
+    morph,
+)
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
 
 
@@ -168,6 +177,88 @@ def ols_oracle(x, y):
     return slope, intercept, r2
 
 
+def control_grid(config, mu) -> np.ndarray:
+    """Control-point displacements of one parameter vector, laid entry by
+    entry; entries referencing the same control point and axis add up."""
+    l, m, n = config.dims
+    disp = np.zeros((l + 1, m + 1, n + 1, 3))
+    for e in config.param_map.entries:
+        i, j, k = e.point
+        disp[i, j, k, e.axis] += e.weight * mu[e.param]
+    return disp
+
+
+def oracle_displacement(points, config, mu) -> np.ndarray:
+    """FFD displacement of a point set, (n_points, 3): the control grid of
+    ``mu`` blended in one ``MeshMorpher.displacement`` call, with no
+    displacement Jacobian involved."""
+    morpher = MeshMorpher(points, config.origin, config.axes, config.dims)
+    return morpher.displacement(control_grid(config, np.asarray(mu, dtype=float)))
+
+
+def point_cloud(points) -> TriMesh:
+    """A reference with no facets, to morph bare points."""
+    return TriMesh(np.reshape(points, (-1, 3)), np.zeros((0, 3), dtype=np.int64))
+
+
+def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int = 40):
+    """A rotated, non-unit lattice frame with ``n_entries`` random map
+    entries plus one more that shares the first entry's control point and
+    axis, and a point set of which about half lies outside the box.
+
+    Returns (config, points, outside); ``outside`` marks the points with a
+    local coordinate at least 0.05 outside [0, 1].
+    """
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    axes = rng.uniform(0.2, 5.0, 3)[:, None] * rotation
+    origin = rng.uniform(-2.0, 2.0, 3)
+    grid = [d + 1 for d in degrees]
+    entries = [
+        MapEntry(
+            int(rng.integers(param_dim)),
+            tuple(int(rng.integers(g)) for g in grid),
+            int(rng.integers(3)),
+            float(rng.uniform(-2.0, 2.0)),
+        )
+        for _ in range(n_entries)
+    ]
+    first = entries[0]
+    entries.append(MapEntry(int(rng.integers(param_dim)), first.point, first.axis, 0.5))
+    config = FfdConfig(origin, axes, degrees, ParamMap(tuple(entries), param_dim))
+    local = rng.uniform(0.0, 1.0, (n_points, 3))
+    outside = rng.random(n_points) < 0.5
+    axis = rng.integers(3, size=n_points)
+    pushed = np.where(rng.random(n_points) < 0.5, rng.uniform(-0.5, -0.05, n_points),
+                      rng.uniform(1.05, 1.5, n_points))
+    local[outside, axis[outside]] = pushed[outside]
+    return config, origin + local @ axes, outside
+
+
+def assert_ffd_invariants(config, points, outside, mu1, mu2, a: float, b: float):
+    """The invariants the closed-form reduction relies on, for one lattice:
+    the zero morph is bitwise the identity, ``J`` is linear, ``J mu``
+    matches the grid-then-blend oracle, and points outside the box get
+    exactly zero rows. Tolerances are relative to ``|J| |mu|``. The bitwise
+    identity needs points without -0.0 coordinates: adding a zero
+    displacement turns -0.0 into +0.0."""
+    reference = point_cloud(points)
+    jac = displacement_jacobian(config, points)
+    zero = morph(reference, jac, np.zeros(config.param_dim))
+    assert zero.vertices.tobytes() == reference.vertices.tobytes()
+
+    combined = jac @ (a * mu1 + b * mu2)
+    scale = np.abs(jac) @ (abs(a) * np.abs(mu1) + abs(b) * np.abs(mu2))
+    assert np.all(np.abs(combined - (a * (jac @ mu1) + b * (jac @ mu2))) <= 1e-12 * scale.max())
+
+    for mu in (mu1, mu2):
+        got = morph(reference, jac, mu).vertices - points
+        want = oracle_displacement(points, config, mu)
+        scale = (np.abs(jac) @ np.abs(mu)).max()
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    assert np.all(jac.reshape(-1, 3, config.param_dim)[outside] == 0.0)
+
+
 def snapshot_geometry_pod(reference: TriMesh, config, params, rule=None):
     """Geometry POD by the method of snapshots: morph every parameter row,
     stack the displacement fields as columns of an N x M matrix centered
@@ -177,8 +268,7 @@ def snapshot_geometry_pod(reference: TriMesh, config, params, rule=None):
     morpher = MeshMorpher(reference.vertices, config.origin, config.axes, config.dims)
     centered = np.empty((3 * reference.vertex_count, params.shape[0]))
     for i, mu in enumerate(params):
-        lattice = apply_params(config, mu)
-        centered[:, i] = morpher.displacement(lattice.displacements).reshape(-1)
+        centered[:, i] = morpher.displacement(control_grid(config, mu)).reshape(-1)
     basis = pod.compute_pod(centered, center=flatten(reference))
     if rule is not None:
         basis = pod.truncate(basis, rule)

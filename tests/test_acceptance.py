@@ -19,12 +19,11 @@ from shapemanifold.cli import main
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
-    MeshMorpher,
     ParamMap,
-    apply_params,
     bernstein,
     default_config,
-    morph_mesh,
+    displacement_jacobian,
+    morph,
 )
 from shapemanifold.manifold import (
     build_geometry_pod,
@@ -36,7 +35,7 @@ from shapemanifold.manifold import (
     sample_ffd_params,
     sample_reduced,
 )
-from shapemanifold.mesh import TriMesh, read_stl, unflatten, weld, write_stl
+from shapemanifold.mesh import read_stl, unflatten, weld, write_stl
 from shapemanifold.optimize import OptProblem, minimize
 from shapemanifold.rom import SolutionDatabase, build_rom, loo_error, predict
 from shapemanifold.solver import StubConfig, evaluate
@@ -56,9 +55,8 @@ def test_criterion_01_ffd_identity():
     assert mesh.vertex_count >= 10_000
     welded = weld(read_stl(write_stl(mesh, "binary")), tol=0.0)
     cfg = default_config(welded)
-    lattice = apply_params(cfg, np.zeros(5))
     t0 = time.perf_counter()
-    morphed = morph_mesh(welded, lattice)
+    morphed = morph(welded, displacement_jacobian(cfg, welded.vertices), np.zeros(5))
     elapsed = time.perf_counter() - t0
     deviation = np.abs(morphed.vertices - welded.vertices).max()
     report(
@@ -211,14 +209,8 @@ def test_criterion_07_reduced_sampling_decays_faster(tmp_path):
     space = build_reduced_space(basis, alpha)
 
     full_params = sample_ffd_params(40, cfg.bounds, seed=702)
-    morpher = MeshMorpher(mesh.vertices, cfg.origin, cfg.axes, cfg.dims)
-    full_fields = []
-    for mu in full_params:
-        lattice = apply_params(cfg, mu)
-        geom = TriMesh(
-            mesh.vertices + morpher.displacement(lattice.displacements), mesh.facets
-        )
-        full_fields.append(evaluate(geom, stub).field)
+    jac = displacement_jacobian(cfg, mesh.vertices)
+    full_fields = [evaluate(morph(mesh, jac, mu), stub).field for mu in full_params]
     reduced_params = sample_reduced(space, 32, seed=703)
     reduced_fields = [
         evaluate(decode(space, mu, mesh), stub).field for mu in reduced_params
@@ -248,7 +240,7 @@ def _pipeline_database(n_samples=20, seed=808):
     space = build_reduced_space(basis, alpha)
     params = sample_reduced(space, n_samples, seed=seed + 1)
     stub = StubConfig()
-    snaps = [evaluate(decode(space, mu, mesh), stub, mu) for mu in params]
+    snaps = [evaluate(decode(space, mu, mesh), stub) for mu in params]
     db = SolutionDatabase(
         params,
         np.array([s.field for s in snaps]),
@@ -287,9 +279,10 @@ def _loo_mean_on_slice(n_samples: int) -> float:
     cfg = default_config(mesh)
     stub = StubConfig()
     slice_values = np.linspace(-0.25, 0.25, n_samples)
+    jac = displacement_jacobian(cfg, mesh.vertices)
     fields = []
     for t in slice_values:
-        geom = morph_mesh(mesh, apply_params(cfg, [t, 0.0, 0.0, 0.0, 0.0]))
+        geom = morph(mesh, jac, [t, 0.0, 0.0, 0.0, 0.0])
         fields.append(evaluate(geom, stub).field)
     db = SolutionDatabase(
         slice_values[:, None],

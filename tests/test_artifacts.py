@@ -22,9 +22,12 @@ from shapemanifold.artifacts import (
 )
 from shapemanifold.cli import main
 from shapemanifold.errors import ArtifactError
+from shapemanifold.mesh import write_stl
 from shapemanifold.manifold import build_reduced_space
 from shapemanifold.pod import TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
+
+from helpers import make_sphere
 
 
 def sample_basis(seed=0):
@@ -159,8 +162,12 @@ class TestDirectoryArtifacts:
             (lambda cols: cols.__setitem__(0, "one"), "invalid literal for int"),
             (lambda cols: cols.pop(), "3 columns, the header has 4"),
             (lambda cols: cols.append("0.5"), "5 columns, the header has 4"),
+            (lambda cols: cols.__setitem__(0, "0"), "sample_id 0, expected 1"),
+            (lambda cols: cols.__setitem__(0, "5"), "sample_id 5, expected 1"),
+            (lambda cols: cols.__setitem__(0, "-1"), "sample_id -1, expected 1"),
         ],
-        ids=["mu", "objective", "sample_id", "short", "long"],
+        ids=["mu", "objective", "sample_id", "short", "long", "repeated_id", "later_id",
+             "negative_id"],
     )
     def test_malformed_index_row_names_the_file_and_line(self, tmp_path, edit, reason):
         directory = self.saved_database_with_row_edit(tmp_path, edit)
@@ -330,6 +337,20 @@ class TestAtomicWrites:
             save_vector(path, np.arange(100.0))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["values.bin"]
+
+    def test_failure_mid_morph_write_keeps_the_previous_stl(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sphere.stl").write_bytes(write_stl(make_sphere(8, 10), "binary"))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "sphere.stl", "output_dir": "out"}))
+        morph = ["morph", "--config", str(config), "--mu"]
+        assert main([*morph, "0.1,0,0,0,0"]) == 0
+        path = tmp_path / "out" / "morphed.stl"
+        before = path.read_bytes()
+        monkeypatch.setattr(artifacts, "open", self.failing_open(path, before), raising=False)
+        assert main([*morph, "0.2,0,0,0,0"]) == 1
+        assert capsys.readouterr().err.endswith("error: disk full\n")
+        assert path.read_bytes() == before
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["morphed.stl"]
 
     def test_failure_at_rename_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "alpha.csv"

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from shapemanifold import cli
 from shapemanifold.cli import main
-from shapemanifold.mesh import read_stl, weld, write_stl
+from shapemanifold.ffd import default_config, displacement_jacobian, morph
+from shapemanifold.mesh import default_weld_tolerance, read_stl, weld, write_stl
 
 from helpers import make_sphere
 
@@ -49,6 +51,32 @@ class TestMorph:
         # The CLI welds with the scale-relative default tolerance, which
         # changes nothing for this clean mesh.
         assert produced == reference
+
+    def test_writes_the_geometry_evaluate_solves(self, workspace, monkeypatch):
+        root, cfg = workspace
+        solved = []
+        evaluate = cli.solver.evaluate
+
+        def recording_evaluate(mesh, stub):
+            solved.append(mesh)
+            return evaluate(mesh, stub)
+
+        monkeypatch.setattr(cli.solver, "evaluate", recording_evaluate)
+        assert run(cfg, "evaluate", "--sampling", "full", "--n", "1") == 0
+        row = (root / "out" / "db_full" / "index.csv").read_text().splitlines()[1]
+        mu_text = ",".join(row.split(",")[1:-1])
+        soup = read_stl((root / "sphere.stl").read_bytes())
+        reference = weld(soup, default_weld_tolerance(soup))
+        jac = displacement_jacobian(default_config(reference), reference.vertices)
+        mu = np.array([float(v) for v in mu_text.split(",")])
+        assert np.any(mu != 0.0)
+        # ASCII output prints every coordinate to 17 digits, so it
+        # compares the float64 geometry, not only its float32 rounding.
+        for fmt in ("binary", "ascii"):
+            assert run(cfg, "morph", "--mu", mu_text, "--format", fmt) == 0
+            produced = (root / "out" / "morphed.stl").read_bytes()
+            assert produced == write_stl(morph(reference, jac, mu), fmt)
+            assert produced == write_stl(solved[0], fmt)
 
     def test_out_of_bounds_mu_warns_but_morphs(self, workspace):
         root, cfg = workspace

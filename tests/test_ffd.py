@@ -10,35 +10,58 @@ from shapemanifold.errors import (
 )
 from shapemanifold.ffd import (
     FfdConfig,
-    FfdLattice,
     MapEntry,
+    MeshMorpher,
     ParamMap,
-    apply_params,
     bernstein,
     bernstein_row,
     check_params,
     config_from_dict,
     config_to_dict,
     default_config,
-    deform_point,
     displacement_jacobian,
-    morph_mesh,
-    to_reference,
+    morph,
+)
+from shapemanifold.mesh import TriMesh
+
+from helpers import (
+    assert_ffd_invariants,
+    make_sphere,
+    make_tetra,
+    oracle_displacement,
+    point_cloud,
+    random_ffd_case,
 )
 
-from helpers import make_sphere, make_tetra
+
+def every_point_config(weight, origin=np.zeros(3), axes=np.eye(3), degrees=(1, 1, 1)):
+    """One parameter that moves every control point by ``weight`` along
+    every axis."""
+    points = np.ndindex(*(d + 1 for d in degrees))
+    entries = tuple(MapEntry(0, p, a, weight) for p in points for a in range(3))
+    return FfdConfig(origin, axes, degrees, ParamMap(entries, 1), np.array([[-1.0, 1.0]]))
 
 
-def unit_lattice(degrees=(1, 1, 1), displacements=None) -> FfdLattice:
-    shape = tuple(d + 1 for d in degrees) + (3,)
-    if displacements is None:
-        displacements = np.zeros(shape)
-    return FfdLattice(
-        origin=np.zeros(3),
-        axes=np.eye(3),
-        dims=degrees,
-        displacements=displacements,
+def corner_config(origin=np.zeros(3), axes=np.eye(3)):
+    """Degree-(1, 1, 1) lattice whose one parameter moves the (1, 1, 1)
+    corner along the first axis with unit weight."""
+    entries = (MapEntry(0, (1, 1, 1), 0, 1.0),)
+    return FfdConfig(origin, axes, (1, 1, 1), ParamMap(entries, 1), np.array([[-1.0, 1.0]]))
+
+
+def local_coordinates(origin, axes, points) -> np.ndarray:
+    """Local (s, t, u) lattice coordinates of points inside the box, read
+    through the Jacobian: on a degree-(1, 1, 1) lattice, moving the four
+    control points of the far face of axis ``a`` by one unit along ``a``
+    moves a point by its coordinate ``s_a`` times that axis (linear
+    precision)."""
+    entries = tuple(
+        MapEntry(a, p, a, 1.0) for a in range(3) for p in np.ndindex(2, 2, 2) if p[a] == 1
     )
+    cfg = FfdConfig(origin, axes, (1, 1, 1), ParamMap(entries, 3))
+    jac = displacement_jacobian(cfg, points).reshape(-1, 3, 3)
+    axes = np.asarray(axes, dtype=float)
+    return np.einsum("nka,ak->na", jac, axes) / (axes**2).sum(axis=1)
 
 
 class TestBernstein:
@@ -70,84 +93,76 @@ class TestBernstein:
 
 
 class TestToReference:
+    """The map from physical to local lattice coordinates."""
+
     def test_origin(self):
-        lat = unit_lattice()
-        np.testing.assert_allclose(to_reference(lat, np.zeros(3)), [0, 0, 0])
+        np.testing.assert_allclose(
+            local_coordinates(np.zeros(3), np.eye(3), np.zeros((1, 3)))[0], [0, 0, 0]
+        )
 
     def test_opposite_corner(self):
-        lat = FfdLattice(
-            origin=np.array([1.0, 2.0, 3.0]),
-            axes=np.diag([2.0, 4.0, 8.0]),
-            dims=(1, 1, 1),
-            displacements=np.zeros((2, 2, 2, 3)),
+        origin = np.array([1.0, 2.0, 3.0])
+        axes = np.diag([2.0, 4.0, 8.0])
+        corner = origin + axes.sum(axis=0)
+        np.testing.assert_allclose(
+            local_coordinates(origin, axes, corner[None, :])[0], [1, 1, 1]
         )
-        corner = lat.origin + lat.axes.sum(axis=0)
-        np.testing.assert_allclose(to_reference(lat, corner), [1, 1, 1])
 
     def test_identity_frame(self):
-        lat = unit_lattice()
         np.testing.assert_allclose(
-            to_reference(lat, [0.25, 0.5, 2.0]), [0.25, 0.5, 2.0]
+            local_coordinates(np.zeros(3), np.eye(3), [[0.25, 0.5, 0.75]])[0],
+            [0.25, 0.5, 0.75],
         )
+        # u = 2 lies outside the box, so the point does not take part.
+        morpher = MeshMorpher([[0.25, 0.5, 2.0]], np.zeros(3), np.eye(3), (1, 1, 1))
+        np.testing.assert_array_equal(morpher.inside, [False])
 
     def test_non_orthogonal_axes_rejected(self):
         with pytest.raises(SingularLattice):
-            FfdLattice(
-                origin=np.zeros(3),
-                axes=np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0], [0.0, 0.0, 1.0]]),
-                dims=(1, 1, 1),
-                displacements=np.zeros((2, 2, 2, 3)),
+            corner_config(
+                axes=np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0], [0.0, 0.0, 1.0]])
             )
 
     def test_zero_axis_rejected(self):
         with pytest.raises(SingularLattice):
-            FfdLattice(
-                origin=np.zeros(3),
-                axes=np.diag([1.0, 0.0, 1.0]),
-                dims=(1, 1, 1),
-                displacements=np.zeros((2, 2, 2, 3)),
-            )
+            corner_config(axes=np.diag([1.0, 0.0, 1.0]))
 
 
 class TestDeformPoint:
+    """Single points moved by ``morph``."""
+
     def test_zero_displacement_is_identity(self):
-        lat = unit_lattice(degrees=(2, 3, 2))
+        cfg = every_point_config(0.7, degrees=(2, 3, 2))
         rng = np.random.default_rng(3)
         for p in rng.random((20, 3)):
-            np.testing.assert_allclose(deform_point(lat, p), p, atol=1e-12)
+            moved = morph(point_cloud(p), displacement_jacobian(cfg, p), [0.0])
+            np.testing.assert_allclose(moved.vertices[0], p, atol=1e-12)
 
     def test_single_control_point_hand_value(self):
         # Degree-(1,1,1) lattice, only the (1,1,1) corner displaced by
         # (delta, 0, 0); at reference (0.5, 0.5, 0.5) the blend weight is
         # 0.5^3 = 0.125.
         delta = 0.4
-        disp = np.zeros((2, 2, 2, 3))
-        disp[1, 1, 1] = [delta, 0.0, 0.0]
-        lat = unit_lattice(displacements=disp)
-        moved = deform_point(lat, [0.5, 0.5, 0.5])
+        cfg = corner_config()
+        p = np.array([0.5, 0.5, 0.5])
+        moved = morph(point_cloud(p), displacement_jacobian(cfg, p), [delta])
         np.testing.assert_allclose(
-            moved, [0.5 + 0.125 * delta, 0.5, 0.5], atol=1e-15
+            moved.vertices[0], [0.5 + 0.125 * delta, 0.5, 0.5], atol=1e-15
         )
 
     def test_point_outside_box_fixed(self):
-        disp = np.full((2, 2, 2, 3), 0.7)
-        lat = unit_lattice(displacements=disp)
+        cfg = every_point_config(0.7)
         p = np.array([1.5, 0.5, 0.5])
-        np.testing.assert_array_equal(deform_point(lat, p), p)
+        moved = morph(point_cloud(p), displacement_jacobian(cfg, p), [1.0])
+        np.testing.assert_array_equal(moved.vertices[0], p)
 
     def test_scaled_frame(self):
         # Same reference displacement expressed in a scaled frame moves
         # the point by the frame-scaled amount.
-        disp = np.zeros((2, 2, 2, 3))
-        disp[1, 1, 1] = [0.4, 0.0, 0.0]
-        lat = FfdLattice(
-            origin=np.zeros(3),
-            axes=np.diag([10.0, 1.0, 1.0]),
-            dims=(1, 1, 1),
-            displacements=disp,
-        )
-        moved = deform_point(lat, [5.0, 0.5, 0.5])
-        np.testing.assert_allclose(moved, [5.0 + 0.125 * 4.0, 0.5, 0.5])
+        cfg = corner_config(axes=np.diag([10.0, 1.0, 1.0]))
+        p = np.array([5.0, 0.5, 0.5])
+        moved = morph(point_cloud(p), displacement_jacobian(cfg, p), [0.4])
+        np.testing.assert_allclose(moved.vertices[0], [5.0 + 0.125 * 4.0, 0.5, 0.5])
 
 
 def five_param_config(mesh) -> FfdConfig:
@@ -155,10 +170,12 @@ def five_param_config(mesh) -> FfdConfig:
 
 
 class TestApplyParams:
+    """Design parameters laid on the control grid, seen through ``J``."""
+
     def test_zero_vector(self):
-        cfg = five_param_config(make_sphere(6, 8))
-        lat = apply_params(cfg, np.zeros(5))
-        assert np.all(lat.displacements == 0.0)
+        mesh = make_sphere(6, 8)
+        jac = displacement_jacobian(five_param_config(mesh), mesh.vertices)
+        assert np.all(jac @ np.zeros(5) == 0.0)
 
     def test_single_entry(self):
         entries = (MapEntry(0, (1, 1, 1), 2, 1.0),)
@@ -168,9 +185,13 @@ class TestApplyParams:
             dims=(2, 2, 2),
             param_map=ParamMap(entries, param_dim=5),
         )
-        lat = apply_params(cfg, [0.3, 0.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(lat.displacements[1, 1, 1], [0, 0, 0.3])
-        assert np.count_nonzero(lat.displacements) == 1
+        # Only the (1, 1, 1) control point moves, by (0, 0, 0.3); its
+        # degree-2 weight is 8 s(1-s) t(1-t) u(1-u).
+        points = np.random.default_rng(4).random((10, 3))
+        moved = (displacement_jacobian(cfg, points) @ [0.3, 0.0, 0.0, 0.0, 0.0]).reshape(-1, 3)
+        weight = 8.0 * np.prod(points * (1.0 - points), axis=1)
+        np.testing.assert_allclose(moved[:, 2], 0.3 * weight, rtol=1e-14)
+        assert np.all(moved[:, :2] == 0.0)
 
     def test_cancelling_entries(self):
         entries = (
@@ -184,42 +205,41 @@ class TestApplyParams:
             param_map=ParamMap(entries, param_dim=1),
             bounds=np.array([[-1.0, 1.0]]),
         )
-        lat = apply_params(cfg, [0.5])
-        assert np.all(lat.displacements == 0.0)
+        points = np.random.default_rng(5).random((10, 3))
+        assert np.all(displacement_jacobian(cfg, points) @ [0.5] == 0.0)
 
     def test_wrong_length(self):
         cfg = five_param_config(make_sphere(6, 8))
         with pytest.raises(DimensionMismatch):
-            apply_params(cfg, [0.1, 0.2])
+            check_params(cfg, [0.1, 0.2])
 
     def test_out_of_bounds_warns(self):
         cfg = five_param_config(make_sphere(6, 8))
         with pytest.warns(UserWarning):
-            apply_params(cfg, [0.9, 0.0, 0.0, 0.0, 0.0])
+            check_params(cfg, [0.9, 0.0, 0.0, 0.0, 0.0])
+
+
+def morph_by(mesh, cfg, mu):
+    return morph(mesh, displacement_jacobian(cfg, mesh.vertices), mu)
 
 
 class TestMorphMesh:
     def test_zero_params_identity(self):
         mesh = make_sphere(8, 10)
         cfg = five_param_config(mesh)
-        morphed = morph_mesh(mesh, apply_params(cfg, np.zeros(5)))
+        morphed = morph_by(mesh, cfg, np.zeros(5))
         assert np.abs(morphed.vertices - mesh.vertices).max() < 1e-12
 
     def test_disjoint_lattice_is_identity(self):
         mesh = make_tetra()
-        lat = FfdLattice(
-            origin=np.array([10.0, 10.0, 10.0]),
-            axes=np.eye(3),
-            dims=(1, 1, 1),
-            displacements=np.full((2, 2, 2, 3), 0.5),
-        )
-        morphed = morph_mesh(mesh, lat)
+        cfg = every_point_config(0.5, origin=np.array([10.0, 10.0, 10.0]))
+        morphed = morph_by(mesh, cfg, [1.0])
         np.testing.assert_array_equal(morphed.vertices, mesh.vertices)
 
     def test_topology_unchanged(self):
         mesh = make_sphere(6, 9)
         cfg = five_param_config(mesh)
-        morphed = morph_mesh(mesh, apply_params(cfg, [0.2, -0.1, 0.3, 0.05, -0.2]))
+        morphed = morph_by(mesh, cfg, [0.2, -0.1, 0.3, 0.05, -0.2])
         assert morphed.facets.tobytes() == mesh.facets.tobytes()
         assert morphed.vertex_count == mesh.vertex_count
 
@@ -228,7 +248,7 @@ class TestMorphMesh:
         # so vertices on the lattice box faces must not move.
         mesh = make_sphere(10, 12)
         cfg = five_param_config(mesh)
-        morphed = morph_mesh(mesh, apply_params(cfg, [0.3, 0.3, 0.3, 0.3, 0.3]))
+        morphed = morph_by(mesh, cfg, [0.3, 0.3, 0.3, 0.3, 0.3])
         box = mesh.bounding_box()
         on_face = np.zeros(mesh.vertex_count, dtype=bool)
         for a in range(3):
@@ -244,10 +264,17 @@ class TestMorphMesh:
         rng = np.random.default_rng(7)
         mu1 = rng.uniform(-0.2, 0.2, 5)
         mu2 = rng.uniform(-0.2, 0.2, 5)
-        d1 = morph_mesh(mesh, apply_params(cfg, mu1)).vertices - mesh.vertices
-        d2 = morph_mesh(mesh, apply_params(cfg, mu2)).vertices - mesh.vertices
-        d12 = morph_mesh(mesh, apply_params(cfg, mu1 + mu2)).vertices - mesh.vertices
+        d1 = morph_by(mesh, cfg, mu1).vertices - mesh.vertices
+        d2 = morph_by(mesh, cfg, mu2).vertices - mesh.vertices
+        d12 = morph_by(mesh, cfg, mu1 + mu2).vertices - mesh.vertices
         assert np.abs(d12 - (d1 + d2)).max() < 1e-12
+
+    def test_keeps_facets_and_weld_tolerance(self):
+        mesh = make_sphere(6, 9)
+        mesh = TriMesh(mesh.vertices, mesh.facets, weld_tolerance=1e-7)
+        morphed = morph_by(mesh, five_param_config(mesh), [0.1, 0.0, 0.0, 0.0, 0.0])
+        assert morphed.facets.tobytes() == mesh.facets.tobytes()
+        assert morphed.weld_tolerance == 1e-7
 
 
 class TestCheckParams:
@@ -274,8 +301,8 @@ class TestDisplacementJacobian:
         assert jac.shape == (3 * mesh.vertex_count, 5)
         rng = np.random.default_rng(8)
         for mu in rng.uniform(-0.3, 0.3, (4, 5)):
-            moved = morph_mesh(mesh, apply_params(cfg, mu)).vertices
-            assert np.abs(mesh.vertices + (jac @ mu).reshape(-1, 3) - moved).max() < 1e-14
+            moved = mesh.vertices + oracle_displacement(mesh.vertices, cfg, mu)
+            assert np.abs(morph(mesh, jac, mu).vertices - moved).max() < 1e-14
 
     def test_unit_vectors_do_not_warn(self):
         mesh = make_sphere(6, 9)
@@ -314,3 +341,20 @@ class TestConfigSerialization:
                 dims=(2, 2, 2),
                 param_map=ParamMap(entries, param_dim=1),
             )
+
+
+class TestInvariants:
+    """Fixed-seed twin of ``test_ffd_properties.py``."""
+
+    @pytest.mark.parametrize("degrees", [(1, 1, 1), (2, 3, 1), (3, 2, 3), (3, 3, 3)])
+    def test_zero_identity_linearity_oracle_and_locality(self, degrees):
+        rng = np.random.default_rng(sum(degrees) * 31 + degrees[0])
+        for _ in range(5):
+            param_dim = int(rng.integers(1, 5))
+            config, points, outside = random_ffd_case(
+                rng, degrees, param_dim, int(rng.integers(1, 9))
+            )
+            assert outside.any() and not outside.all()
+            mu1, mu2 = rng.uniform(-1.0, 1.0, (2, param_dim))
+            a, b = rng.uniform(-2.0, 2.0, 2)
+            assert_ffd_invariants(config, points, outside, mu1, mu2, a, b)
