@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +230,8 @@ def cmd_predict(args) -> int:
     rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
     model = artifacts.load_rom(rom_dir)
     mu = _parse_mu(args.mu, model.coefficients.nodes.shape[1])
+    if rom.extrapolates(model, mu)[0]:
+        _log("predict: point outside the training range; extrapolating")
     value, objective = rom.predict(model, mu)
     out = Path(args.field_out) if args.field_out else cfg.output_dir / "prediction.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -247,14 +249,7 @@ def cmd_optimize(args) -> int:
     if args.objective == "rom":
         rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
         model = artifacts.load_rom(rom_dir)
-
-        def objective(mu):
-            # Trial points may leave the training range; the penalty
-            # handles them, so the extrapolation warning is only noise.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return rom.predict(model, mu)[1]
-
+        objective = partial(rom.predict_objective, model)
     else:  # query the synthetic solver through the decode map directly
         mesh = _load_reference(cfg)
 
@@ -276,6 +271,10 @@ def cmd_optimize(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.save_trace_csv(out, result.traces)
     _log(f"wrote {out} ({result.evaluations} evaluations)")
+    if args.objective == "rom":
+        trials = np.array([x for trace in result.traces for x, _ in trace])
+        outside = int(rom.extrapolates(model, trials).sum())
+        _log(f"optimize: {outside} of {len(trials)} trial points outside the training range")
     print(",".join(repr(float(v)) for v in result.best_mu))
     print(repr(result.best_value))
     return 0

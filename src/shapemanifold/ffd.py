@@ -230,9 +230,11 @@ def morph(reference: TriMesh, jac: np.ndarray, mu) -> TriMesh:
     Connectivity, vertex count, vertex order and weld tolerance are
     unchanged, so flat coordinate vectors of the output align with those
     of the input. ``mu`` is not checked against the box; see
-    :func:`check_params`.
+    :func:`check_params`. A zero displacement leaves its coordinate
+    untouched, ``-0.0`` included.
     """
-    vertices = reference.vertices + (jac @ mu).reshape(-1, 3)
+    disp = (jac @ mu).reshape(-1, 3)
+    vertices = np.where(disp == 0.0, reference.vertices, reference.vertices + disp)
     return TriMesh(vertices, reference.facets, reference.weld_tolerance)
 
 

@@ -18,11 +18,10 @@ _DIAMETER_TOL = 1e-6
 _SPREAD_TOL = 1e-10
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Stacked matmuls round each row like a scalar 2-vector dot product,
+    # which elementwise sums do not.
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
@@ -30,10 +29,12 @@ def distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
     p = np.asarray(point, dtype=float).reshape(2)
     if polygon.contains(p):
         return 0.0
-    v = polygon.vertices
-    return min(
-        _segment_distance(p, v[i], v[(i + 1) % len(v)]) for i in range(len(v))
-    )
+    a = polygon.vertices
+    ab = np.roll(a, -1, axis=0) - a
+    # Strict convexity of the polygon rules out zero-length edges.
+    t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
+    gap = p - (a + t[:, None] * ab)
+    return float(np.sqrt(_row_dots(gap, gap)).min())
 
 
 def _infeasibility_sq(space: ReducedSpace, x: np.ndarray) -> float:
@@ -76,24 +77,23 @@ class OptResult:
     traces: tuple
 
 
-def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, budget: int):
-    """Classic simplex descent; returns every evaluated (point, value)."""
-    dim = x0.size
-    trace: list[tuple[np.ndarray, float]] = []
+def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, budget: int) -> int:
+    """Classic simplex descent; returns the number of evaluations of ``f``."""
+    count = 0
 
     def call(x):
-        value = f(x)
-        trace.append((x.copy(), value))
-        return value
+        nonlocal count
+        count += 1
+        return f(x)
 
     simplex = [x0.copy()]
-    for i in range(dim):
+    for i in range(x0.size):
         vertex = x0.copy()
         vertex[i] += steps[i]
         simplex.append(vertex)
     values = [call(x) for x in simplex]
 
-    while len(trace) < budget:
+    while count < budget:
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -125,9 +125,9 @@ def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, budget: int):
                 for i in range(1, len(simplex)):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     values[i] = call(simplex[i])
-                    if len(trace) >= budget:
+                    if count >= budget:
                         break
-    return trace
+    return count
 
 
 def minimize(problem: OptProblem) -> OptResult:
@@ -149,38 +149,34 @@ def minimize(problem: OptProblem) -> OptResult:
     widths = box[:, 1] - box[:, 0]
     steps = np.where(widths > 0.0, 0.05 * widths, 1e-3)
 
-    best_mu: np.ndarray | None = None
-    best_value = np.inf
-    traces = []
-    evaluations = len(start_values)
-    for x, f0 in zip(starts, start_values):
-        if f0 < best_value:
-            best_mu, best_value = x.copy(), f0
+    trials: list[tuple[np.ndarray, float]] = []
 
     def penalized(x):
         value = float(problem.objective(x))
-        return value, value + weight * _infeasibility_sq(space, x)
+        trials.append((x.copy(), value))
+        return value + weight * _infeasibility_sq(space, x)
 
+    traces = []
     for x0 in starts:
-        raw_trace = []
+        count = _nelder_mead(
+            penalized, np.asarray(x0, dtype=float), steps, problem.budget
+        )
+        traces.append(tuple(trials[-count:]))
 
-        def wrapped(x):
-            raw, pen = penalized(x)
-            raw_trace.append((x.copy(), raw))
-            return pen
-
-        _nelder_mead(wrapped, np.asarray(x0, dtype=float), steps, problem.budget)
-        evaluations += len(raw_trace)
-        traces.append(tuple(raw_trace))
-        for x, raw in raw_trace:
-            if raw < best_value and space.contains(x):
-                best_mu, best_value = x.copy(), raw
+    best_mu: np.ndarray | None = None
+    best_value = np.inf
+    for x, value in zip(starts, start_values):
+        if value < best_value:
+            best_mu, best_value = x.copy(), value
+    for x, value in trials:
+        if value < best_value and space.contains(x):
+            best_mu, best_value = x.copy(), value
 
     if best_mu is None:
         raise InfeasibleRegion("no feasible point was evaluated")
     return OptResult(
         best_mu=best_mu,
         best_value=best_value,
-        evaluations=evaluations,
+        evaluations=len(starts) + len(trials),
         traces=tuple(traces),
     )

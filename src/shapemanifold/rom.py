@@ -5,12 +5,12 @@ used for geometries, and the resulting modal coefficients (plus the
 scalar objective) are interpolated over the parameter space with radial
 basis functions. Querying the surrogate at a new parameter point costs
 one small interpolation plus one reconstruction product, independent of
-the solver.
+the solver. :func:`extrapolates` reports, as values, which queries lie
+outside the bounding box of the training parameters.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,23 +224,30 @@ def build_rom(
     return RomModel(basis, coeff_interp, obj_interp, obj_mean, meta)
 
 
+def extrapolates(model: RomModel, points) -> np.ndarray:
+    """One bool per row of ``points`` (a single point is one row): True
+    outside the bounding box of the training parameters."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    nodes = model.coefficients.nodes
+    return ((points < nodes.min(axis=0)) | (points > nodes.max(axis=0))).any(axis=1)
+
+
+def predict_objective(model: RomModel, mu) -> float:
+    """Online phase, objective only, at one point: no field is built."""
+    mu = np.asarray(mu, dtype=float).reshape(1, -1)
+    return model.objective_mean + float(model.objective(mu)[0, 0])
+
+
 def predict(model: RomModel, mu) -> tuple[np.ndarray, float]:
     """Online phase: field and objective at a new parameter point.
 
-    Extrapolation outside the training bounding box warns but proceeds;
-    surrogate accuracy degrades away from the data.
+    Points outside the training bounding box (see :func:`extrapolates`)
+    are extrapolated; surrogate accuracy degrades away from the data.
     """
     mu = np.asarray(mu, dtype=float).reshape(1, -1)
-    nodes = model.coefficients.nodes
-    if np.any(mu < nodes.min(axis=0)) or np.any(mu > nodes.max(axis=0)):
-        warnings.warn(
-            "parameter point outside the training range; extrapolating",
-            stacklevel=2,
-        )
     alpha = model.coefficients(mu)[0]
     value = model.basis.center + model.basis.modes @ alpha
-    objective = model.objective_mean + float(model.objective(mu)[0, 0])
-    return value, objective
+    return value, predict_objective(model, mu)
 
 
 def loo_error(
@@ -258,15 +265,11 @@ def loo_error(
     if db.count < 3:
         raise ValueError("leave-one-out needs at least three samples")
     errors = np.empty(db.count)
-    with warnings.catch_warnings():
-        # Removing an extreme sample makes its prediction an extrapolation
-        # by construction; that is the point of the test, not a problem.
-        warnings.simplefilter("ignore")
-        for i in range(db.count):
-            model = build_rom(db.without(i), rule, kernel, epsilon)
-            predicted, _ = predict(model, db.params[i])
-            truth = db.fields[i]
-            denom = np.linalg.norm(truth)
-            diff = np.linalg.norm(predicted - truth)
-            errors[i] = diff / denom if denom > 0.0 else diff
+    for i in range(db.count):
+        model = build_rom(db.without(i), rule, kernel, epsilon)
+        predicted, _ = predict(model, db.params[i])
+        truth = db.fields[i]
+        denom = np.linalg.norm(truth)
+        diff = np.linalg.norm(predicted - truth)
+        errors[i] = diff / denom if denom > 0.0 else diff
     return errors, {"mean": float(errors.mean()), "max": float(errors.max())}

@@ -25,7 +25,9 @@ from shapemanifold.ffd import (
     displacement_jacobian,
     morph,
 )
+from shapemanifold.manifold import fit_feasible_polygon
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
+from shapemanifold.optimize import distance_to_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +161,24 @@ def segment_distance_oracle(p, a, b) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def random_cloud(rng, n_points: int) -> np.ndarray:
+    """A rotated Gaussian cloud in the plane, with axis scales up to three
+    decades apart, at a random overall scale and offset."""
+    rotation, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-1.5, 1.5, 2)
+    offset = 10.0 ** rng.uniform(-2.0, 2.0) * rng.uniform(-1.0, 1.0, 2)
+    return (rng.standard_normal((n_points, 2)) * scale) @ rotation + offset
+
+
+def assert_polygon_contains_cloud(cloud: np.ndarray, max_vertices) -> None:
+    """The feasible polygon fitted to ``cloud`` contains every point of it:
+    ``contains`` accepts each one and its distance to the polygon is 0."""
+    polygon = fit_feasible_polygon(cloud, max_vertices)
+    for point in cloud:
+        assert polygon.contains(point)
+        assert distance_to_polygon(point, polygon) == 0.0
+
+
 def ols_oracle(x, y):
     """Least squares through the raw-sum formulas (no centering)."""
     x = [float(v) for v in x]
@@ -206,6 +226,9 @@ def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int 
     entries plus one more that shares the first entry's control point and
     axis, and a point set of which about half lies outside the box.
 
+    The case is translated so that up to three points inside the box have
+    a ``-0.0`` coordinate, one per axis.
+
     Returns (config, points, outside); ``outside`` marks the points with a
     local coordinate at least 0.05 outside [0, 1].
     """
@@ -224,23 +247,27 @@ def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int 
     ]
     first = entries[0]
     entries.append(MapEntry(int(rng.integers(param_dim)), first.point, first.axis, 0.5))
-    config = FfdConfig(origin, axes, degrees, ParamMap(tuple(entries), param_dim))
     local = rng.uniform(0.0, 1.0, (n_points, 3))
     outside = rng.random(n_points) < 0.5
     axis = rng.integers(3, size=n_points)
     pushed = np.where(rng.random(n_points) < 0.5, rng.uniform(-0.5, -0.05, n_points),
                       rng.uniform(1.05, 1.5, n_points))
     local[outside, axis[outside]] = pushed[outside]
-    return config, origin + local @ axes, outside
+    points = origin + local @ axes
+    zeroed = np.flatnonzero(~outside)[:3]
+    shift = np.zeros(3)
+    shift[: len(zeroed)] = points[zeroed, np.arange(len(zeroed))]
+    origin, points = origin - shift, points - shift
+    points[zeroed, np.arange(len(zeroed))] = -0.0
+    config = FfdConfig(origin, axes, degrees, ParamMap(tuple(entries), param_dim))
+    return config, points, outside
 
 
 def assert_ffd_invariants(config, points, outside, mu1, mu2, a: float, b: float):
     """The invariants the closed-form reduction relies on, for one lattice:
     the zero morph is bitwise the identity, ``J`` is linear, ``J mu``
     matches the grid-then-blend oracle, and points outside the box get
-    exactly zero rows. Tolerances are relative to ``|J| |mu|``. The bitwise
-    identity needs points without -0.0 coordinates: adding a zero
-    displacement turns -0.0 into +0.0."""
+    exactly zero rows. Tolerances are relative to ``|J| |mu|``."""
     reference = point_cloud(points)
     jac = displacement_jacobian(config, points)
     zero = morph(reference, jac, np.zeros(config.param_dim))

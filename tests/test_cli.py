@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from shapemanifold import cli
+from shapemanifold import cli, rom
+from shapemanifold.artifacts import load_rom
 from shapemanifold.cli import main
 from shapemanifold.ffd import default_config, displacement_jacobian, morph
-from shapemanifold.mesh import default_weld_tolerance, read_stl, weld, write_stl
+from shapemanifold.mesh import TriMesh, default_weld_tolerance, read_stl, weld, write_stl
 
 from helpers import make_sphere
 
@@ -51,6 +53,19 @@ class TestMorph:
         # The CLI welds with the scale-relative default tolerance, which
         # changes nothing for this clean mesh.
         assert produced == reference
+
+    def test_zero_mu_round_trips_negative_zero(self, workspace):
+        root, cfg = workspace
+        sphere = make_sphere(8, 10, radius=0.8)
+        vertices = sphere.vertices.copy()
+        vertices[32, 2] = -0.0  # an equator vertex, inside the lattice box
+        stl = root / "sphere.stl"
+        stl.write_bytes(write_stl(TriMesh(vertices, sphere.facets), "binary"))
+        reference = weld(read_stl(stl.read_bytes()), tol=0.0)
+        assert np.signbit(reference.vertices[reference.vertices == 0.0]).any()
+        assert run(cfg, "morph", "--mu", "0,0,0,0,0") == 0
+        produced = (root / "out" / "morphed.stl").read_bytes()
+        assert produced == write_stl(reference, "binary")
 
     def test_writes_the_geometry_evaluate_solves(self, workspace, monkeypatch):
         root, cfg = workspace
@@ -239,6 +254,53 @@ class TestRomCommands:
         assert len(best_mu) == 3
         float(out_lines[1])  # best value parses
         assert (root / "out" / "optimization_trace.csv").exists()
+
+    def test_predict_logs_extrapolation(self, workspace, capsys):
+        root, cfg = workspace
+        self.prepare(cfg)
+        note = "predict: point outside the training range; extrapolating"
+        index = (root / "out" / "db_reduced" / "index.csv").read_text().splitlines()
+        node = ",".join(index[1].split(",")[1:-1])
+        capsys.readouterr()
+        assert run(cfg, "predict", "--mu", node) == 0
+        assert note not in capsys.readouterr().err
+        assert run(cfg, "predict", "--mu", "9,9,9") == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines().count(note) == 1
+        float(captured.out)
+
+    def test_optimize_counts_extrapolated_trials(self, workspace, capsys):
+        root, cfg = workspace
+        self.prepare(cfg)
+        capsys.readouterr()
+        assert run(cfg, "optimize") == 0
+        err = capsys.readouterr().err.splitlines()
+        counted = [line for line in err if line.startswith("optimize: ")]
+        assert len(counted) == 1 and not counted[0].endswith(" evaluations)")
+        match = re.fullmatch(
+            r"optimize: (\d+) of (\d+) trial points outside the training range",
+            counted[0],
+        )
+        trace = np.loadtxt(
+            root / "out" / "optimization_trace.csv", delimiter=",", skiprows=1
+        )
+        model = load_rom(root / "out" / "rom")
+        outside = int(rom.extrapolates(model, trace[:, 2:-1]).sum())
+        assert match and (int(match[1]), int(match[2])) == (outside, len(trace))
+        # The stub objective has no training box, so no count.
+        assert run(cfg, "optimize", "--objective", "stub") == 0
+        assert not [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("optimize: ")]
+
+    def test_optimize_builds_no_field(self, workspace, monkeypatch):
+        root, cfg = workspace
+        self.prepare(cfg)
+
+        def no_fields(model, mu):
+            raise AssertionError("optimize must query the objective alone")
+
+        monkeypatch.setattr(rom, "predict", no_fields)
+        assert run(cfg, "optimize") == 0
 
     @pytest.mark.parametrize("mu", ["nan,nan,nan", "inf,0,0"])
     def test_predict_rejects_non_finite_mu(self, workspace, capsys, mu):

@@ -36,9 +36,11 @@ from shapemanifold.manifold import (
 from shapemanifold.pod import TruncationRule
 
 from helpers import (
+    assert_polygon_contains_cloud,
     make_sphere,
     ols_oracle,
     oracle_displacement,
+    random_cloud,
     ray_cast_inside,
     snapshot_geometry_pod,
 )
@@ -359,6 +361,13 @@ class TestFeasiblePolygon:
             assert point_in_polygon(p, poly.vertices) == ray_cast_inside(
                 p, poly.vertices
             )
+
+    @pytest.mark.parametrize("max_vertices", [None, 3, 4, 5, 6])
+    def test_contains_every_training_point(self, max_vertices):
+        # Fixed-seed twin of test_polygon_properties.py.
+        rng = np.random.default_rng(707 + (max_vertices or 0))
+        for n_points in rng.integers(3, 81, 20):
+            assert_polygon_contains_cloud(random_cloud(rng, int(n_points)), max_vertices)
 
 
 def paper_structured_alpha(m=800, seed=5):

@@ -5,6 +5,7 @@ from shapemanifold.manifold import (
     DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
+    fit_feasible_polygon,
 )
 from shapemanifold.optimize import (
     OptProblem,
@@ -13,7 +14,7 @@ from shapemanifold.optimize import (
 )
 from shapemanifold.pod import PodBasis
 
-from helpers import segment_distance_oracle
+from helpers import random_cloud, segment_distance_oracle
 
 
 def unit_square_polygon() -> FeasiblePolygon:
@@ -54,6 +55,29 @@ class TestDistanceToPolygon:
         )
         assert oracle == pytest.approx(np.hypot(1.0, 1.5))  # corner (1, 1)
         assert distance_to_polygon(p, poly) == pytest.approx(oracle)
+
+    def test_matches_segment_oracle_on_random_convex_polygons(self):
+        # Relative to the larger of the distance and the coordinate size:
+        # rounding the coordinates alone moves any evaluation of a short
+        # distance, the oracle's included, by about 1e-16 of that size.
+        rng = np.random.default_rng(2029)
+        checked = 0
+        for _ in range(60):
+            poly = fit_feasible_polygon(random_cloud(rng, int(rng.integers(3, 40))))
+            v = poly.vertices
+            center = v.mean(axis=0)
+            probes = center + rng.uniform(-3.0, 3.0, (40, 2)) * np.abs(v - center).max()
+            for p in probes:
+                if poly.contains(p):
+                    continue
+                oracle = min(
+                    segment_distance_oracle(p, v[i], v[(i + 1) % len(v)])
+                    for i in range(len(v))
+                )
+                scale = max(oracle, float(np.abs(v).max()), float(np.abs(p).max()))
+                assert abs(distance_to_polygon(p, poly) - oracle) <= 1e-14 * scale
+                checked += 1
+        assert checked > 1000
 
 
 class TestMinimize:

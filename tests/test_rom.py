@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from shapemanifold.pod import TruncationRule
 from shapemanifold.rom import (
     SolutionDatabase,
     build_rom,
+    extrapolates,
     fit_interpolator,
     loo_error,
     predict,
+    predict_objective,
 )
 
 
@@ -200,11 +203,37 @@ class TestBuildRomPredict:
             gap = np.linalg.norm(field - truth) - np.linalg.norm(residual)
             assert abs(gap) <= 1e-8 * (1 + np.linalg.norm(truth))
 
-    def test_extrapolation_warns(self):
+    def test_extrapolation_is_a_value(self):
         db = linear_span_database()
         model = build_rom(db, TruncationRule.energy(0.9999))
-        with pytest.warns(UserWarning):
-            predict(model, [5.0, 5.0])
+        low, high = db.params.min(axis=0), db.params.max(axis=0)
+        inside, outside = 0.5 * (low + high), np.array([5.0, 5.0])
+        assert extrapolates(model, inside).tolist() == [False]
+        assert extrapolates(model, outside).tolist() == [True]
+        batch = [inside, outside, low, high, [high[0] + 1e-9, low[1]],
+                 [low[0], low[1] - 1e-9]]
+        assert extrapolates(model, batch).tolist() == [
+            False, True, False, False, True, True
+        ]
+        # Neither the online query nor leave-one-out, whose folds at the
+        # extreme samples extrapolate, signals it as a warning.
+        edge = int(np.argmax(db.params[:, 0]))
+        fold = build_rom(db.without(edge), TruncationRule.energy(0.9999))
+        assert extrapolates(fold, db.params[edge]).tolist() == [True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            predict(model, outside)
+            loo_error(db, TruncationRule.energy(0.9999))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
+    def test_objective_query_is_predicts_objective(self, kernel):
+        db = linear_span_database()
+        model = build_rom(db, TruncationRule.energy(0.9999), kernel=kernel)
+        rng = np.random.default_rng(12)
+        for mu in rng.uniform(-1.5, 1.5, (50, 2)):
+            assert predict(model, mu)[1] == predict_objective(model, mu)
+        with pytest.raises(ValueError):  # one point, not a batch
+            predict_objective(model, rng.uniform(-1.0, 1.0, (3, 2)))
 
     def test_midpoint_linear_kernel_1d(self):
         # In 1-D the linear kernel is piecewise linear, so the coefficients
