@@ -36,6 +36,7 @@ _VERSION = 1
 JSON_FORMATS = {
     "space": "shapemanifold/reduced-space",
     "rom": "shapemanifold/rom-interpolators",
+    "validation": "shapemanifold/loo-validation",
 }
 
 
@@ -348,3 +349,21 @@ def load_rom(directory) -> RomModel:
             objective_mean=float(doc["objective_mean"]),
             metadata=dict(doc.get("metadata", {})),
         )
+
+
+def save_validation(path, errors: np.ndarray, summary: dict, kernel: str,
+                    epsilon: float | None):
+    """Leave-one-out report as ``rom.loo_error`` returns it: per-sample
+    errors and their mean and max, plus the snapshot count, the kernel and
+    the configured epsilon (null: each fold takes its own default)."""
+    doc = {
+        "format": JSON_FORMATS["validation"],
+        "version": _VERSION,
+        "snapshot_count": len(errors),
+        "kernel": kernel,
+        "epsilon": epsilon,
+        "mean": summary["mean"],
+        "max": summary["max"],
+        "errors": np.asarray(errors, dtype=float).tolist(),
+    }
+    _write_lines(path, [json.dumps(doc, indent=1)])

@@ -1,9 +1,9 @@
 """Command-line pipeline with file-based handoff between stages.
 
 Commands: morph, build-manifold, evaluate, compare-decay, build-rom,
-predict, optimize. Each stage reads the artifacts of earlier stages from
-the output directory, so downstream stages can be re-run without
-recomputing upstream ones. Seeds are derived from one base seed:
+validate, predict, optimize. Each stage reads the artifacts of earlier
+stages from the output directory, so downstream stages can be re-run
+without recomputing upstream ones. Seeds are derived from one base seed:
 training sampling uses the base, full-space evaluation base + 1,
 reduced-space evaluation base + 2, and the optimizer base + 3 (unless
 set explicitly).
@@ -225,6 +225,24 @@ def cmd_build_rom(args) -> int:
     return 0
 
 
+def cmd_validate(args) -> int:
+    cfg = load_pipeline_config(args.config, args.out, args.seed)
+    db_dir = Path(args.db) if args.db else cfg.output_dir / "db_reduced"
+    db = artifacts.load_solution_database(db_dir)
+    errors, summary = rom.loo_error(
+        db, cfg.solution_truncation, kernel=cfg.rom.kernel, epsilon=cfg.rom.epsilon
+    )
+    out = cfg.output_dir / "rom"
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts.save_validation(
+        out / "validation.json", errors, summary, cfg.rom.kernel, cfg.rom.epsilon
+    )
+    _log(f"wrote {out / 'validation.json'}")
+    print(repr(summary["mean"]))
+    print(repr(summary["max"]))
+    return 0
+
+
 def cmd_predict(args) -> int:
     cfg = load_pipeline_config(args.config, args.out, args.seed)
     rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
@@ -322,6 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-rom", parents=[common], help="fit the surrogate")
     p.add_argument("--db", default=None, help="solution database directory")
     p.set_defaults(func=cmd_build_rom)
+
+    p = sub.add_parser(
+        "validate", parents=[common], help="leave-one-out error of the surrogate"
+    )
+    p.add_argument("--db", default=None, help="solution database directory")
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("predict", parents=[common], help="query the surrogate")
     p.add_argument("--mu", required=True)

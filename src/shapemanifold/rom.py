@@ -40,13 +40,13 @@ class SolutionDatabase:
             raise ValueError("database row counts disagree")
         if not (np.isfinite(params).all() and np.isfinite(fields).all()):
             raise ValueError("database entries must be finite")
-        for i in range(m - 1):
-            close = np.abs(params[i + 1 :] - params[i]).max(axis=1) < 1e-12
-            if close.any():
-                j = i + 1 + int(np.argmax(close))
-                raise DuplicateParams(
-                    f"parameter rows {i} and {j} coincide within 1e-12"
-                )
+        # Chebyshev distance of every pair; the first hit in row-major
+        # (i, j) order is the one reported.
+        close = np.abs(params[:, None, :] - params[None, :, :]).max(axis=2) < 1e-12
+        pairs = np.argwhere(np.triu(close, 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise DuplicateParams(f"parameter rows {i} and {j} coincide within 1e-12")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "objectives", objectives)
@@ -153,7 +153,10 @@ def fit_interpolator(
         system = k
         rhs = values
 
-    if np.linalg.cond(system) > _COND_LIMIT:
+    # The system is symmetric, so its |eigenvalue| ratio is the 2-norm
+    # condition number; a zero or NaN eigenvalue fails the test as well.
+    lam = np.abs(np.linalg.eigvalsh(system))
+    if not 0.0 < lam.max() <= _COND_LIMIT * lam.min():
         raise SingularSystem(
             "interpolation system condition number exceeds 1e14; "
             "adjust the kernel shape parameter"
@@ -163,16 +166,15 @@ def fit_interpolator(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"interpolation system is singular: {exc}") from exc
 
-    tail = solution[m:] if kernel == "thin-plate" else None
-    interp = Interpolator(kernel, epsilon, nodes, solution[:m], tail)
-    residual = np.abs(interp(nodes) - values)
+    residual = np.abs(system[:m] @ solution - values)
     scale = 1.0 + np.abs(values).max(initial=0.0)
     if values.size and residual.max() > _RESIDUAL_RTOL * scale:
         raise SingularSystem(
             f"node reproduction residual {residual.max():.2e} exceeds "
             f"{_RESIDUAL_RTOL:.0e} relative; adjust the kernel shape parameter"
         )
-    return interp
+    tail = solution[m:] if kernel == "thin-plate" else None
+    return Interpolator(kernel, epsilon, nodes, solution[:m], tail)
 
 
 @dataclass(frozen=True)
@@ -261,14 +263,28 @@ def loo_error(
     For each sample the model is rebuilt without it and asked to predict
     it back; reported errors are relative L2 (absolute where the truth is
     zero). Returns the per-sample errors and a mean/max summary.
+
+    Every fold's snapshots lie in the span of the m database fields, so
+    the folds run on the fields' coordinates in one orthonormal basis Q
+    of that span (N x min(N, m), from one QR): each field keeps min(N, m)
+    entries instead of N (method of snapshots, Sirovich 1987). The map
+    ``x -> x Q`` is an isometry on the span and commutes with taking
+    means, so every fold has the same centering, POD singular values and
+    mode count; its training coefficients agree up to each mode's sign,
+    which the interpolated prediction does not see; and prediction errors
+    keep their norms. The coordinates are taken as ``fields @ Q`` rather
+    than from the triangular factor, so identical fields map to identical
+    rows.
     """
     if db.count < 3:
         raise ValueError("leave-one-out needs at least three samples")
-    errors = np.empty(db.count)
-    for i in range(db.count):
-        model = build_rom(db.without(i), rule, kernel, epsilon)
-        predicted, _ = predict(model, db.params[i])
-        truth = db.fields[i]
+    q, _ = np.linalg.qr(db.fields.T)
+    small = SolutionDatabase(db.params, db.fields @ q, db.objectives)
+    errors = np.empty(small.count)
+    for i in range(small.count):
+        model = build_rom(small.without(i), rule, kernel, epsilon)
+        predicted, _ = predict(model, small.params[i])
+        truth = small.fields[i]
         denom = np.linalg.norm(truth)
         diff = np.linalg.norm(predicted - truth)
         errors[i] = diff / denom if denom > 0.0 else diff

@@ -8,6 +8,8 @@ grid once instead of going through the displacement Jacobian, and the
 geometry-POD oracle morphs every sample that way and decomposes the
 snapshot matrix instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
+The leave-one-out oracle rebuilds every fold on the full-length fields,
+as ``rom.loo_error`` did before it moved the folds into the fields' span.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from shapemanifold import pod
+from shapemanifold import pod, rom
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
@@ -374,3 +376,73 @@ def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
     assert got.facets.tobytes() == want.facets.tobytes()
     assert got.weld_tolerance == want.weld_tolerance
     return got
+
+
+def loop_loo_error(db: rom.SolutionDatabase, rule, kernel="gaussian", epsilon=None):
+    """Leave-one-out by rebuilding each fold on the full-length fields;
+    ``rom.loo_error`` must match it to round-off."""
+    if db.count < 3:
+        raise ValueError("leave-one-out needs at least three samples")
+    errors = np.empty(db.count)
+    for i in range(db.count):
+        model = rom.build_rom(db.without(i), rule, kernel, epsilon)
+        predicted, _ = rom.predict(model, db.params[i])
+        truth = db.fields[i]
+        denom = np.linalg.norm(truth)
+        diff = np.linalg.norm(predicted - truth)
+        errors[i] = diff / denom if denom > 0.0 else diff
+    return errors, {"mean": float(errors.mean()), "max": float(errors.max())}
+
+
+def random_loo_database(rng, m: int, n: int, d: int) -> rom.SolutionDatabase:
+    """m samples over d parameters, fields of length n nonlinear in them.
+
+    The parameters are distinct cells of a regular grid, jittered by up to
+    a quarter cell, so nodes stay well separated and every kernel's system
+    stays well conditioned.
+    """
+    side = int(np.ceil(m ** (1.0 / d))) + 1
+    cells = rng.choice(side**d, size=m, replace=False)
+    grid = np.stack(np.unravel_index(cells, (side,) * d), axis=1)
+    params = (grid + rng.uniform(-0.25, 0.25, (m, d))) / side
+    freq = rng.uniform(0.5, 3.0, (d, n))
+    phase = rng.uniform(0.0, 2.0 * math.pi, n)
+    fields = 1.0 + np.sin(params @ freq + phase)
+    objectives = np.cos(params.sum(axis=1))
+    return rom.SolutionDatabase(params, fields, objectives)
+
+
+def random_pod_matrix(rng, rows: int, cols: int, rank: int) -> np.ndarray:
+    """rows x cols matrix of exactly ``rank``: orthonormal factors around
+    singular values within one decade, at a random overall scale."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rank)))
+    sigma = 10.0 ** rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(0.0, 1.0, rank)
+    return (u * sigma) @ v.T
+
+
+def assert_pod_orthonormal(matrix: np.ndarray, rank: int) -> None:
+    """``compute_pod`` keeps exactly ``rank`` modes, orthonormal to 1e-12."""
+    basis = pod.compute_pod(matrix)
+    assert basis.rank == rank
+    assert basis.modes.shape == (matrix.shape[0], rank)
+    assert np.abs(basis.modes.T @ basis.modes - np.eye(rank)).max(initial=0.0) <= 1e-12
+
+
+LOO_RULES = {
+    "energy 0.9999": pod.TruncationRule.energy(0.9999),
+    "energy 1-1e-12": pod.TruncationRule.energy(1.0 - 1e-12),
+    "fixed 3": pod.TruncationRule.fixed(3),
+}
+
+
+def assert_loo_permutation_invariant(db: rom.SolutionDatabase, perm, rule, kernel):
+    """Reordering the samples reorders the leave-one-out errors alike.
+
+    Each error is already relative to its truth's norm, so the absolute
+    bound is a relative bound on the difference of the predicted fields.
+    """
+    errors, _ = rom.loo_error(db, rule, kernel)
+    shuffled = rom.SolutionDatabase(db.params[perm], db.fields[perm], db.objectives[perm])
+    permuted, _ = rom.loo_error(shuffled, rule, kernel)
+    np.testing.assert_allclose(permuted, errors[perm], rtol=1e-10, atol=1e-10)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from shapemanifold import cli, rom
-from shapemanifold.artifacts import load_rom
+from shapemanifold.artifacts import load_rom, load_solution_database
 from shapemanifold.cli import main
 from shapemanifold.ffd import default_config, displacement_jacobian, morph
 from shapemanifold.mesh import TriMesh, default_weld_tolerance, read_stl, weld, write_stl
+from shapemanifold.pod import TruncationRule
 
 from helpers import make_sphere
 
@@ -335,6 +336,63 @@ class TestRomCommands:
         assert run(cfg, "predict", "--mu", "0,0") == 1
         err = capsys.readouterr().err
         assert "error:" in err and "magic" in err
+
+
+class TestValidate:
+    def test_writes_the_leave_one_out_report(self, workspace, capsys):
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "reduced") == 0
+        capsys.readouterr()
+        assert run(cfg, "validate") == 0
+        captured = capsys.readouterr()
+        path = root / "out" / "rom" / "validation.json"
+        assert captured.err.splitlines() == [f"wrote {path}"]
+        db = load_solution_database(root / "out" / "db_reduced")
+        errors, summary = rom.loo_error(db, TruncationRule.energy(0.9999))
+        assert captured.out == f"{summary['mean']!r}\n{summary['max']!r}\n"
+        doc = json.loads(path.read_text())
+        assert doc == {
+            "format": "shapemanifold/loo-validation",
+            "version": 1,
+            "snapshot_count": 5,
+            "kernel": "gaussian",
+            "epsilon": None,
+            "mean": summary["mean"],
+            "max": summary["max"],
+            "errors": errors.tolist(),
+        }
+
+    def test_db_flag_and_configured_kernel(self, workspace, capsys):
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["rom"] = {"kernel": "linear-rbf", "epsilon": 2.0}
+        cfg.write_text(json.dumps(config))
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "full") == 0
+        capsys.readouterr()
+        assert run(cfg, "validate", "--db", str(root / "out" / "db_full")) == 0
+        mean, worst = (float(v) for v in capsys.readouterr().out.split())
+        doc = json.loads((root / "out" / "rom" / "validation.json").read_text())
+        db = load_solution_database(root / "out" / "db_full")
+        errors, _ = rom.loo_error(db, TruncationRule.energy(0.9999), "linear-rbf", 2.0)
+        assert doc["errors"] == errors.tolist() and doc["snapshot_count"] == 6
+        assert (doc["kernel"], doc["epsilon"]) == ("linear-rbf", 2.0)
+        assert (mean, worst) == (doc["mean"], doc["max"])
+
+    @pytest.mark.parametrize("samples", [None, "2"])
+    def test_bad_database_fails_with_one_line(self, workspace, capsys, samples):
+        root, cfg = workspace
+        if samples:  # leave-one-out needs three samples
+            assert run(cfg, "build-manifold") == 0
+            assert run(cfg, "evaluate", "--sampling", "reduced", "--n", samples) == 0
+        capsys.readouterr()
+        assert run(cfg, "validate") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (root / "out" / "rom" / "validation.json").exists()
 
 
 class TestOptimizerRecovery:

@@ -13,7 +13,7 @@ from shapemanifold.pod import (
     truncate,
 )
 
-from helpers import jacobi_singular_values
+from helpers import assert_pod_orthonormal, jacobi_singular_values, random_pod_matrix
 
 
 class TestAssemble:
@@ -109,6 +109,14 @@ class TestComputePod:
         basis = compute_pod(m)
         gram = basis.modes.T @ basis.modes
         assert np.abs(gram - np.eye(basis.rank)).max() < 1e-10
+
+    def test_modes_orthonormal_tall_wide_and_rank_deficient(self):
+        # Fixed-seed twin of the hypothesis property in test_pod_properties.py.
+        rng = np.random.default_rng(15)
+        shapes = [(40, 12, 12), (40, 12, 5), (12, 40, 12), (12, 40, 3), (7, 7, 7),
+                  (7, 7, 0), (1, 1, 1), (1, 9, 1), (9, 1, 1), (30, 30, 29)]
+        for rows, cols, rank in shapes:
+            assert_pod_orthonormal(random_pod_matrix(rng, rows, cols, rank), rank)
 
     def test_triple_residual_contract(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import (
+    LOO_RULES,
+    assert_loo_permutation_invariant,
+    loop_loo_error,
+    random_loo_database,
+)
 from shapemanifold import rom
 from shapemanifold.errors import DuplicateParams, SingularSystem
 from shapemanifold.pod import TruncationRule
@@ -54,7 +60,11 @@ class TestSolutionDatabase:
 
     def test_duplicate_scan_matches_pairwise_reference(self):
         rng = np.random.default_rng(21)
-        flagged = 0
+        cases = [
+            np.array([[0.5, 0.25]]),
+            np.array([[0.5, 0.25], [0.5 + 2e-12, 0.25]]),
+            np.array([[0.5, 0.25], [0.5 + 5e-13, 0.25]]),
+        ]
         for _ in range(200):
             m, d = int(rng.integers(2, 25)), int(rng.integers(1, 5))
             params = rng.uniform(-1, 1, (m, d))
@@ -63,6 +73,10 @@ class TestSolutionDatabase:
                 i, j = rng.choice(m, size=2, replace=False)
                 params[j] = params[i]
                 params[j, rng.integers(d)] += gap * rng.choice([-1.0, 1.0])
+            cases.append(params)
+        flagged = 0
+        for params in cases:
+            m = params.shape[0]
             expected = self.first_duplicate(params)
             if expected is None:
                 SolutionDatabase(params, np.zeros((m, 3)), np.zeros(m))
@@ -116,6 +130,31 @@ class TestFitInterpolator:
         values = np.arange(6.0)
         with pytest.raises(SingularSystem):
             fit_interpolator(nodes, values, "gaussian", epsilon=1e-8)
+
+    @pytest.mark.parametrize("nodes", [[[0.0]], [[0.0], [np.nan]]])
+    def test_zero_or_nan_eigenvalue_raises(self, nodes):
+        # One linear-rbf node is the 1 x 1 zero system; a NaN node makes
+        # the eigenvalues NaN.
+        with pytest.raises(SingularSystem, match="condition number"):
+            fit_interpolator(np.array(nodes), np.ones(len(nodes)), "linear-rbf", 1.0)
+
+    def test_condition_gate_matches_svd_condition_number(self):
+        # The gate raises exactly where the full-SVD condition number of
+        # the Gaussian system exceeds 1e14 (away from the boundary itself).
+        nodes = np.random.default_rng(9).uniform(-1, 1, (12, 2))
+        dist = np.sqrt(((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2))
+        raised = 0
+        for epsilon in np.geomspace(0.01, 1.0, 60):
+            cond = np.linalg.cond(np.exp(-((epsilon * dist) ** 2)))
+            if abs(np.log10(cond) - 14.0) < 0.01:
+                continue
+            if cond > 1e14:
+                raised += 1
+                with pytest.raises(SingularSystem):
+                    fit_interpolator(nodes, np.ones(12), "gaussian", epsilon)
+            else:
+                fit_interpolator(nodes, np.ones(12), "gaussian", epsilon)
+        assert 10 < raised < 50
 
     @staticmethod
     def nearest_neighbour_epsilon(nodes):
@@ -280,6 +319,36 @@ class TestLooError:
         errors, _ = loo_error(db, TruncationRule.energy(1.0 - 1e-12), kernel="linear-rbf")
         # Endpoints extrapolate; reported, larger than the typical interior one.
         assert errors[0] > np.median(errors[1:-1])
+
+    @pytest.mark.filterwarnings("ignore:requested .* modes but only")
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
+    @pytest.mark.parametrize("rule", sorted(LOO_RULES) + ["fixed above rank"])
+    def test_matches_fold_rebuild_oracle(self, kernel, rule):
+        # Databases: a two-mode linear span, a nonlinear one, and a
+        # nonlinear one with fewer entries per field than snapshots.
+        rng = np.random.default_rng(13)
+        for db in (
+            linear_span_database(),
+            random_loo_database(rng, 15, 40, 2),
+            random_loo_database(rng, 14, 5, 2),
+        ):
+            truncation = LOO_RULES.get(rule, TruncationRule.fixed(db.count))
+            errors, summary = loo_error(db, truncation, kernel)
+            expected, _ = loop_loo_error(db, truncation, kernel)
+            # Each error is relative to its truth's norm, so the absolute
+            # bound is a relative bound on the predicted fields' difference.
+            np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=1e-10)
+            assert summary == {"mean": float(errors.mean()), "max": float(errors.max())}
+
+    @pytest.mark.filterwarnings("ignore:requested .* modes but only")
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
+    def test_permutation_invariant(self, kernel):
+        # Fixed-seed twin of the hypothesis property in test_pod_properties.py.
+        rng = np.random.default_rng(14)
+        for d, m, n in [(1, 3, 1), (1, 9, 30), (2, 12, 4), (2, 16, 40), (3, 10, 25)]:
+            db = random_loo_database(rng, m, n, d)
+            for rule in LOO_RULES.values():
+                assert_loo_permutation_invariant(db, rng.permutation(m), rule, kernel)
 
     def test_each_fold_rebuilds_through_build_rom(self, monkeypatch):
         db = linear_span_database(m=7)
