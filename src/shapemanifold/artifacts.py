@@ -31,6 +31,7 @@ from .rom import Interpolator, RomModel, SolutionDatabase
 
 _MAGIC_BASIS = b"SMPODBAS"
 _MAGIC_VECTOR = b"SMVECTOR"
+_MAGIC_MATRIX = b"SMMATRIX"
 _VERSION = 1
 
 JSON_FORMATS = {
@@ -41,9 +42,10 @@ JSON_FORMATS = {
 
 
 def write_atomic(path, chunks):
-    """Write the byte chunks to a temporary file beside ``path`` and rename
-    it over ``path``; on any failure the temporary file is removed and
-    ``path`` is untouched."""
+    """Write the chunks (bytes, or C-contiguous arrays written as their
+    buffers) to a temporary file beside ``path`` and rename it over
+    ``path``; on any failure the temporary file is removed and ``path`` is
+    untouched."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "xb")
@@ -127,6 +129,40 @@ def load_vector(path) -> np.ndarray:
     if len(body) != 8 * size:
         raise ArtifactError(f"{path}: payload is {len(body)} bytes, expected {8 * size}")
     return np.frombuffer(body, dtype="<f8").copy()
+
+
+def _save_matrix(path, values: np.ndarray):
+    """Binary layout: magic, version, rows, cols, float64 payload (row-major).
+
+    The array's own buffer is the payload chunk, so a C-contiguous float64
+    matrix is written without a copy.
+    """
+    values = np.ascontiguousarray(values, dtype="<f8")
+    write_atomic(path, [
+        _header(_MAGIC_MATRIX),
+        struct.pack("<QQ", *values.shape),
+        values,
+    ])
+
+
+def _load_matrix(path, rows: int) -> np.ndarray:
+    """Read a :func:`_save_matrix` artifact that must hold ``rows`` rows;
+    the payload is read into one new array."""
+    path = Path(path)
+    with open(path, "rb") as handle:
+        _check_header(handle, _MAGIC_MATRIX, path)
+        raw = handle.read(16)
+        if len(raw) < 16:
+            raise ArtifactError(f"{path}: truncated header")
+        stored, cols = struct.unpack("<QQ", raw)
+        if stored != rows:
+            raise ArtifactError(f"{path}: {stored} rows, the index has {rows}")
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != 8 * rows * cols:
+            raise ArtifactError(
+                f"{path}: payload is {size} bytes, expected {8 * rows * cols}"
+            )
+        return np.fromfile(handle, dtype="<f8", count=rows * cols).reshape(rows, cols)
 
 
 def _fmt(x: float) -> str:
@@ -251,15 +287,15 @@ def load_reduced_space(directory) -> ReducedSpace:
 
 
 def save_solution_database(directory, db: SolutionDatabase):
-    """Directory artifact: index.csv plus one field vector per sample."""
+    """Directory artifact: index.csv plus fields.bin, a matrix artifact with
+    one field per row in sample order."""
     directory = Path(directory)
-    fields_dir = directory / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
+    _save_matrix(directory / "fields.bin", db.fields)
     dim = db.params.shape[1]
     header = "sample_id," + ",".join(f"mu{i}" for i in range(dim)) + ",objective"
     lines = [header]
     for i in range(db.count):
-        save_vector(fields_dir / f"sample_{i:05d}.bin", db.fields[i])
         mu_cols = ",".join(_fmt(v) for v in db.params[i])
         lines.append(f"{i},{mu_cols},{_fmt(db.objectives[i])}")
     _write_lines(directory / "index.csv", lines)  # last: marks the database complete
@@ -276,7 +312,7 @@ def load_solution_database(directory) -> SolutionDatabase:
     header = lines[0].split(",")
     if header[0] != "sample_id" or header[-1] != "objective":
         raise ArtifactError(f"{index}: unexpected column layout")
-    params, objectives, fields = [], [], []
+    params, objectives = [], []
     for number, line in enumerate(lines[1:], start=2):
         cols = line.split(",")
         try:
@@ -290,10 +326,16 @@ def load_solution_database(directory) -> SolutionDatabase:
             raise ArtifactError(f"{index}: line {number}: malformed row ({exc})") from exc
         params.append(values[:-1])
         objectives.append(values[-1])
-        fields.append(load_vector(directory / "fields" / f"sample_{sample_id:05d}.bin"))
-    return SolutionDatabase(
-        np.asarray(params), np.asarray(fields), np.asarray(objectives)
-    )
+    path = directory / "fields.bin"
+    if not path.exists():
+        if (directory / "fields").is_dir():
+            raise ArtifactError(
+                f"{path}: missing; {directory / 'fields'} holds per-sample field "
+                "files, a layout this version does not read: run evaluate again"
+            )
+        raise ArtifactError(f"{path}: missing solution fields")
+    fields = _load_matrix(path, len(params))
+    return SolutionDatabase(np.asarray(params), fields, np.asarray(objectives))
 
 
 def _interp_to_dict(interp: Interpolator) -> dict:

@@ -49,6 +49,15 @@ def _load_reference(cfg: PipelineConfig) -> TriMesh:
     return mesh
 
 
+def _log_clamp(stage: str, rule: pod.TruncationRule, available: int):
+    # A fixed mode count above the snapshots' rank keeps every mode.
+    if rule.fixed_count is not None and rule.fixed_count > available:
+        _log(
+            f"{stage}: truncation asks for {rule.fixed_count} modes, only "
+            f"{available} available; the count is clamped"
+        )
+
+
 def _resolve_ffd(cfg: PipelineConfig, mesh: TriMesh) -> ffd.FfdConfig:
     if cfg.ffd is not None:
         return cfg.ffd
@@ -170,15 +179,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _solution_pod(fields: np.ndarray) -> pod.PodBasis:
+    # Untruncated POD of mean-centered solution fields, one per row.
+    matrix, center = pod.assemble(fields, centering="mean")
+    return pod.compute_pod(matrix, center=center)
+
+
 def cmd_compare_decay(args) -> int:
     cfg = load_pipeline_config(args.config, args.out, args.seed)
     full_dir = Path(args.full) if args.full else cfg.output_dir / "db_full"
     reduced_dir = Path(args.reduced) if args.reduced else cfg.output_dir / "db_reduced"
     spectra, reports = {}, {}
     for name, directory in (("full", full_dir), ("reduced", reduced_dir)):
-        db = artifacts.load_solution_database(directory)
-        matrix, center = pod.assemble(db.fields, centering="mean")
-        basis = pod.compute_pod(matrix, center=center)
+        # Only the basis outlives the call: one database in memory at a time.
+        basis = _solution_pod(artifacts.load_solution_database(directory).fields)
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
@@ -219,6 +233,7 @@ def cmd_build_rom(args) -> int:
         epsilon=cfg.rom.epsilon,
         metadata={"seed": cfg.sampling.seed},
     )
+    _log_clamp("rom", cfg.solution_truncation, model.basis.rank)
     out = cfg.output_dir / "rom"
     artifacts.save_rom(out, model)
     _log(f"rom: {model.basis.rank} modes from {db.count} snapshots; wrote {out}")
@@ -232,6 +247,11 @@ def cmd_validate(args) -> int:
     errors, summary = rom.loo_error(
         db, cfg.solution_truncation, kernel=cfg.rom.kernel, epsilon=cfg.rom.epsilon
     )
+    if cfg.solution_truncation.fixed_count is not None:
+        # A fold's centered snapshots have no higher rank than the whole
+        # database's, and at most one less than its own sample count.
+        rank = _solution_pod(db.fields).rank
+        _log_clamp("validate", cfg.solution_truncation, min(rank, db.count - 2))
     out = cfg.output_dir / "rom"
     out.mkdir(parents=True, exist_ok=True)
     artifacts.save_validation(

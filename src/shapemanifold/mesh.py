@@ -344,15 +344,23 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
 
 
 def _facet_cross(mesh: TriMesh) -> np.ndarray:
-    # Per-facet edge cross product: along the normal, twice the area long.
-    v, f = mesh.vertices, mesh.facets
-    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    # Per-facet edge cross product as a (3, F) array, one row per axis:
+    # along the normal, twice the area long. Each coordinate is gathered on
+    # its own from a coordinate-major copy, with no (F, 3) row gathers, and
+    # the components are written out in the order np.cross rounds them.
+    x, y, z = mesh.vertices.T.copy()
+    f0, f1, f2 = mesh.facets.T
+    x0, y0, z0 = x[f0], y[f0], z[f0]
+    ax, ay, az = x[f1] - x0, y[f1] - y0, z[f1] - z0
+    bx, by, bz = x[f2] - x0, y[f2] - y0, z[f2] - z0
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
-    # Recomputed from winding; degenerate facets get a zero normal.
-    n = _facet_cross(mesh)
-    lengths = np.linalg.norm(n, axis=1)
+    # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
+    cx, cy, cz = _facet_cross(mesh)
+    lengths = np.sqrt(cx * cx + cy * cy + cz * cz)
+    n = np.column_stack([cx, cy, cz])
     ok = lengths > 0.0
     n[ok] /= lengths[ok, None]
     n[~ok] = 0.0

@@ -10,7 +10,6 @@ snapshot count M; snapshots are matrix columns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,8 @@ class TruncationRule:
     """Keep a fixed number of modes, or enough for an energy fraction.
 
     Exactly one of ``fixed_count`` and ``energy_threshold`` must be set.
-    Energy is cumulative squared singular values over their total.
+    Energy is cumulative squared singular values over their total. A fixed
+    count above the number of singular values keeps them all.
     """
 
     fixed_count: int | None = None
@@ -107,12 +107,6 @@ class TruncationRule:
         if sigma.size == 0:
             return 0
         if self.fixed_count is not None:
-            if self.fixed_count > sigma.size:
-                warnings.warn(
-                    f"requested {self.fixed_count} modes but only "
-                    f"{sigma.size} are available",
-                    stacklevel=2,
-                )
             return min(self.fixed_count, sigma.size)
         energy = _cumulative_energy(sigma)
         return int(np.searchsorted(energy, self.energy_threshold - 1e-15) + 1)
@@ -221,7 +215,7 @@ def compute_pod(matrix: np.ndarray, center: np.ndarray | None = None) -> PodBasi
 
 
 def truncate(basis: PodBasis, rule: TruncationRule) -> PodBasis:
-    """Leading-mode truncation; counts above the rank clamp with a warning."""
+    """Leading-mode truncation; a fixed count above the rank keeps every mode."""
     count = rule.select(basis.singular_values)
     if count == basis.rank:
         return basis

@@ -21,6 +21,8 @@ from .errors import DuplicateParams, SingularSystem
 _KERNELS = ("gaussian", "thin-plate", "linear-rbf")
 _COND_LIMIT = 1e14
 _RESIDUAL_RTOL = 1e-8
+# Elements of one row block of the duplicate-parameter scan.
+_SCAN_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -40,13 +42,19 @@ class SolutionDatabase:
             raise ValueError("database row counts disagree")
         if not (np.isfinite(params).all() and np.isfinite(fields).all()):
             raise ValueError("database entries must be finite")
-        # Chebyshev distance of every pair; the first hit in row-major
-        # (i, j) order is the one reported.
-        close = np.abs(params[:, None, :] - params[None, :, :]).max(axis=2) < 1e-12
-        pairs = np.argwhere(np.triu(close, 1))
-        if pairs.size:
-            i, j = pairs[0]
-            raise DuplicateParams(f"parameter rows {i} and {j} coincide within 1e-12")
+        # Chebyshev distance of every pair i < j, a block of rows at a time
+        # so that memory stays bounded; the first hit in row-major (i, j)
+        # order is the one reported.
+        block = max(1, _SCAN_BUDGET // max(1, params.size))
+        for start in range(0, m, block):
+            diff = params[start:start + block, None, :] - params[None, :, :]
+            close = np.abs(diff, out=diff).max(axis=2) < 1e-12
+            pairs = np.argwhere(np.triu(close, start + 1))
+            if pairs.size:
+                i, j = pairs[0]
+                raise DuplicateParams(
+                    f"parameter rows {start + i} and {j} coincide within 1e-12"
+                )
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "objectives", objectives)

@@ -68,10 +68,12 @@ def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
         kx, ky, kz = cfg.frequency
         values = cfg.amplitude * np.sin(kx * v[:, 0]) * np.cos(ky * v[:, 1])
         values = values + kz * v[:, 2] ** 2
-        areas = 0.5 * np.linalg.norm(_facet_cross(mesh), axis=1)
+        cx, cy, cz = _facet_cross(mesh)
+        areas = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
         total = areas.sum()
         if total > 0.0:
-            facet_mean = values[mesh.facets].mean(axis=1)
+            f0, f1, f2 = mesh.facets.T
+            facet_mean = (values[f0] + values[f1] + values[f2]) / 3
             objective = float((areas * facet_mean).sum() / total)
         else:  # fully degenerate tessellation; fall back to the plain mean
             objective = float(values.mean())

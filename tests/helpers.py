@@ -10,6 +10,8 @@ snapshot matrix instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 The leave-one-out oracle rebuilds every fold on the full-length fields,
 as ``rom.loo_error`` did before it moved the folds into the fields' span.
+The facet oracles take ``np.cross`` of gathered (F, 3) edge rows, as the
+mesh and solver did before they gathered one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -268,8 +270,11 @@ def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int 
 def assert_ffd_invariants(config, points, outside, mu1, mu2, a: float, b: float):
     """The invariants the closed-form reduction relies on, for one lattice:
     the zero morph is bitwise the identity, ``J`` is linear, ``J mu``
-    matches the grid-then-blend oracle, and points outside the box get
-    exactly zero rows. Tolerances are relative to ``|J| |mu|``."""
+    matches the grid-then-blend oracle, ``morph`` adds exactly ``J mu``
+    to the points (keeping a point where its displacement is zero), and
+    points outside the box get exactly zero rows. Tolerances are relative
+    to ``|J| |mu|``; the morphed points are compared bitwise, because
+    rounding ``p + d`` at a large ``|p|`` can exceed a bound on ``d``."""
     reference = point_cloud(points)
     jac = displacement_jacobian(config, points)
     zero = morph(reference, jac, np.zeros(config.param_dim))
@@ -280,10 +285,12 @@ def assert_ffd_invariants(config, points, outside, mu1, mu2, a: float, b: float)
     assert np.all(np.abs(combined - (a * (jac @ mu1) + b * (jac @ mu2))) <= 1e-12 * scale.max())
 
     for mu in (mu1, mu2):
-        got = morph(reference, jac, mu).vertices - points
+        disp = (jac @ mu).reshape(-1, 3)
         want = oracle_displacement(points, config, mu)
         scale = (np.abs(jac) @ np.abs(mu)).max()
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.all(np.abs(disp - want) <= 1e-12 * scale)
+        moved = np.where(disp == 0.0, points, points + disp)
+        assert morph(reference, jac, mu).vertices.tobytes() == moved.tobytes()
 
     assert np.all(jac.reshape(-1, 3, config.param_dim)[outside] == 0.0)
 
@@ -446,3 +453,31 @@ def assert_loo_permutation_invariant(db: rom.SolutionDatabase, perm, rule, kerne
     shuffled = rom.SolutionDatabase(db.params[perm], db.fields[perm], db.objectives[perm])
     permuted, _ = rom.loo_error(shuffled, rule, kernel)
     np.testing.assert_allclose(permuted, errors[perm], rtol=1e-10, atol=1e-10)
+
+
+def np_cross_facet_cross(mesh: TriMesh) -> np.ndarray:
+    """Per-facet edge cross products, (F, 3), by ``np.cross``."""
+    v, f = mesh.vertices, mesh.facets
+    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+
+
+def np_cross_facet_normals(mesh: TriMesh) -> np.ndarray:
+    """Unit facet normals from ``np.cross``; zero for a degenerate facet."""
+    n = np_cross_facet_cross(mesh)
+    lengths = np.linalg.norm(n, axis=1)
+    ok = lengths > 0.0
+    n[ok] /= lengths[ok, None]
+    n[~ok] = 0.0
+    return n
+
+
+def np_cross_evaluate(mesh: TriMesh, cfg) -> tuple[np.ndarray, float]:
+    """Field and objective of the ``field-synthetic`` stub, with the areas
+    from ``np.cross`` and the facet means from one (F, 3) gather."""
+    v = mesh.vertices
+    kx, ky, kz = cfg.frequency
+    values = cfg.amplitude * np.sin(kx * v[:, 0]) * np.cos(ky * v[:, 1])
+    values = values + kz * v[:, 2] ** 2
+    areas = 0.5 * np.linalg.norm(np_cross_facet_cross(mesh), axis=1)
+    facet_mean = values[mesh.facets].mean(axis=1)
+    return values, float((areas * facet_mean).sum() / areas.sum())

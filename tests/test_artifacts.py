@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,75 @@ class TestDirectoryArtifacts:
         np.testing.assert_array_equal(again.params, db.params)
         np.testing.assert_array_equal(again.fields, db.fields)
         np.testing.assert_array_equal(again.objectives, db.objectives)
+
+    def test_fields_file_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(9)
+        fields = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7))
+        fields[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        db = SolutionDatabase(rng.uniform(-1, 1, (5, 3)), fields, rng.standard_normal(5))
+        save_solution_database(tmp_path / "db", db)
+        data = (tmp_path / "db" / "fields.bin").read_bytes()
+        assert data[:12] == b"SMMATRIX" + struct.pack("<I", 1)
+        assert data[12:28] == struct.pack("<QQ", 5, 7)
+        assert data[28:] == fields.astype("<f8").tobytes()
+        again = load_solution_database(tmp_path / "db")
+        assert again.fields.tobytes() == fields.tobytes()
+        assert again.fields.shape == (5, 7)
+
+    @staticmethod
+    def damage_truncated(directory):
+        path = directory / "fields.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        return f"{path}: payload is 152 bytes, expected 160"
+
+    @staticmethod
+    def damage_row_count(directory):
+        index = directory / "index.csv"
+        index.write_text("".join(index.read_text().splitlines(keepends=True)[:-1]))
+        return f"{directory / 'fields.bin'}: 4 rows, the index has 3"
+
+    @staticmethod
+    def damage_old_layout(directory):
+        # The per-sample layout of earlier versions: fields/sample_*.bin.
+        path = directory / "fields.bin"
+        fields = np.fromfile(path, dtype="<f8", offset=28).reshape(4, 5)
+        path.unlink()
+        (directory / "fields").mkdir()
+        for i, row in enumerate(fields):
+            save_vector(directory / "fields" / f"sample_{i:05d}.bin", row)
+        return (
+            f"{path}: missing; {directory / 'fields'} holds per-sample field files, "
+            "a layout this version does not read: run evaluate again"
+        )
+
+    @staticmethod
+    def damage_missing(directory):
+        path = directory / "fields.bin"
+        path.unlink()
+        return f"{path}: missing solution fields"
+
+    @staticmethod
+    def damage_magic(directory):
+        path = directory / "fields.bin"
+        path.write_bytes(b"SMVECTOR" + path.read_bytes()[8:])
+        return f"{path}: bad magic string, not a SMMATRIX artifact"
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "row_count", "old_layout", "missing", "magic"]
+    )
+    def test_bad_fields_file_cli_exits_with_one_line(self, tmp_path, capsys, damage):
+        directory = self.saved_database_with_row_edit(tmp_path, lambda cols: None)
+        message = getattr(self, f"damage_{damage}")(directory)
+        with pytest.raises(ArtifactError) as info:
+            load_solution_database(directory)
+        assert str(info.value) == message
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        assert main(["build-rom", "--db", str(directory), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit, reason",
@@ -380,5 +450,5 @@ class TestAtomicWrites:
             rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
         )
         save_solution_database(tmp_path / "db", db)
-        assert replaced == [f"sample_{i:05d}.bin" for i in range(3)] + ["index.csv"]
-        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["fields", "index.csv"]
+        assert replaced == ["fields.bin", "index.csv"]
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["fields.bin", "index.csv"]

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,55 @@ class TestValidate:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (root / "out" / "rom" / "validation.json").exists()
+
+
+class TestFixedTruncationClamp:
+    """A fixed solution mode count above the snapshots' rank keeps every
+    mode: build-rom and validate log one line and raise no warning."""
+
+    def run_with_fixed(self, workspace, capsys, count):
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["truncation"]["solution"] = {"fixed": count}
+        cfg.write_text(json.dumps(config))
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "reduced") == 0
+        capsys.readouterr()
+        logs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stage in ("build-rom", "validate"):
+                assert run(cfg, stage) == 0
+                logs.append(capsys.readouterr().err.splitlines())
+        return root / "out" / "rom", logs
+
+    def test_count_above_rank_logs_one_line_per_stage(self, workspace, capsys):
+        out, (build, validate) = self.run_with_fixed(workspace, capsys, 40)
+        assert load_rom(out).basis.rank == 4  # five centered snapshots
+        assert build == [
+            "rom: truncation asks for 40 modes, only 4 available; the count is clamped",
+            f"rom: 4 modes from 5 snapshots; wrote {out}",
+        ]
+        # Each fold has four snapshots, so at most three modes.
+        assert validate == [
+            "validate: truncation asks for 40 modes, only 3 available; the count is clamped",
+            f"wrote {out / 'validation.json'}",
+        ]
+
+    def test_count_at_database_rank_clamps_in_the_folds_only(self, workspace, capsys):
+        out, (build, validate) = self.run_with_fixed(workspace, capsys, 4)
+        assert load_rom(out).basis.rank == 4
+        assert build == [f"rom: 4 modes from 5 snapshots; wrote {out}"]
+        assert validate == [
+            "validate: truncation asks for 4 modes, only 3 available; the count is clamped",
+            f"wrote {out / 'validation.json'}",
+        ]
+
+    def test_count_within_rank_logs_nothing(self, workspace, capsys):
+        out, (build, validate) = self.run_with_fixed(workspace, capsys, 3)
+        assert load_rom(out).basis.rank == 3
+        assert build == [f"rom: 3 modes from 5 snapshots; wrote {out}"]
+        assert validate == [f"wrote {out / 'validation.json'}"]
 
 
 class TestOptimizerRecovery:

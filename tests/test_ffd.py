@@ -358,3 +358,11 @@ class TestInvariants:
             mu1, mu2 = rng.uniform(-1.0, 1.0, (2, param_dim))
             a, b = rng.uniform(-2.0, 2.0, 2)
             assert_ffd_invariants(config, points, outside, mu1, mu2, a, b)
+
+    def test_moved_points_at_large_coordinates(self):
+        # Found by the property test: rounding p + d at |p| = 4.7 is 4.0e-16,
+        # above the 3.6e-16 bound on d that the displacement itself meets.
+        rng = np.random.default_rng(199)
+        config, points, outside = random_ffd_case(rng, (3, 1, 3), 1, 1)
+        mu1, mu2 = rng.uniform(-1.0, 1.0, (2, 1))
+        assert_ffd_invariants(config, points, outside, mu1, mu2, 0.0, 0.0)

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from shapemanifold import mesh as mesh_module
 from shapemanifold.errors import DimensionMismatch, EmptyMesh, MalformedStl
 from shapemanifold.mesh import (
     FacetSoup,
@@ -20,6 +21,7 @@ from helpers import (
     assert_weld_matches_loop,
     make_sphere,
     make_tetra,
+    np_cross_facet_normals,
     soup_of,
 )
 
@@ -292,6 +294,21 @@ class TestWriteStl:
         n /= np.linalg.norm(n, axis=1)[:, None]
         soup = read_stl(write_stl(mesh, "binary"))
         np.testing.assert_array_equal(soup.normals, n.astype(np.float32))
+
+    @pytest.mark.parametrize("fmt", ["binary", "ascii"])
+    def test_bytes_match_np_cross_normals(self, monkeypatch, fmt):
+        # A sphere plus a repeated-corner facet and a collinear one.
+        sphere = make_sphere(7, 9, radius=0.6)
+        n = sphere.vertex_count
+        mesh = TriMesh(
+            np.vstack([sphere.vertices, [[2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.0, 0.0]]]),
+            np.vstack([sphere.facets, [[0, 0, 1], [n, n + 1, n + 2]]]),
+        )
+        normals = mesh_module._facet_normals(mesh)
+        assert normals.tobytes() == np_cross_facet_normals(mesh).tobytes()
+        data = write_stl(mesh, fmt)
+        monkeypatch.setattr(mesh_module, "_facet_normals", np_cross_facet_normals)
+        assert data == write_stl(mesh, fmt)
 
 
 class TestFlatten:

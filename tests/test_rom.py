@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +60,31 @@ class TestSolutionDatabase:
         return None
 
     def test_duplicate_scan_matches_pairwise_reference(self):
+        self.assert_scan_matches_reference()
+
+    @pytest.mark.parametrize("budget", [1, 7, 40])
+    def test_duplicate_scan_in_row_blocks_matches_pairwise_reference(self, monkeypatch,
+                                                                     budget):
+        # Blocks of one row up to several rows report the same first pair.
+        monkeypatch.setattr(rom, "_SCAN_BUDGET", budget)
+        self.assert_scan_matches_reference()
+
+    def test_duplicate_scan_memory_is_bounded(self):
+        # 2,000 x 5 parameters: one broadcast scan would hold two 160 MB arrays.
+        rng = np.random.default_rng(22)
+        params = rng.uniform(-1, 1, (2000, 5))
+        tracemalloc.start()
+        try:
+            SolutionDatabase(params, np.zeros((2000, 1)), np.zeros(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        params[1999] = params[1998]
+        with pytest.raises(DuplicateParams, match="rows 1998 and 1999 "):
+            SolutionDatabase(params, np.zeros((2000, 1)), np.zeros(2000))
+
+    def assert_scan_matches_reference(self):
         rng = np.random.default_rng(21)
         cases = [
             np.array([[0.5, 0.25]]),

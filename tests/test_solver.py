@@ -6,7 +6,7 @@ from shapemanifold.ffd import default_config, displacement_jacobian, morph
 from shapemanifold.mesh import TriMesh
 from shapemanifold.solver import StubConfig, evaluate, stub_from_dict, stub_to_dict
 
-from helpers import make_sphere
+from helpers import make_sphere, np_cross_evaluate
 
 
 def translated(mesh: TriMesh, shift) -> TriMesh:
@@ -22,6 +22,33 @@ class TestFieldSynthetic:
         snap = evaluate(mesh, StubConfig())
         expected = (areas * snap.field[f].mean(axis=1)).sum() / areas.sum()
         assert snap.objective == float(expected)
+
+    def test_matches_np_cross_formula_on_random_morphs(self):
+        # Bitwise: the per-axis gathers round exactly like np.cross, and the
+        # sums run in the order np.linalg.norm and mean use.
+        mesh = make_sphere(101, 101)
+        cfg = default_config(mesh)
+        jac = displacement_jacobian(cfg, mesh.vertices)
+        lower, upper = cfg.bounds.T
+        rng = np.random.default_rng(8)
+        for mu in rng.uniform(lower, upper, (50, cfg.param_dim)):
+            geometry = morph(mesh, jac, mu)
+            snap = evaluate(geometry, StubConfig())
+            field, objective = np_cross_evaluate(geometry, StubConfig())
+            assert snap.field.tobytes() == field.tobytes()
+            assert snap.objective == objective
+
+    def test_matches_np_cross_formula_with_degenerate_facets(self):
+        mesh = make_sphere(7, 9, radius=0.6)
+        # Append a repeated-corner facet and a collinear one.
+        line = [[2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
+        n = mesh.vertex_count
+        facets = np.vstack([mesh.facets, [[0, 0, 1], [n, n + 1, n + 2]]])
+        padded = TriMesh(np.vstack([mesh.vertices, line]), facets)
+        snap = evaluate(padded, StubConfig())
+        field, objective = np_cross_evaluate(padded, StubConfig())
+        assert snap.field.tobytes() == field.tobytes()
+        assert snap.objective == objective
 
     def test_zero_amplitude_zero_field(self):
         cfg = StubConfig(mode="field-synthetic", frequency=(1.0, 1.0, 0.0), amplitude=0.0)
