@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -288,7 +289,8 @@ def load_reduced_space(directory) -> ReducedSpace:
 
 def save_solution_database(directory, db: SolutionDatabase):
     """Directory artifact: index.csv plus fields.bin, a matrix artifact with
-    one field per row in sample order."""
+    one field per row in sample order. The per-sample ``fields/`` directory
+    of earlier versions is removed once index.csv is written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     _save_matrix(directory / "fields.bin", db.fields)
@@ -299,6 +301,23 @@ def save_solution_database(directory, db: SolutionDatabase):
         mu_cols = ",".join(_fmt(v) for v in db.params[i])
         lines.append(f"{i},{mu_cols},{_fmt(db.objectives[i])}")
     _write_lines(directory / "index.csv", lines)  # last: marks the database complete
+    _remove_per_sample_fields(directory / "fields")
+
+
+def _remove_per_sample_fields(old: Path):
+    """Delete the per-sample ``fields/`` directory of earlier versions, which
+    nothing reads beside ``fields.bin``; a directory that holds anything
+    but ``sample_NNNNN.bin`` files is left alone."""
+    if not old.is_dir() or old.is_symlink():
+        return
+    entries = list(old.iterdir())
+    if all(
+        e.is_file() and not e.is_symlink() and re.fullmatch(r"sample_\d{5,}\.bin", e.name)
+        for e in entries
+    ):
+        for e in entries:
+            e.unlink()
+        old.rmdir()
 
 
 def load_solution_database(directory) -> SolutionDatabase:

@@ -14,7 +14,7 @@ sampling and optimization operate on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,40 +113,49 @@ class Dependency:
 
 @dataclass(frozen=True)
 class DependencyModel:
-    """Per-coefficient status: free (None) or dependent on a free one."""
+    """Per-coefficient status: free (None) or dependent on a free one.
+
+    ``free_indices`` and the plan :meth:`expand` follows (per coefficient:
+    the position of its free source, and the slope and intercept of a
+    dependent one) are derived once, at construction.
+    """
 
     status: tuple
+    free_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         status = tuple(self.status)
-        free = {i for i, s in enumerate(status) if s is None}
+        free = tuple(i for i, s in enumerate(status) if s is None)
         for i, s in enumerate(status):
             if s is not None and s.source not in free:
                 raise ValueError(
                     f"coefficient {i} depends on {s.source}, which is not free"
                 )
+        pos = {idx: k for k, idx in enumerate(free)}
+        plan = tuple(
+            (pos[i], None, None) if s is None else (pos[s.source], s.slope, s.intercept)
+            for i, s in enumerate(status)
+        )
         object.__setattr__(self, "status", status)
-
-    @property
-    def free_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.status) if s is None)
+        object.__setattr__(self, "free_indices", free)
+        object.__setattr__(self, "_plan", plan)
 
     def expand(self, free_values) -> np.ndarray:
         """Full coefficient vector from the free coordinates."""
         free_values = np.asarray(free_values, dtype=float).reshape(-1)
-        free = self.free_indices
-        if free_values.size != len(free):
+        if free_values.size != len(self.free_indices):
             raise ValueError(
-                f"expected {len(free)} free values, got {free_values.size}"
+                f"expected {len(self.free_indices)} free values, "
+                f"got {free_values.size}"
             )
-        full = np.zeros(len(self.status))
-        pos = {idx: k for k, idx in enumerate(free)}
-        for i, s in enumerate(self.status):
-            if s is None:
-                full[i] = free_values[pos[i]]
-            else:
-                full[i] = s.slope * free_values[pos[s.source]] + s.intercept
-        return full
+        # Python floats are IEEE doubles: each entry rounds as the float64
+        # expression ``slope * value + intercept`` does.
+        v = free_values.tolist()
+        return np.array(
+            [v[k] if a is None else a * v[k] + b for k, a, b in self._plan],
+            dtype=float,
+        )
 
 
 def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> DependencyModel:
@@ -216,38 +225,54 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
+def _edges(v: np.ndarray) -> np.ndarray:
+    # Edge vectors of a closed polygon, vertex k to vertex k + 1.
+    return np.roll(v, -1, axis=0) - v
+
+
+def _containment_tol(v: np.ndarray, rtol: float) -> float:
+    return rtol * max(1.0, float(np.abs(v).max()))
+
+
+def _inside(p: np.ndarray, v: np.ndarray, edges: np.ndarray, tol: float) -> bool:
+    # Every edge sees the point on its left, up to -tol.
+    cross = edges[:, 0] * (p[1] - v[:, 1]) - edges[:, 1] * (p[0] - v[:, 0])
+    return bool(np.all(cross >= -tol))
+
+
 def point_in_polygon(point, vertices: np.ndarray, rtol: float = 1e-9) -> bool:
     """Boundary-inclusive test against a convex counter-clockwise polygon."""
     p = np.asarray(point, dtype=float).reshape(2)
     v = np.asarray(vertices, dtype=float)
-    tol = rtol * max(1.0, float(np.abs(v).max()))
-    nxt = np.roll(v, -1, axis=0)
-    cross = (nxt[:, 0] - v[:, 0]) * (p[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (
-        p[0] - v[:, 0]
-    )
-    return bool(np.all(cross >= -tol))
+    return _inside(p, v, _edges(v), _containment_tol(v, rtol))
 
 
 @dataclass(frozen=True)
 class FeasiblePolygon:
-    """Convex admissible region in the plane of one coefficient pair."""
+    """Convex admissible region in the plane of one coefficient pair.
+
+    ``edges`` (vertex k to vertex k + 1) and the containment tolerance
+    ``tol`` are derived once, at construction.
+    """
 
     axes: tuple[int, int]
     vertices: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 two-dimensional vertices")
-        nxt = np.roll(v, -1, axis=0)
-        nxt2 = np.roll(v, -2, axis=0)
-        e1 = nxt - v
-        e2 = nxt2 - nxt
+        e1 = _edges(v)
+        e2 = np.roll(e1, -1, axis=0)
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(cross <= 0.0):
             raise ValueError("polygon vertices must be strictly convex and CCW")
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "edges", e1)
+        object.__setattr__(self, "tol", _containment_tol(v, 1e-9))
 
     @property
     def area(self) -> float:
@@ -256,7 +281,8 @@ class FeasiblePolygon:
         return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
     def contains(self, point) -> bool:
-        return point_in_polygon(point, self.vertices)
+        p = np.asarray(point, dtype=float).reshape(2)
+        return _inside(p, self.vertices, self.edges, self.tol)
 
 
 def _line_intersection(a, b, c, d):
@@ -339,6 +365,8 @@ class ReducedSpace:
     ``bounding_box`` is (d, 2) over the free coordinates of the training
     set; the polygon (if any) constrains one coefficient pair, where a
     dependent member of the pair is evaluated through its regression.
+    ``box_low`` and ``box_high`` are the box widened by its tolerance,
+    derived once at construction.
     """
 
     basis: pod.PodBasis
@@ -347,6 +375,8 @@ class ReducedSpace:
     free_indices: tuple[int, ...]
     bounding_box: np.ndarray
     polygon_uses_regressed: bool = True
+    box_low: np.ndarray = field(init=False, repr=False, compare=False)
+    box_high: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         box = np.asarray(self.bounding_box, dtype=float).reshape(-1, 2)
@@ -355,8 +385,11 @@ class ReducedSpace:
             raise ValueError("free indices disagree with the dependency model")
         if box.shape[0] != len(free):
             raise ValueError("bounding box rows must match the free coordinates")
+        tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
         object.__setattr__(self, "free_indices", free)
         object.__setattr__(self, "bounding_box", box)
+        object.__setattr__(self, "box_low", box[:, 0] - tol)
+        object.__setattr__(self, "box_high", box[:, 1] + tol)
 
     @property
     def dim(self) -> int:
@@ -387,9 +420,7 @@ class ReducedSpace:
         mu_red = np.asarray(mu_red, dtype=float).reshape(-1)
         if mu_red.size != self.dim:
             return False
-        box = self.bounding_box
-        tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
-        if np.any(mu_red < box[:, 0] - tol) or np.any(mu_red > box[:, 1] + tol):
+        if np.any(mu_red < self.box_low) or np.any(mu_red > self.box_high):
             return False
         pair = self.pair_point(mu_red)
         if pair is not None and not self.polygon.contains(pair):

@@ -30,7 +30,7 @@ def distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
     if polygon.contains(p):
         return 0.0
     a = polygon.vertices
-    ab = np.roll(a, -1, axis=0) - a
+    ab = polygon.edges
     # Strict convexity of the polygon rules out zero-length edges.
     t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
     gap = p - (a + t[:, None] * ab)

@@ -42,13 +42,16 @@ class SolutionDatabase:
             raise ValueError("database row counts disagree")
         if not (np.isfinite(params).all() and np.isfinite(fields).all()):
             raise ValueError("database entries must be finite")
-        # Chebyshev distance of every pair i < j, a block of rows at a time
-        # so that memory stays bounded; the first hit in row-major (i, j)
-        # order is the one reported.
+        # Chebyshev distance of every pair i < j below 1e-12, one parameter
+        # column at a time and a block of rows at a time so that memory
+        # stays bounded; the first hit in row-major (i, j) order is the one
+        # reported.
         block = max(1, _SCAN_BUDGET // max(1, params.size))
         for start in range(0, m, block):
-            diff = params[start:start + block, None, :] - params[None, :, :]
-            close = np.abs(diff, out=diff).max(axis=2) < 1e-12
+            rows = params[start:start + block]
+            close = np.ones((rows.shape[0], m), dtype=bool)
+            for k in range(params.shape[1]):
+                close &= np.abs(rows[:, k, None] - params[None, :, k]) < 1e-12
             pairs = np.argwhere(np.triu(close, start + 1))
             if pairs.size:
                 i, j = pairs[0]
@@ -102,14 +105,31 @@ class Interpolator:
     weights: np.ndarray
     tail: np.ndarray | None = None
 
+    def __post_init__(self):
+        if (self.tail is not None) != (self.kernel == "thin-plate"):
+            raise ValueError("an affine tail goes with the thin-plate kernel only")
+
     def __call__(self, x) -> np.ndarray:
+        return self.apply(self.kernel_rows(x))
+
+    def kernel_rows(self, x) -> tuple[np.ndarray, np.ndarray | None]:
+        """Kernel rows of the query points, plus their affine rows ``[1, x]``
+        under thin-plate: what :meth:`apply` takes. Interpolants with the
+        same nodes, kernel and epsilon share them."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         phi = _kernel_matrix(
             self.kernel, _pairwise_distances(x, self.nodes), self.epsilon
         )
+        p = None
+        if self.kernel == "thin-plate":
+            p = np.column_stack([np.ones(x.shape[0]), x])
+        return phi, p
+
+    def apply(self, rows) -> np.ndarray:
+        """Values at the query points whose :meth:`kernel_rows` are given."""
+        phi, p = rows
         out = phi @ self.weights
         if self.tail is not None:
-            p = np.column_stack([np.ones(x.shape[0]), x])
             out = out + p @ self.tail
         return out
 
@@ -120,10 +140,10 @@ class Interpolator:
 
 def fit_interpolator(
     nodes: np.ndarray,
-    values: np.ndarray,
+    values,
     kernel: str = "gaussian",
     epsilon: float | None = None,
-) -> Interpolator:
+) -> Interpolator | tuple[Interpolator, ...]:
     """Solve the dense RBF system for scattered data.
 
     The thin-plate kernel is augmented with an affine tail and the usual
@@ -131,13 +151,19 @@ def fit_interpolator(
     condition estimate above 1e14 or a node-reproduction residual above
     1e-8 (relative) raises ``SingularSystem``, which usually means the
     shape parameter should change.
+
+    ``values`` is one array of value rows, or a tuple of such arrays: then
+    the system is built and gated once and solved once per array, and a
+    tuple of interpolants sharing nodes, kernel and epsilon comes back.
+    Each is bitwise the interpolant of its own call; one solve with all
+    the columns side by side would round differently.
     """
+    blocks = values if isinstance(values, tuple) else (values,)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
+    blocks = [np.asarray(v, dtype=float) for v in blocks]
+    blocks = [v[:, None] if v.ndim == 1 else v for v in blocks]
     m = nodes.shape[0]
-    if m < 1 or values.shape[0] != m:
+    if m < 1 or any(v.shape[0] != m for v in blocks):
         raise ValueError("need one value row per node")
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}")
@@ -151,15 +177,12 @@ def fit_interpolator(
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
 
-    k = _kernel_matrix(kernel, dist, epsilon)
+    system = _kernel_matrix(kernel, dist, epsilon)
+    n_tail = 0
     if kernel == "thin-plate":
         p = np.column_stack([np.ones(m), nodes])
         n_tail = p.shape[1]
-        system = np.block([[k, p], [p.T, np.zeros((n_tail, n_tail))]])
-        rhs = np.vstack([values, np.zeros((n_tail, values.shape[1]))])
-    else:
-        system = k
-        rhs = values
+        system = np.block([[system, p], [p.T, np.zeros((n_tail, n_tail))]])
 
     # The system is symmetric, so its |eigenvalue| ratio is the 2-norm
     # condition number; a zero or NaN eigenvalue fails the test as well.
@@ -169,20 +192,23 @@ def fit_interpolator(
             "interpolation system condition number exceeds 1e14; "
             "adjust the kernel shape parameter"
         )
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"interpolation system is singular: {exc}") from exc
-
-    residual = np.abs(system[:m] @ solution - values)
-    scale = 1.0 + np.abs(values).max(initial=0.0)
-    if values.size and residual.max() > _RESIDUAL_RTOL * scale:
-        raise SingularSystem(
-            f"node reproduction residual {residual.max():.2e} exceeds "
-            f"{_RESIDUAL_RTOL:.0e} relative; adjust the kernel shape parameter"
-        )
-    tail = solution[m:] if kernel == "thin-plate" else None
-    return Interpolator(kernel, epsilon, nodes, solution[:m], tail)
+    fitted = []
+    for v in blocks:
+        rhs = np.vstack([v, np.zeros((n_tail, v.shape[1]))]) if n_tail else v
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"interpolation system is singular: {exc}") from exc
+        residual = np.abs(system[:m] @ solution - v)
+        scale = 1.0 + np.abs(v).max(initial=0.0)
+        if v.size and residual.max() > _RESIDUAL_RTOL * scale:
+            raise SingularSystem(
+                f"node reproduction residual {residual.max():.2e} exceeds "
+                f"{_RESIDUAL_RTOL:.0e} relative; adjust the kernel shape parameter"
+            )
+        tail = solution[m:] if n_tail else None
+        fitted.append(Interpolator(kernel, epsilon, nodes, solution[:m], tail))
+    return tuple(fitted) if isinstance(values, tuple) else fitted[0]
 
 
 @dataclass(frozen=True)
@@ -203,6 +229,12 @@ class RomModel:
     def __post_init__(self):
         if self.coefficients.output_dim != self.basis.rank:
             raise ValueError("interpolator output does not match mode count")
+        # predict evaluates one kernel row for both interpolants.
+        c, o = self.coefficients, self.objective
+        if c.kernel != o.kernel or c.epsilon != o.epsilon:
+            raise ValueError("the two interpolants differ in kernel or epsilon")
+        if c.nodes is not o.nodes and not np.array_equal(c.nodes, o.nodes):
+            raise ValueError("the two interpolants have different nodes")
 
 
 def build_rom(
@@ -218,10 +250,9 @@ def build_rom(
     matrix, center = pod.assemble(db.fields, centering="mean")
     basis = pod.truncate(pod.compute_pod(matrix, center=center), rule)
     coeffs = (basis.modes.T @ matrix).T  # training coefficients, one row per sample
-    coeff_interp = fit_interpolator(db.params, coeffs, kernel, epsilon)
     obj_mean = float(db.objectives.mean())
-    obj_interp = fit_interpolator(
-        db.params, db.objectives - obj_mean, kernel, epsilon
+    coeff_interp, obj_interp = fit_interpolator(
+        db.params, (coeffs, db.objectives - obj_mean), kernel, epsilon
     )
     meta = {
         "snapshot_count": db.count,
@@ -242,22 +273,28 @@ def extrapolates(model: RomModel, points) -> np.ndarray:
     return ((points < nodes.min(axis=0)) | (points > nodes.max(axis=0))).any(axis=1)
 
 
+def _objective_at(model: RomModel, rows) -> float:
+    return model.objective_mean + float(model.objective.apply(rows)[0, 0])
+
+
 def predict_objective(model: RomModel, mu) -> float:
     """Online phase, objective only, at one point: no field is built."""
     mu = np.asarray(mu, dtype=float).reshape(1, -1)
-    return model.objective_mean + float(model.objective(mu)[0, 0])
+    return _objective_at(model, model.objective.kernel_rows(mu))
 
 
 def predict(model: RomModel, mu) -> tuple[np.ndarray, float]:
-    """Online phase: field and objective at a new parameter point.
+    """Online phase: field and objective at a new parameter point, from
+    one kernel row shared by both interpolants.
 
     Points outside the training bounding box (see :func:`extrapolates`)
     are extrapolated; surrogate accuracy degrades away from the data.
     """
     mu = np.asarray(mu, dtype=float).reshape(1, -1)
-    alpha = model.coefficients(mu)[0]
+    rows = model.coefficients.kernel_rows(mu)
+    alpha = model.coefficients.apply(rows)[0]
     value = model.basis.center + model.basis.modes @ alpha
-    return value, predict_objective(model, mu)
+    return value, _objective_at(model, rows)
 
 
 def loo_error(

@@ -11,7 +11,13 @@ per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 The leave-one-out oracle rebuilds every fold on the full-length fields,
 as ``rom.loo_error`` did before it moved the folds into the fields' span.
 The facet oracles take ``np.cross`` of gathered (F, 3) edge rows, as the
-mesh and solver did before they gathered one coordinate at a time.
+mesh and solver did before they gathered one coordinate at a time. The
+feasibility oracles recompute, on every call, what the polygon, the
+reduced space and the dependency model now derive once at construction:
+polygon edges by ``np.roll``, the box tolerance, and the free-position map
+of a dict loop. The surrogate oracles fit the coefficient and objective
+interpolants with two separate ``fit_interpolator`` calls and evaluate
+each interpolant on its own kernel row.
 """
 
 from __future__ import annotations
@@ -29,7 +35,14 @@ from shapemanifold.ffd import (
     displacement_jacobian,
     morph,
 )
-from shapemanifold.manifold import fit_feasible_polygon
+from shapemanifold.manifold import (
+    Dependency,
+    DependencyModel,
+    FeasiblePolygon,
+    ReducedSpace,
+    fit_feasible_polygon,
+    point_in_polygon,
+)
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
 from shapemanifold.optimize import distance_to_polygon
 
@@ -481,3 +494,257 @@ def np_cross_evaluate(mesh: TriMesh, cfg) -> tuple[np.ndarray, float]:
     areas = 0.5 * np.linalg.norm(np_cross_facet_cross(mesh), axis=1)
     facet_mean = values[mesh.facets].mean(axis=1)
     return values, float((areas * facet_mean).sum() / areas.sum())
+
+
+# ---------------------------------------------------------------------------
+# Feasibility oracles: every derived quantity recomputed per call.
+
+
+def bits(x) -> bytes:
+    """Bytes of a float64 scalar or array: equal bits, sign of zero included."""
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def roll_point_in_polygon(point, vertices, rtol: float = 1e-9) -> bool:
+    """Boundary-inclusive containment with the edges taken by ``np.roll``
+    and the tolerance from the vertices on every call."""
+    p = np.asarray(point, dtype=float).reshape(2)
+    v = np.asarray(vertices, dtype=float)
+    tol = rtol * max(1.0, float(np.abs(v).max()))
+    nxt = np.roll(v, -1, axis=0)
+    cross = (nxt[:, 0] - v[:, 0]) * (p[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (
+        p[0] - v[:, 0]
+    )
+    return bool(np.all(cross >= -tol))
+
+
+def _row_dots(x, y):
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def roll_distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
+    """``optimize.distance_to_polygon`` with the edges by ``np.roll``."""
+    p = np.asarray(point, dtype=float).reshape(2)
+    if roll_point_in_polygon(p, polygon.vertices):
+        return 0.0
+    a = polygon.vertices
+    ab = np.roll(a, -1, axis=0) - a
+    t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
+    gap = p - (a + t[:, None] * ab)
+    return float(np.sqrt(_row_dots(gap, gap)).min())
+
+
+def dict_loop_expand(deps: DependencyModel, free_values) -> np.ndarray:
+    """Full coefficient vector by a loop over the status, through a dict
+    from coefficient index to free position."""
+    free_values = np.asarray(free_values, dtype=float).reshape(-1)
+    free = tuple(i for i, s in enumerate(deps.status) if s is None)
+    if free_values.size != len(free):
+        raise ValueError(f"expected {len(free)} free values, got {free_values.size}")
+    full = np.zeros(len(deps.status))
+    pos = {idx: k for k, idx in enumerate(free)}
+    for i, s in enumerate(deps.status):
+        if s is None:
+            full[i] = free_values[pos[i]]
+        else:
+            full[i] = s.slope * free_values[pos[s.source]] + s.intercept
+    return full
+
+
+def per_call_box_contains(space: ReducedSpace, mu_red) -> bool:
+    """``ReducedSpace.contains`` with the box tolerance computed per call and
+    the pair through the two oracles above."""
+    mu_red = np.asarray(mu_red, dtype=float).reshape(-1)
+    if mu_red.size != space.dim:
+        return False
+    box = space.bounding_box
+    tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+    if np.any(mu_red < box[:, 0] - tol) or np.any(mu_red > box[:, 1] + tol):
+        return False
+    if space.polygon is None:
+        return True
+    full = dict_loop_expand(space.dependencies, mu_red)
+    a, b = space.polygon.axes
+    return roll_point_in_polygon([full[a], full[b]], space.polygon.vertices)
+
+
+def signed_zeros(rng, points: np.ndarray) -> np.ndarray:
+    """A copy of ``points`` with about a quarter of the entries set to
+    -0.0 or +0.0."""
+    out = np.array(points, dtype=float)
+    hit = rng.random(out.shape) < 0.25
+    out[hit] = rng.choice([-0.0, 0.0], size=int(hit.sum()))
+    return out
+
+
+def random_polygon(rng) -> FeasiblePolygon:
+    """The polygon of a random cloud, or a diamond with -0.0 vertex
+    coordinates around the origin."""
+    if rng.random() < 0.2:
+        s = 10.0 ** rng.uniform(-2.0, 2.0)
+        return FeasiblePolygon(
+            (0, 1), np.array([[-0.0, -s], [s, -0.0], [-0.0, s], [-s, -0.0]])
+        )
+    max_vertices = rng.choice([None, 3, 4, 6])
+    cloud = random_cloud(rng, int(rng.integers(3, 60)))
+    return fit_feasible_polygon(cloud, None if max_vertices is None else int(max_vertices))
+
+
+def probe_points(rng, vertices: np.ndarray, count: int) -> np.ndarray:
+    """Points around a vertex set: uniform in its box grown by half on each
+    side, the vertices themselves, points on the edges, points a few ulps
+    off them, points outside them by about the containment tolerance, and
+    signed zeros."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    low, high = v.min(axis=0), v.max(axis=0)
+    pad = 0.5 * (high - low) + 1e-3
+    uniform = rng.uniform(low - pad, high + pad, (count, 2))
+    edges = np.roll(v, -1, axis=0) - v
+    on_edges = v + rng.random((len(v), 1)) * edges
+    nudge = (rng.choice([-1.0, 1.0], on_edges.shape)
+             * np.spacing(np.abs(on_edges)) * rng.integers(0, 4, on_edges.shape))
+    # A point d outside an edge of length L has edge cross product -L d.
+    tol = 1e-9 * max(1.0, float(np.abs(v).max()))
+    length = np.linalg.norm(edges, axis=1)[:, None]
+    outward = np.column_stack([edges[:, 1], -edges[:, 0]]) / length
+    band = [on_edges + outward * (k * tol / length) for k in (0.9, 1.0, 1.05, 1.2, 2.0)]
+    return np.vstack([uniform, v, on_edges, on_edges + nudge, *band,
+                      signed_zeros(rng, uniform), [[-0.0, -0.0], [0.0, -0.0]]])
+
+
+def assert_contains_matches_roll_oracle(rng) -> None:
+    """``FeasiblePolygon.contains`` and ``point_in_polygon`` give the
+    ``np.roll`` formula's answer."""
+    polygon = random_polygon(rng)
+    for p in probe_points(rng, polygon.vertices, 40):
+        inside = roll_point_in_polygon(p, polygon.vertices)
+        assert polygon.contains(p) is inside
+        assert point_in_polygon(p, polygon.vertices) is inside
+
+
+def assert_distance_matches_roll_oracle(rng) -> None:
+    """``distance_to_polygon`` gives the ``np.roll`` formula's distance bit
+    for bit."""
+    polygon = random_polygon(rng)
+    for p in probe_points(rng, polygon.vertices, 40):
+        assert bits(distance_to_polygon(p, polygon)) == bits(
+            roll_distance_to_polygon(p, polygon)
+        )
+
+
+def random_dependency_model(rng, n_coeff: int) -> DependencyModel:
+    """Coefficient 0 free; each later one free or an affine function of an
+    earlier free one, with slopes and intercepts that may be zero."""
+    status: list = [None]
+    free = [0]
+    for i in range(1, n_coeff):
+        if rng.random() < 0.5:
+            status.append(None)
+            free.append(i)
+        else:
+            slope, intercept = rng.choice([0.0, -0.0, 1.0, 1.0 / 3.0]), 0.0
+            if rng.random() < 0.7:
+                slope, intercept = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+            status.append(Dependency(int(rng.choice(free)), float(slope),
+                                     float(intercept), 1.0))
+    return DependencyModel(tuple(status))
+
+
+def assert_expand_matches_dict_loop(rng) -> None:
+    """``DependencyModel.expand`` gives the dict loop's vector bit for bit."""
+    deps = random_dependency_model(rng, int(rng.integers(1, 7)))
+    n_free = len(deps.free_indices)
+    for _ in range(20):
+        values = rng.standard_normal(n_free) * 10.0 ** rng.uniform(-3, 3, n_free)
+        values = signed_zeros(rng, values)
+        got = deps.expand(values)
+        assert got.dtype == np.float64 and got.shape == (len(deps.status),)
+        assert bits(got) == bits(dict_loop_expand(deps, values))
+
+
+def random_reduced_space(rng) -> ReducedSpace:
+    """A random dependency model and polygon, with a box over the free
+    coordinates that maps onto the polygon's range (through the regression
+    where a polygon member is dependent), so that points fall on both sides
+    of both constraints."""
+    n = int(rng.integers(1, 6))
+    deps = random_dependency_model(rng, n)
+    polygon = None
+    if n >= 2 and rng.random() < 0.8:
+        axes = tuple(int(a) for a in rng.choice(n, size=2, replace=False))
+        polygon = FeasiblePolygon(axes, random_polygon(rng).vertices)
+    ranges = []
+    for i in deps.free_indices:
+        lo, hi = np.sort(rng.standard_normal(2) * 10.0 ** rng.uniform(-2, 2))
+        for axis, a in enumerate(polygon.axes if polygon is not None else ()):
+            s = deps.status[a]
+            v = polygon.vertices[:, axis]
+            if a == i:
+                lo, hi = v.min(), v.max()
+            elif s is not None and s.source == i and s.slope != 0.0:
+                lo, hi = np.sort((np.array([v.min(), v.max()]) - s.intercept) / s.slope)
+        pad = 0.3 * (hi - lo)
+        ranges.append([lo - pad, hi + pad])
+    return ReducedSpace(
+        basis=pod.compute_pod(rng.standard_normal((12, 3))),
+        dependencies=deps,
+        polygon=polygon,
+        free_indices=deps.free_indices,
+        bounding_box=np.array(ranges).reshape(-1, 2),
+    )
+
+
+def assert_space_contains_matches_per_call_box(rng) -> None:
+    """``ReducedSpace.contains`` agrees with the per-call-tolerance oracle
+    on points in and around the box, on its faces and corners, and of the
+    wrong length."""
+    space = random_reduced_space(rng)
+    box = space.bounding_box
+    d = space.dim
+    span = box[:, 1] - box[:, 0]
+    points = [rng.uniform(box[:, 0] - 0.2 * span - 1e-9, box[:, 1] + 0.2 * span + 1e-9)
+              for _ in range(30)]
+    corners = rng.integers(0, 2, (10, d))
+    points += [box[np.arange(d), c] for c in corners]
+    tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+    points += [box[np.arange(d), c] + (2 * c - 1) * tol * k for c in corners for k in (1, 2)]
+    points += [signed_zeros(rng, p) for p in points[:30]]
+    for p in points:
+        assert space.contains(p) is per_call_box_contains(space, p)
+    assert space.contains(np.zeros(d + 1)) is per_call_box_contains(space, np.zeros(d + 1))
+
+
+# ---------------------------------------------------------------------------
+# Surrogate oracles: one fit per interpolant, one kernel row per interpolant.
+
+
+def separate_fits(db: rom.SolutionDatabase, basis: pod.PodBasis, kernel, epsilon):
+    """The coefficient and objective interpolants of ``build_rom`` from two
+    independent ``fit_interpolator`` calls, on ``basis``'s coefficients."""
+    matrix, _ = pod.assemble(db.fields, centering="mean")
+    coeffs = (basis.modes.T @ matrix).T
+    mean = float(db.objectives.mean())
+    return (
+        rom.fit_interpolator(db.params, coeffs, kernel, epsilon),
+        rom.fit_interpolator(db.params, db.objectives - mean, kernel, epsilon),
+    )
+
+
+def assert_same_interpolator(got: rom.Interpolator, want: rom.Interpolator) -> None:
+    assert got.kernel == want.kernel
+    assert bits(got.epsilon) == bits(want.epsilon)
+    assert bits(got.nodes) == bits(want.nodes)
+    assert got.weights.shape == want.weights.shape
+    assert bits(got.weights) == bits(want.weights)
+    assert (got.tail is None) == (want.tail is None)
+    if want.tail is not None:
+        assert got.tail.shape == want.tail.shape
+        assert bits(got.tail) == bits(want.tail)
+
+
+def separate_rows_predict(model: rom.RomModel, mu):
+    """Field from the coefficient interpolant's own call, objective from
+    ``predict_objective``: each evaluates its own kernel row."""
+    mu = np.asarray(mu, dtype=float).reshape(1, -1)
+    alpha = model.coefficients(mu)[0]
+    return model.basis.center + model.basis.modes @ alpha, rom.predict_objective(model, mu)

@@ -364,6 +364,92 @@ class TestDirectoryArtifacts:
         with pytest.raises(ArtifactError, match="space.json"):
             load_reduced_space(tmp_path / "space")
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc["objective"].update(kernel="linear-rbf"),
+             "the two interpolants differ in kernel or epsilon"),
+            (lambda doc: doc["objective"].update(epsilon=doc["objective"]["epsilon"] * 2),
+             "the two interpolants differ in kernel or epsilon"),
+            (lambda doc: doc["coefficients"].update(kernel="thin-plate"),
+             "an affine tail goes with the thin-plate kernel only"),
+        ],
+        ids=["kernel", "epsilon", "tail"],
+    )
+    def test_interpolants_of_different_systems_cli_exits_with_one_line(
+        self, tmp_path, capsys, edit, reason
+    ):
+        _, path = self.saved_rom(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        argv = ["predict", "--config", str(config), "--rom", str(tmp_path / "rom"),
+                "--mu", "0.1,0.2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: missing or malformed field (ValueError('{reason}'))\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def write_per_sample_layout(directory, db, extra=()):
+        # The layout of earlier versions: index.csv plus fields/sample_*.bin.
+        save_solution_database(directory, db)
+        (directory / "fields.bin").unlink()
+        (directory / "fields").mkdir()
+        for i, row in enumerate(db.fields):
+            save_vector(directory / "fields" / f"sample_{i:05d}.bin", row)
+        for name in extra:
+            (directory / "fields" / name).write_text("kept\n")
+
+    def test_rewrite_removes_the_per_sample_fields_directory(self, tmp_path):
+        rng = np.random.default_rng(10)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (4, 2)), rng.standard_normal((4, 5)), rng.standard_normal(4)
+        )
+        directory = tmp_path / "db"
+        self.write_per_sample_layout(directory, db)
+        assert len(list((directory / "fields").iterdir())) == 4
+        save_solution_database(directory, db)
+        assert sorted(p.name for p in directory.iterdir()) == ["fields.bin", "index.csv"]
+        assert load_solution_database(directory).fields.tobytes() == db.fields.tobytes()
+
+    def test_per_sample_fields_stay_if_the_index_is_not_written(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        )
+        directory = tmp_path / "db"
+        self.write_per_sample_layout(directory, db)
+        real_replace = artifacts.os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "index.csv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(artifacts.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_solution_database(directory, db)
+        assert len(list((directory / "fields").iterdir())) == 3
+
+    def test_fields_directory_with_other_files_is_left_alone(self, tmp_path):
+        rng = np.random.default_rng(12)
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        )
+        for extra in (["notes.txt"], ["sample_1.bin"], ["sample_00003.bin.tmp"]):
+            directory = tmp_path / extra[0] / "db"
+            self.write_per_sample_layout(directory, db, extra)
+            save_solution_database(directory, db)
+            names = sorted(p.name for p in (directory / "fields").iterdir())
+            assert names == sorted([f"sample_{i:05d}.bin" for i in range(3)] + extra)
+            assert load_solution_database(directory).fields.tobytes() == db.fields.tobytes()
+
     def test_corrupt_json_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)

@@ -1,0 +1,46 @@
+"""Property tests: the feasibility tests on values derived at construction
+(polygon edges and tolerance, the widened box, the expand plan) give the
+per-call formulas' results bit for bit, boundary points and signed zeros
+included. The fixed-seed twins in ``test_manifold.py`` and
+``test_optimize.py`` run the same checks without hypothesis.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from helpers import (  # noqa: E402
+    assert_contains_matches_roll_oracle,
+    assert_distance_matches_roll_oracle,
+    assert_expand_matches_dict_loop,
+    assert_space_contains_matches_per_call_box,
+)
+
+seeds = hypothesis.given(st.integers(0, 2**32 - 1))
+settings = hypothesis.settings(max_examples=60, deadline=None)
+
+
+@settings
+@seeds
+def test_polygon_contains_matches_roll_oracle(seed):
+    assert_contains_matches_roll_oracle(np.random.default_rng(seed))
+
+
+@settings
+@seeds
+def test_distance_to_polygon_matches_roll_oracle(seed):
+    assert_distance_matches_roll_oracle(np.random.default_rng(seed))
+
+
+@settings
+@seeds
+def test_reduced_space_contains_matches_per_call_box(seed):
+    assert_space_contains_matches_per_call_box(np.random.default_rng(seed))
+
+
+@settings
+@seeds
+def test_expand_matches_dict_loop(seed):
+    assert_expand_matches_dict_loop(np.random.default_rng(seed))

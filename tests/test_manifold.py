@@ -36,7 +36,10 @@ from shapemanifold.manifold import (
 from shapemanifold.pod import TruncationRule
 
 from helpers import (
+    assert_contains_matches_roll_oracle,
+    assert_expand_matches_dict_loop,
     assert_polygon_contains_cloud,
+    assert_space_contains_matches_per_call_box,
     make_sphere,
     ols_oracle,
     oracle_displacement,
@@ -283,6 +286,12 @@ class TestLinearFit:
 
 
 class TestDetectDependencies:
+    def test_expand_matches_dict_loop(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(910)
+        for _ in range(60):
+            assert_expand_matches_dict_loop(rng)
+
     def test_exact_dependency(self):
         rng = np.random.default_rng(0)
         a0 = rng.uniform(-1, 1, 300)
@@ -369,6 +378,18 @@ class TestFeasiblePolygon:
         for n_points in rng.integers(3, 81, 20):
             assert_polygon_contains_cloud(random_cloud(rng, int(n_points)), max_vertices)
 
+    def test_contains_matches_roll_oracle(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(909)
+        for _ in range(60):
+            assert_contains_matches_roll_oracle(rng)
+
+    def test_edges_and_tolerance_are_derived_at_construction(self):
+        v = np.array([[-0.0, -2.0], [2.0, -0.0], [-0.0, 2.0], [-2.0, -0.0]])
+        poly = FeasiblePolygon((1, 0), v)
+        assert poly.edges.tobytes() == (np.roll(v, -1, axis=0) - v).tobytes()
+        assert poly.tol == 2e-9
+
 
 def paper_structured_alpha(m=800, seed=5):
     # First coefficient free, second affine in it, third independent:
@@ -389,6 +410,21 @@ def space_from_alpha(alpha, **kwargs):
         np.zeros(3 * n_modes),
     )
     return build_reduced_space(basis, alpha, **kwargs)
+
+
+class TestReducedSpaceContains:
+    def test_matches_per_call_box_oracle(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(911)
+        for _ in range(60):
+            assert_space_contains_matches_per_call_box(rng)
+
+    def test_widened_box_is_derived_at_construction(self):
+        space = space_from_alpha(paper_structured_alpha())
+        box = space.bounding_box
+        tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+        assert space.box_low.tobytes() == (box[:, 0] - tol).tobytes()
+        assert space.box_high.tobytes() == (box[:, 1] + tol).tobytes()
 
 
 class TestBuildReducedSpace:

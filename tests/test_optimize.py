@@ -14,7 +14,11 @@ from shapemanifold.optimize import (
 )
 from shapemanifold.pod import PodBasis
 
-from helpers import random_cloud, segment_distance_oracle
+from helpers import (
+    assert_distance_matches_roll_oracle,
+    random_cloud,
+    segment_distance_oracle,
+)
 
 
 def unit_square_polygon() -> FeasiblePolygon:
@@ -78,6 +82,13 @@ class TestDistanceToPolygon:
                 assert abs(distance_to_polygon(p, poly) - oracle) <= 1e-14 * scale
                 checked += 1
         assert checked > 1000
+
+
+    def test_matches_roll_oracle(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(912)
+        for _ in range(60):
+            assert_distance_matches_roll_oracle(rng)
 
 
 class TestMinimize:

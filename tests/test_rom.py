@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -8,8 +9,12 @@ import pytest
 from helpers import (
     LOO_RULES,
     assert_loo_permutation_invariant,
+    assert_same_interpolator,
+    bits,
     loop_loo_error,
     random_loo_database,
+    separate_fits,
+    separate_rows_predict,
 )
 from shapemanifold import rom
 from shapemanifold.errors import DuplicateParams, SingularSystem
@@ -224,6 +229,109 @@ class TestFitInterpolator:
         probes = rng.uniform(-0.8, 0.8, (20, 2))
         expected = 2.0 * probes[:, 0] - 0.5 * probes[:, 1] + 1.0
         np.testing.assert_allclose(interp(probes)[:, 0], expected, atol=1e-7)
+
+
+KERNELS = ["gaussian", "linear-rbf", "thin-plate"]
+
+
+class TestSharedSystem:
+    """``build_rom`` fits both interpolants on one system, and ``predict``
+    evaluates one kernel row for both."""
+
+    @pytest.mark.parametrize("epsilon", [None, 1.5])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_build_rom_matches_two_fits(self, kernel, epsilon):
+        rng = np.random.default_rng(31)
+        for m, n, d in [(12, 30, 2), (25, 8, 3), (9, 50, 1)]:
+            db = random_loo_database(rng, m, n, d)
+            for rule in LOO_RULES.values():
+                model = build_rom(db, rule, kernel, epsilon)
+                coefficients, objective = separate_fits(db, model.basis, kernel, epsilon)
+                assert_same_interpolator(model.coefficients, coefficients)
+                assert_same_interpolator(model.objective, objective)
+                assert model.metadata["epsilon"] == coefficients.epsilon
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tuple_of_values_matches_separate_calls(self, kernel):
+        rng = np.random.default_rng(32)
+        db = random_loo_database(rng, 15, 4, 2)
+        blocks = (db.fields, db.objectives, db.fields[:, :1])
+        fitted = fit_interpolator(db.params, blocks, kernel)
+        assert isinstance(fitted, tuple) and len(fitted) == 3
+        for got, values in zip(fitted, blocks):
+            assert_same_interpolator(got, fit_interpolator(db.params, values, kernel))
+            assert got.nodes is fitted[0].nodes
+
+    def test_each_block_keeps_its_residual_check(self, monkeypatch):
+        nodes = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="one value row per node"):
+            fit_interpolator(nodes, (np.ones(3), np.ones(2)))
+        # With no tolerance, zeros (reproduced exactly) pass and any round-off
+        # fails: the check runs on each block's own solution.
+        monkeypatch.setattr(rom, "_RESIDUAL_RTOL", 0.0)
+        rough = np.array([0.1, 0.7, 0.3])
+        assert fit_interpolator(nodes, np.zeros(3)).weights.tolist() == [[0.0]] * 3
+        with pytest.raises(SingularSystem, match="residual"):
+            fit_interpolator(nodes, (np.zeros(3), rough))
+
+    def test_build_rom_fits_once(self, monkeypatch):
+        calls = []
+        fit = rom.fit_interpolator
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(rom, "fit_interpolator", counted)
+        build_rom(linear_span_database(), TruncationRule.energy(0.9999))
+        assert len(calls) == 1 and isinstance(calls[0], tuple) and len(calls[0]) == 2
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_predict_matches_separate_rows(self, kernel):
+        rng = np.random.default_rng(33)
+        db = random_loo_database(rng, 20, 30, 2)
+        model = build_rom(db, TruncationRule.energy(0.9999), kernel)
+        # The nodes lie in [0, 1]^2: about half of the points are outside.
+        for mu in np.vstack([rng.uniform(-0.5, 1.5, (60, 2)), db.params[:3],
+                             [[-0.0, 0.5], [1.0, -0.0]]]):
+            field, objective = predict(model, mu)
+            want_field, want_objective = separate_rows_predict(model, mu)
+            assert bits(field) == bits(want_field)
+            assert bits(objective) == bits(want_objective)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kernel": "linear-rbf"},
+            {"epsilon": 2.0},
+            {"epsilon": math.nextafter(1.5, 2.0)},
+        ],
+        ids=["kernel", "epsilon", "epsilon_ulp"],
+    )
+    def test_model_refuses_interpolants_of_different_systems(self, change):
+        model = build_rom(linear_span_database(), TruncationRule.energy(0.9999),
+                          epsilon=1.5)
+        objective = dataclasses.replace(model.objective, **change)
+        with pytest.raises(ValueError, match="differ in kernel or epsilon"):
+            dataclasses.replace(model, objective=objective)
+
+    def test_model_refuses_interpolants_on_different_nodes(self):
+        model = build_rom(linear_span_database(), TruncationRule.energy(0.9999))
+        nodes = model.objective.nodes.copy()
+        nodes[3, 1] = np.nextafter(nodes[3, 1], 2.0)
+        objective = dataclasses.replace(model.objective, nodes=nodes)
+        with pytest.raises(ValueError, match="different nodes"):
+            dataclasses.replace(model, objective=objective)
+        equal = dataclasses.replace(model.objective, nodes=model.objective.nodes.copy())
+        assert dataclasses.replace(model, objective=equal).objective is equal
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tail_goes_with_thin_plate_only(self, kernel):
+        interp = build_rom(linear_span_database(), TruncationRule.energy(0.9999),
+                           kernel).objective
+        tail = None if interp.tail is not None else np.zeros((3, 1))
+        with pytest.raises(ValueError, match="affine tail"):
+            dataclasses.replace(interp, tail=tail)
 
 
 class TestBuildRomPredict:
