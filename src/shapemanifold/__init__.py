@@ -13,7 +13,6 @@ from .ffd import (
     FfdConfig,
     MapEntry,
     ParamMap,
-    bernstein,
     default_config,
     displacement_jacobian,
     morph,
@@ -48,7 +47,6 @@ from .pod import (
     assemble,
     compute_pod,
     decay_report,
-    project,
     reconstruct,
     truncate,
 )

@@ -60,50 +60,59 @@ def write_atomic(path, chunks):
         raise
 
 
-def _header(magic: bytes) -> bytes:
-    return magic + struct.pack("<I", _VERSION)
+def _save_binary(path, magic: bytes, dims, *payload):
+    """Binary layout: magic, version, the uint64 dimensions, then each
+    payload array as little-endian float64 in C order. A C-contiguous
+    float64 array is written from its own buffer, without a copy."""
+    write_atomic(path, [
+        magic + struct.pack("<I", _VERSION),
+        struct.pack(f"<{len(dims)}Q", *dims),
+        *(np.ascontiguousarray(a, dtype="<f8") for a in payload),
+    ])
 
 
-def _check_header(handle, magic: bytes, path):
-    head = handle.read(len(magic) + 4)
-    if len(head) < len(magic) + 4 or head[: len(magic)] != magic:
-        raise ArtifactError(f"{path}: bad magic string, not a {magic.decode()} artifact")
-    (version,) = struct.unpack("<I", head[len(magic):])
-    if version != _VERSION:
-        raise ArtifactError(f"{path}: unsupported version {version}")
+def _load_binary(path: Path, magic: bytes, ndim: int, count, rows: int | None = None):
+    """Read a :func:`_save_binary` artifact with ``ndim`` dimensions: check
+    the magic string and version, then (with ``rows`` given) that the first
+    dimension equals ``rows``, then that the payload is exactly
+    ``count(*dims)`` floats, which one ``np.fromfile`` reads. Returns the
+    dimensions and the flat payload."""
+    with open(path, "rb") as handle:
+        head = handle.read(len(magic) + 4)
+        if len(head) < len(magic) + 4 or head[: len(magic)] != magic:
+            raise ArtifactError(f"{path}: bad magic string, not a {magic.decode()} artifact")
+        (version,) = struct.unpack("<I", head[len(magic):])
+        if version != _VERSION:
+            raise ArtifactError(f"{path}: unsupported version {version}")
+        raw = handle.read(8 * ndim)
+        if len(raw) < 8 * ndim:
+            raise ArtifactError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{ndim}Q", raw)
+        if rows is not None and dims[0] != rows:
+            raise ArtifactError(f"{path}: {dims[0]} rows, the index has {rows}")
+        expected = count(*dims)
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != 8 * expected:
+            raise ArtifactError(f"{path}: payload is {size} bytes, expected {8 * expected}")
+        return dims, np.fromfile(handle, dtype="<f8", count=expected)
 
 
 def save_pod_basis(path, basis: PodBasis):
     """Binary layout: magic, version, N, r, modes (column-major), sigma, center."""
-    write_atomic(path, [
-        _header(_MAGIC_BASIS),
-        struct.pack("<QQ", basis.state_dim, basis.rank),
-        np.asarray(basis.modes, dtype="<f8").tobytes(order="F"),
-        np.asarray(basis.singular_values, dtype="<f8").tobytes(),
-        np.asarray(basis.center, dtype="<f8").tobytes(),
-    ])
+    _save_binary(
+        path, _MAGIC_BASIS, (basis.state_dim, basis.rank),
+        basis.modes.T, basis.singular_values, basis.center,
+    )
 
 
 def load_pod_basis(path) -> PodBasis:
     path = Path(path)
-    with open(path, "rb") as handle:
-        _check_header(handle, _MAGIC_BASIS, path)
-        raw = handle.read(16)
-        if len(raw) < 16:
-            raise ArtifactError(f"{path}: truncated header")
-        n, r = struct.unpack("<QQ", raw)
-        body = handle.read()
-    expected = 8 * (n * r + r + n)
-    if len(body) != expected:
-        raise ArtifactError(
-            f"{path}: payload is {len(body)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(body, dtype="<f8")
-    modes = data[: n * r].reshape((n, r), order="F")
-    sigma = data[n * r : n * r + r]
-    center = data[n * r + r :]
+    (n, r), data = _load_binary(path, _MAGIC_BASIS, 2, lambda n, r: n * r + r + n)
+    # copy() lays the modes out in C order: predict's ``modes @ alpha``, and so
+    # prediction.bin, round by that layout.
+    modes = data[: n * r].reshape((n, r), order="F").copy()
     try:
-        return PodBasis(modes.copy(), sigma.copy(), center.copy())
+        return PodBasis(modes, data[n * r : n * r + r].copy(), data[n * r + r :].copy())
     except ValueError as exc:
         raise ArtifactError(f"{path}: corrupt basis payload ({exc})") from exc
 
@@ -111,59 +120,11 @@ def load_pod_basis(path) -> PodBasis:
 def save_vector(path, values: np.ndarray):
     """Binary layout: magic, version, length, float64 payload."""
     values = np.asarray(values, dtype=float).reshape(-1)
-    write_atomic(path, [
-        _header(_MAGIC_VECTOR),
-        struct.pack("<Q", values.size),
-        values.astype("<f8").tobytes(),
-    ])
+    _save_binary(path, _MAGIC_VECTOR, (values.size,), values)
 
 
 def load_vector(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "rb") as handle:
-        _check_header(handle, _MAGIC_VECTOR, path)
-        raw = handle.read(8)
-        if len(raw) < 8:
-            raise ArtifactError(f"{path}: truncated header")
-        (size,) = struct.unpack("<Q", raw)
-        body = handle.read()
-    if len(body) != 8 * size:
-        raise ArtifactError(f"{path}: payload is {len(body)} bytes, expected {8 * size}")
-    return np.frombuffer(body, dtype="<f8").copy()
-
-
-def _save_matrix(path, values: np.ndarray):
-    """Binary layout: magic, version, rows, cols, float64 payload (row-major).
-
-    The array's own buffer is the payload chunk, so a C-contiguous float64
-    matrix is written without a copy.
-    """
-    values = np.ascontiguousarray(values, dtype="<f8")
-    write_atomic(path, [
-        _header(_MAGIC_MATRIX),
-        struct.pack("<QQ", *values.shape),
-        values,
-    ])
-
-
-def _load_matrix(path, rows: int) -> np.ndarray:
-    """Read a :func:`_save_matrix` artifact that must hold ``rows`` rows;
-    the payload is read into one new array."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        _check_header(handle, _MAGIC_MATRIX, path)
-        raw = handle.read(16)
-        if len(raw) < 16:
-            raise ArtifactError(f"{path}: truncated header")
-        stored, cols = struct.unpack("<QQ", raw)
-        if stored != rows:
-            raise ArtifactError(f"{path}: {stored} rows, the index has {rows}")
-        size = os.fstat(handle.fileno()).st_size - handle.tell()
-        if size != 8 * rows * cols:
-            raise ArtifactError(
-                f"{path}: payload is {size} bytes, expected {8 * rows * cols}"
-            )
-        return np.fromfile(handle, dtype="<f8", count=rows * cols).reshape(rows, cols)
+    return _load_binary(Path(path), _MAGIC_VECTOR, 1, lambda size: size)[1]
 
 
 def _fmt(x: float) -> str:
@@ -293,7 +254,7 @@ def save_solution_database(directory, db: SolutionDatabase):
     of earlier versions is removed once index.csv is written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _save_matrix(directory / "fields.bin", db.fields)
+    _save_binary(directory / "fields.bin", _MAGIC_MATRIX, db.fields.shape, db.fields)
     dim = db.params.shape[1]
     header = "sample_id," + ",".join(f"mu{i}" for i in range(dim)) + ",objective"
     lines = [header]
@@ -353,8 +314,12 @@ def load_solution_database(directory) -> SolutionDatabase:
                 "files, a layout this version does not read: run evaluate again"
             )
         raise ArtifactError(f"{path}: missing solution fields")
-    fields = _load_matrix(path, len(params))
-    return SolutionDatabase(np.asarray(params), fields, np.asarray(objectives))
+    (rows, cols), fields = _load_binary(
+        path, _MAGIC_MATRIX, 2, lambda r, c: r * c, rows=len(params)
+    )
+    return SolutionDatabase(
+        np.asarray(params), fields.reshape(rows, cols), np.asarray(objectives)
+    )
 
 
 def _interp_to_dict(interp: Interpolator) -> dict:

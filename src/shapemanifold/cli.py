@@ -140,9 +140,10 @@ def _evaluate_samples(stub_cfg, geometry_for, params, jobs: int):
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_pipeline_config(args.config, args.out, args.seed)
     mesh = _load_reference(cfg)
-    jobs = max(1, args.jobs)
     if args.sampling == "full":
         ffd_cfg = _resolve_ffd(cfg, mesh)
         n = args.n or cfg.sampling.n_full
@@ -168,7 +169,7 @@ def cmd_evaluate(args) -> int:
             return manifold.decode(space, mu, mesh)
 
         out = cfg.output_dir / "db_reduced"
-    snapshots = _evaluate_samples(cfg.stub, geometry_for, params, jobs)
+    snapshots = _evaluate_samples(cfg.stub, geometry_for, params, args.jobs)
     db = rom.SolutionDatabase(
         params,
         np.array([s.field for s in snapshots]),
@@ -181,7 +182,7 @@ def cmd_evaluate(args) -> int:
 
 def _solution_pod(fields: np.ndarray) -> pod.PodBasis:
     # Untruncated POD of mean-centered solution fields, one per row.
-    matrix, center = pod.assemble(fields, centering="mean")
+    matrix, center = pod.assemble(fields)
     return pod.compute_pod(matrix, center=center)
 
 

@@ -17,10 +17,6 @@ class DimensionMismatch(ShapeManifoldError):
     """Vector or matrix length disagrees with what the operation expects."""
 
 
-class IndexOutOfRange(ShapeManifoldError):
-    """Basis-function index outside 0..degree."""
-
-
 class SingularLattice(ShapeManifoldError):
     """Lattice axes do not span an invertible (orthogonal) frame."""
 

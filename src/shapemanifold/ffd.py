@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SingularLattice
+from .errors import DimensionMismatch, SingularLattice
 from .mesh import TriMesh
 
 _ORTHO_RTOL = 1e-10
@@ -47,15 +47,6 @@ def bernstein_row(degree: int, t) -> np.ndarray:
             out[..., j] = t * out[..., j - 1] + s * out[..., j]
         out[..., 0] *= s
     return out
-
-
-def bernstein(degree: int, index: int, t: float) -> float:
-    """Single Bernstein basis value B_index^degree(t)."""
-    if degree < 0:
-        raise IndexOutOfRange("degree must be >= 0")
-    if not 0 <= index <= degree:
-        raise IndexOutOfRange(f"index {index} outside 0..{degree}")
-    return float(bernstein_row(degree, float(t))[index])
 
 
 def _validate_frame(origin, axes):
@@ -270,33 +261,9 @@ def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:
     )
 
 
-def config_to_dict(config: FfdConfig) -> dict:
-    """JSON-ready form of a lattice configuration (documented field names)."""
-    return {
-        "origin": config.origin.tolist(),
-        "axes": config.axes.tolist(),
-        "dims": list(config.dims),
-        "parameters": {
-            "dim": config.param_dim,
-            "entries": [
-                {
-                    "param": e.param,
-                    "point": list(e.point),
-                    "axis": e.axis,
-                    "weight": e.weight,
-                }
-                for e in config.param_map.entries
-            ],
-        },
-        "bounds": {
-            "lower": config.bounds[:, 0].tolist(),
-            "upper": config.bounds[:, 1].tolist(),
-        },
-    }
-
-
 def config_from_dict(data: dict) -> FfdConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Lattice configuration from its JSON form (the ``ffd`` section of the
+    pipeline config)."""
     params = data["parameters"]
     entries = tuple(
         MapEntry(

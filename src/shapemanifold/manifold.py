@@ -201,8 +201,16 @@ def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+# A hull narrower than this fraction of its largest coordinate (its width
+# taken as twice its area over its longest box side) is round-off around
+# collinear points: coordinates of magnitude c carry errors of about 1e-16 c.
+_THIN_RTOL = 1e-12
+
+
 def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Strict convex hull, counter-clockwise (monotone chain)."""
+    """Strict convex hull, counter-clockwise (monotone chain); collinear
+    points, exactly or up to round-off (see ``_THIN_RTOL``), raise
+    ``CollinearPoints``."""
     pts = np.unique(points, axis=0)  # sorts lexicographically
     if pts.shape[0] < 3:
         raise CollinearPoints("need at least 3 distinct points")
@@ -222,29 +230,12 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise CollinearPoints("points are collinear")
-    return np.array(hull)
-
-
-def _edges(v: np.ndarray) -> np.ndarray:
-    # Edge vectors of a closed polygon, vertex k to vertex k + 1.
-    return np.roll(v, -1, axis=0) - v
-
-
-def _containment_tol(v: np.ndarray, rtol: float) -> float:
-    return rtol * max(1.0, float(np.abs(v).max()))
-
-
-def _inside(p: np.ndarray, v: np.ndarray, edges: np.ndarray, tol: float) -> bool:
-    # Every edge sees the point on its left, up to -tol.
-    cross = edges[:, 0] * (p[1] - v[:, 1]) - edges[:, 1] * (p[0] - v[:, 0])
-    return bool(np.all(cross >= -tol))
-
-
-def point_in_polygon(point, vertices: np.ndarray, rtol: float = 1e-9) -> bool:
-    """Boundary-inclusive test against a convex counter-clockwise polygon."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    v = np.asarray(vertices, dtype=float)
-    return _inside(p, v, _edges(v), _containment_tol(v, rtol))
+    hull = np.array(hull)
+    x, y = hull.T
+    twice_area = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    if twice_area <= _THIN_RTOL * np.ptp(hull, axis=0).max() * np.abs(hull).max():
+        raise CollinearPoints("points are collinear up to round-off")
+    return hull
 
 
 @dataclass(frozen=True)
@@ -264,7 +255,7 @@ class FeasiblePolygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 two-dimensional vertices")
-        e1 = _edges(v)
+        e1 = np.roll(v, -1, axis=0) - v
         e2 = np.roll(e1, -1, axis=0)
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(cross <= 0.0):
@@ -272,7 +263,7 @@ class FeasiblePolygon:
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "edges", e1)
-        object.__setattr__(self, "tol", _containment_tol(v, 1e-9))
+        object.__setattr__(self, "tol", 1e-9 * max(1.0, float(np.abs(v).max())))
 
     @property
     def area(self) -> float:
@@ -281,8 +272,12 @@ class FeasiblePolygon:
         return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
     def contains(self, point) -> bool:
+        """Boundary-inclusive: every edge sees the point on its left, up to
+        ``-tol``."""
         p = np.asarray(point, dtype=float).reshape(2)
-        return _inside(p, self.vertices, self.edges, self.tol)
+        v, e = self.vertices, self.edges
+        cross = e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])
+        return bool(np.all(cross >= -self.tol))
 
 
 def _line_intersection(a, b, c, d):
@@ -398,13 +393,6 @@ class ReducedSpace:
     def expand(self, mu_red) -> np.ndarray:
         """Full coefficient vector for reduced coordinates."""
         return self.dependencies.expand(mu_red)
-
-    def encode(self, alpha) -> np.ndarray:
-        """Reduced coordinates of a full coefficient vector."""
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
-        if alpha.size != len(self.dependencies.status):
-            raise ValueError("coefficient vector length mismatch")
-        return alpha[list(self.free_indices)]
 
     def pair_point(self, mu_red) -> np.ndarray | None:
         """Value of the polygon-constrained coefficient pair (None without

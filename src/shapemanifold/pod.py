@@ -112,42 +112,19 @@ class TruncationRule:
         return int(np.searchsorted(energy, self.energy_threshold - 1e-15) + 1)
 
 
-def assemble(snapshots, centering="none"):
-    """Stack snapshot vectors into a centered N x M matrix.
+def assemble(fields):
+    """Mean-centered N x M snapshot matrix of fields given one per row.
 
-    Parameters
-    ----------
-    snapshots : sequence of arrays, or one array with a snapshot per row
-        Each snapshot is flattened; all must have one common shape.
-    centering : "none", "mean", or a 1-D array
-        What to subtract from every column; an explicit array centers on a
-        reference state.
-
-    Returns
-    -------
-    (matrix, center)
-        The centered columns and the vector that was subtracted.
+    Each row is flattened. Returns the centered columns and the mean that
+    was subtracted.
     """
-    try:
-        rows = np.asarray(snapshots, dtype=float)
-    except ValueError as exc:  # ragged input
-        raise DimensionMismatch("snapshots have differing lengths") from exc
+    rows = np.asarray(fields, dtype=float)
     if len(rows) == 0:
         raise EmptyDatabase("no snapshots to assemble")
     # C order, as np.column_stack gives: BLAS rounds the snapshot products of
     # a transposed view differently, which moves bases by about 1e-15.
     matrix = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
-    if isinstance(centering, str):
-        if centering == "none":
-            center = np.zeros(len(matrix))
-        elif centering == "mean":
-            center = matrix.mean(axis=1)
-        else:
-            raise ValueError(f"unknown centering mode {centering!r}")
-    else:
-        center = np.asarray(centering, dtype=float).reshape(-1)
-        if center.size != len(matrix):
-            raise DimensionMismatch("centering vector length does not match snapshots")
+    center = matrix.mean(axis=1)
     return matrix - center[:, None], center
 
 
@@ -222,16 +199,6 @@ def truncate(basis: PodBasis, rule: TruncationRule) -> PodBasis:
     return PodBasis(
         basis.modes[:, :count], basis.singular_values[:count], basis.center
     )
-
-
-def project(basis: PodBasis, v: np.ndarray) -> np.ndarray:
-    """Modal coefficients of one snapshot: modes' inner products after centering."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != basis.state_dim:
-        raise DimensionMismatch(
-            f"snapshot length {v.size} does not match state dimension {basis.state_dim}"
-        )
-    return basis.modes.T @ (v - basis.center)
 
 
 def reconstruct(basis: PodBasis, alpha: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ class SolutionDatabase:
         m = params.shape[0]
         if fields.shape[0] != m or objectives.size != m:
             raise ValueError("database row counts disagree")
-        if not (np.isfinite(params).all() and np.isfinite(fields).all()):
+        if not all(np.isfinite(a).all() for a in (params, fields, objectives)):
             raise ValueError("database entries must be finite")
         # Chebyshev distance of every pair i < j below 1e-12, one parameter
         # column at a time and a block of rows at a time so that memory
@@ -201,7 +201,7 @@ def fit_interpolator(
             raise SingularSystem(f"interpolation system is singular: {exc}") from exc
         residual = np.abs(system[:m] @ solution - v)
         scale = 1.0 + np.abs(v).max(initial=0.0)
-        if v.size and residual.max() > _RESIDUAL_RTOL * scale:
+        if v.size and not residual.max() <= _RESIDUAL_RTOL * scale:  # NaN fails
             raise SingularSystem(
                 f"node reproduction residual {residual.max():.2e} exceeds "
                 f"{_RESIDUAL_RTOL:.0e} relative; adjust the kernel shape parameter"
@@ -247,7 +247,7 @@ def build_rom(
     """Offline phase: reduce the fields and fit the coefficient maps."""
     if db.count < 2:
         raise ValueError("need at least two snapshots to build a model")
-    matrix, center = pod.assemble(db.fields, centering="mean")
+    matrix, center = pod.assemble(db.fields)
     basis = pod.truncate(pod.compute_pod(matrix, center=center), rule)
     coeffs = (basis.modes.T @ matrix).T  # training coefficients, one row per sample
     obj_mean = float(db.objectives.mean())

@@ -95,23 +95,9 @@ def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
     return SolutionSnapshot(values, objective)
 
 
-def stub_to_dict(cfg: StubConfig) -> dict:
-    out = {"mode": cfg.mode}
-    if cfg.mode == "field-synthetic":
-        out["frequency"] = list(cfg.frequency)
-        out["amplitude"] = cfg.amplitude
-    else:
-        out["target"] = list(cfg.target)
-        if cfg.region is not None:
-            out["region"] = {
-                "lower": cfg.region[:, 0].tolist(),
-                "upper": cfg.region[:, 1].tolist(),
-            }
-    return out
-
-
 def stub_from_dict(data: dict) -> StubConfig:
-    """Inverse of :func:`stub_to_dict`; an unknown key raises ``TypeError``."""
+    """Solver settings from their JSON form (the ``stub`` section of the
+    pipeline config); an unknown key raises ``TypeError``."""
     kwargs = dict(data)
     if "amplitude" in kwargs:
         kwargs["amplitude"] = float(kwargs["amplitude"])

@@ -23,10 +23,11 @@ each interpolant on its own kernel row.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from shapemanifold import pod, rom
+from shapemanifold import artifacts, pod, rom
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
@@ -41,7 +42,6 @@ from shapemanifold.manifold import (
     FeasiblePolygon,
     ReducedSpace,
     fit_feasible_polygon,
-    point_in_polygon,
 )
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
 from shapemanifold.optimize import distance_to_polygon
@@ -613,13 +613,10 @@ def probe_points(rng, vertices: np.ndarray, count: int) -> np.ndarray:
 
 
 def assert_contains_matches_roll_oracle(rng) -> None:
-    """``FeasiblePolygon.contains`` and ``point_in_polygon`` give the
-    ``np.roll`` formula's answer."""
+    """``FeasiblePolygon.contains`` gives the ``np.roll`` formula's answer."""
     polygon = random_polygon(rng)
     for p in probe_points(rng, polygon.vertices, 40):
-        inside = roll_point_in_polygon(p, polygon.vertices)
-        assert polygon.contains(p) is inside
-        assert point_in_polygon(p, polygon.vertices) is inside
+        assert polygon.contains(p) is roll_point_in_polygon(p, polygon.vertices)
 
 
 def assert_distance_matches_roll_oracle(rng) -> None:
@@ -721,7 +718,7 @@ def assert_space_contains_matches_per_call_box(rng) -> None:
 def separate_fits(db: rom.SolutionDatabase, basis: pod.PodBasis, kernel, epsilon):
     """The coefficient and objective interpolants of ``build_rom`` from two
     independent ``fit_interpolator`` calls, on ``basis``'s coefficients."""
-    matrix, _ = pod.assemble(db.fields, centering="mean")
+    matrix, _ = pod.assemble(db.fields)
     coeffs = (basis.modes.T @ matrix).T
     mean = float(db.objectives.mean())
     return (
@@ -748,3 +745,64 @@ def separate_rows_predict(model: rom.RomModel, mu):
     mu = np.asarray(mu, dtype=float).reshape(1, -1)
     alpha = model.coefficients(mu)[0]
     return model.basis.center + model.basis.modes @ alpha, rom.predict_objective(model, mu)
+
+
+# ---------------------------------------------------------------------------
+# Binary artifact round trips.
+
+_SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def special_floats(rng, size: int, non_finite: bool = False) -> np.ndarray:
+    """Floats from every decade of the double range, with signed zeros,
+    subnormals and the extremes at random positions (and infinities and
+    NaN when ``non_finite``)."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size)
+    special = _SPECIAL_FLOATS + ((np.inf, -np.inf, np.nan) if non_finite else ())
+    count = min(size, len(special))
+    values[rng.permutation(size)[:count]] = rng.permutation(special)[:count]
+    return values
+
+
+def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, rows, cols):
+    """A basis (``state_dim`` x ``rank``), a vector (``length``) and a
+    database's ``fields.bin`` (``rows`` x ``cols``) load back bit for bit in
+    their saved shapes, the loaded modes are C-contiguous, and the files
+    hold the documented layout: magic, version, uint64 dimensions, float64
+    payload (modes column-major)."""
+    header = struct.pack("<I", 1)
+    # Signed unit columns: exactly orthonormal, with -0.0 off the diagonal.
+    modes = -np.eye(state_dim)[:, rng.permutation(state_dim)[:rank]]
+    sigma = np.sort(np.abs(special_floats(rng, rank)))[::-1]  # a strided view
+    basis = pod.PodBasis(modes, sigma, special_floats(rng, state_dim))
+    path = directory / "basis.bin"
+    artifacts.save_pod_basis(path, basis)
+    assert path.read_bytes() == (
+        b"SMPODBAS" + header + struct.pack("<QQ", state_dim, rank)
+        + modes.tobytes(order="F") + sigma.tobytes() + basis.center.tobytes()
+    )
+    again = artifacts.load_pod_basis(path)
+    for got, want in [(again.modes, modes), (again.singular_values, sigma),
+                      (again.center, basis.center)]:
+        assert got.shape == want.shape and bits(got) == bits(want)
+    assert again.modes.flags.c_contiguous
+
+    vector = special_floats(rng, length, non_finite=True)
+    path = directory / "vector.bin"
+    artifacts.save_vector(path, vector)
+    assert path.read_bytes() == (
+        b"SMVECTOR" + header + struct.pack("<Q", length) + vector.tobytes()
+    )
+    again = artifacts.load_vector(path)
+    assert again.shape == (length,) and bits(again) == bits(vector)
+
+    fields = special_floats(rng, rows * cols).reshape(rows, cols)
+    db = rom.SolutionDatabase(rng.uniform(-1.0, 1.0, (rows, 2)), fields, np.zeros(rows))
+    artifacts.save_solution_database(directory / "db", db)
+    path = directory / "db" / "fields.bin"
+    assert path.read_bytes() == (
+        b"SMMATRIX" + header + struct.pack("<QQ", rows, cols) + fields.tobytes()
+    )
+    again = artifacts.load_solution_database(directory / "db").fields
+    assert again.shape == (rows, cols) and bits(again) == bits(fields)

@@ -20,7 +20,7 @@ from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
     ParamMap,
-    bernstein,
+    bernstein_row,
     default_config,
     displacement_jacobian,
     morph,
@@ -31,7 +31,6 @@ from shapemanifold.manifold import (
     decode,
     detect_dependencies,
     fit_feasible_polygon,
-    point_in_polygon,
     sample_ffd_params,
     sample_reduced,
 )
@@ -72,7 +71,8 @@ def test_criterion_02_partition_of_unity():
     worst = 0.0
     for degree in range(1, 11):
         for t in rng.random(100):
-            total = sum(bernstein(degree, i, t) for i in range(degree + 1))
+            row = bernstein_row(degree, t)
+            total = sum(row[i] for i in range(degree + 1))
             worst = max(worst, abs(total - 1.0))
     report(2, "Bernstein partition of unity", worst < 1e-14, f"max defect {worst:.1e}")
 
@@ -158,16 +158,13 @@ def test_criterion_06_polygon_soundness():
     pairs = np.column_stack([base, 0.6 * base + rng.uniform(-0.5, 0.5, 1500)])
     hull = fit_feasible_polygon(pairs)
     quad = fit_feasible_polygon(pairs, max_vertices=4)
-    hull_ok = all(point_in_polygon(p, hull.vertices) for p in pairs)
-    quad_ok = all(point_in_polygon(p, quad.vertices) for p in pairs)
+    hull_ok = all(hull.contains(p) for p in pairs)
+    quad_ok = all(quad.contains(p) for p in pairs)
 
     basis = pod.PodBasis(np.eye(6)[:, :2], np.array([2.0, 1.0]), np.zeros(6))
     space = build_reduced_space(basis, pairs, max_vertices=4)
     samples = sample_reduced(space, 10_000, seed=607)
-    samples_ok = all(
-        point_in_polygon(space.pair_point(row), space.polygon.vertices)
-        for row in samples
-    )
+    samples_ok = all(space.polygon.contains(space.pair_point(row)) for row in samples)
     report(
         6,
         "feasible polygon contains the training cloud and all samples",
@@ -178,7 +175,7 @@ def test_criterion_06_polygon_soundness():
 
 
 def _decay_modes(fields, threshold):
-    matrix, center = pod.assemble(list(fields), centering="mean")
+    matrix, center = pod.assemble(fields)
     rep = pod.decay_report(pod.compute_pod(matrix, center=center))
     return int(np.searchsorted(rep[:, 3], threshold - 1e-15) + 1), rep
 

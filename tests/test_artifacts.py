@@ -28,7 +28,7 @@ from shapemanifold.manifold import build_reduced_space
 from shapemanifold.pod import TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
-from helpers import make_sphere
+from helpers import assert_binary_artifacts_round_trip, make_sphere
 
 
 def sample_basis(seed=0):
@@ -86,6 +86,19 @@ class TestBinaryArtifacts:
         path.write_bytes(bytes(data))
         with pytest.raises(ArtifactError):
             load_pod_basis(path)
+
+
+    def test_round_trips_are_bit_exact(self, tmp_path):
+        # Fixed-seed twin of test_artifact_properties.py.
+        rng = np.random.default_rng(1010)
+        cases = [(1, 0, 0, 1, 0), (3, 3, 1, 1, 1), (30, 6, 60, 8, 40)]
+        for _ in range(40):
+            n = int(rng.integers(1, 31))
+            cases.append((n, int(rng.integers(0, min(n, 6) + 1)), int(rng.integers(0, 61)),
+                          int(rng.integers(1, 9)), int(rng.integers(0, 41))))
+        for i, case in enumerate(cases):
+            (tmp_path / str(i)).mkdir()
+            assert_binary_artifacts_round_trip(tmp_path / str(i), rng, *case)
 
 
 class TestCsvArtifacts:

@@ -315,6 +315,20 @@ class TestRomCommands:
         assert captured.err.startswith("error:") and "not finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_non_finite_objective_fails_with_one_line(self, workspace, capsys):
+        root, cfg = workspace
+        assert run(cfg, "evaluate", "--sampling", "full") == 0
+        index = root / "out" / "db_full" / "index.csv"
+        lines = index.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        index.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(cfg, "build-rom", "--db", str(index.parent)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: database entries must be finite\n"
+        assert not (root / "out" / "rom" / "interpolators.json").exists()
+
     def test_missing_rom_field_clean_error(self, workspace, capsys):
         root, cfg = workspace
         self.prepare(cfg)
@@ -520,6 +534,16 @@ class TestJobsFlag:
         serial = (root / "s" / "db_full" / "index.csv").read_text()
         parallel = (root / "p" / "db_full" / "index.csv").read_text()
         assert serial == parallel
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_fails_with_one_line(self, workspace, capsys, jobs):
+        root, cfg = workspace
+        assert run(cfg, "evaluate", "--sampling", "full", "--jobs", jobs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (root / "out").exists()
 
 
 class TestSeedOverride:

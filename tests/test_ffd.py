@@ -3,21 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from shapemanifold.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    SingularLattice,
-)
+from shapemanifold.errors import DimensionMismatch, SingularLattice
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
     MeshMorpher,
     ParamMap,
-    bernstein,
     bernstein_row,
     check_params,
     config_from_dict,
-    config_to_dict,
     default_config,
     displacement_jacobian,
     morph,
@@ -66,23 +60,18 @@ def local_coordinates(origin, axes, points) -> np.ndarray:
 
 class TestBernstein:
     def test_degree_two_midpoint(self):
-        assert bernstein(2, 1, 0.5) == pytest.approx(0.5)
-        assert bernstein(2, 0, 0.5) == pytest.approx(0.25)
-        assert bernstein(2, 2, 0.5) == pytest.approx(0.25)
+        row = bernstein_row(2, 0.5)
+        assert row[1] == pytest.approx(0.5)
+        assert row[0] == pytest.approx(0.25)
+        assert row[2] == pytest.approx(0.25)
 
     def test_left_endpoint(self):
         for n in range(1, 8):
-            assert bernstein(n, 0, 0.0) == 1.0
+            assert bernstein_row(n, 0.0)[0] == 1.0
 
     def test_closed_form_value(self):
         # 3 * 0.4^2 * 0.6, evaluated by hand from the closed form.
-        assert bernstein(3, 2, 0.4) == pytest.approx(0.288, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            bernstein(3, 4, 0.5)
-        with pytest.raises(IndexOutOfRange):
-            bernstein(3, -1, 0.5)
+        assert bernstein_row(3, 0.4)[2] == pytest.approx(0.288, abs=1e-15)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(11)
@@ -325,7 +314,24 @@ class TestDisplacementJacobian:
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = five_param_config(make_sphere(6, 8))
-        again = config_from_dict(config_to_dict(cfg))
+        entry = {"param": 0, "point": [1, 1, 1], "axis": 0, "weight": 1.0}
+        data = {
+            "origin": cfg.origin.tolist(),
+            "axes": cfg.axes.tolist(),
+            "dims": [2, 2, 2],
+            "parameters": {
+                "dim": 5,
+                "entries": [
+                    entry,
+                    {**entry, "param": 1, "axis": 1},
+                    {**entry, "param": 2, "axis": 2},
+                    {**entry, "param": 3, "weight": 0.5},
+                    {**entry, "param": 4, "axis": 1, "weight": 0.5},
+                ],
+            },
+            "bounds": {"lower": [-0.3] * 5, "upper": [0.3] * 5},
+        }
+        again = config_from_dict(data)
         np.testing.assert_array_equal(again.origin, cfg.origin)
         np.testing.assert_array_equal(again.axes, cfg.axes)
         assert again.dims == cfg.dims

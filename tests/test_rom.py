@@ -50,6 +50,14 @@ class TestSolutionDatabase:
                 np.zeros(2),
             )
 
+    @pytest.mark.parametrize("column", ["params", "fields", "objectives"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, column, bad):
+        entries = {"params": np.eye(3), "fields": np.ones((3, 4)), "objectives": np.zeros(3)}
+        entries[column].flat[4 % entries[column].size] = bad
+        with pytest.raises(ValueError, match="^database entries must be finite$"):
+            SolutionDatabase(**entries)
+
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             SolutionDatabase(np.ones((3, 2)), np.ones((2, 4)), np.zeros(3))
@@ -155,6 +163,13 @@ class TestFitInterpolator:
         fitted = interp(nodes)
         scale = 1.0 + np.abs(values).max()
         assert np.abs(fitted - values).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
+    def test_nan_value_fails_the_residual_gate(self, kernel):
+        values = np.arange(6.0)
+        values[2] = np.nan
+        with pytest.raises(SingularSystem, match="node reproduction residual nan"):
+            fit_interpolator(np.arange(6.0)[:, None], values, kernel)
 
     def test_near_flat_gaussian_raises(self):
         nodes = np.arange(6.0)[:, None]
