@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -44,10 +43,11 @@ JSON_FORMATS = {
 
 def write_atomic(path, chunks):
     """Write the chunks (bytes, or C-contiguous arrays written as their
-    buffers) to a temporary file beside ``path`` and rename it over
-    ``path``; on any failure the temporary file is removed and ``path`` is
-    untouched."""
+    buffers) to a temporary file beside ``path``, creating its directory,
+    and rename it over ``path``; on any failure the temporary file is
+    removed and ``path`` is untouched."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "xb")
     try:
@@ -192,7 +192,6 @@ def _fields_of(path):
 def save_reduced_space(directory, space: ReducedSpace):
     """Directory artifact: space.json plus geometry_basis.bin."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     save_pod_basis(directory / "geometry_basis.bin", space.basis)
     doc = {
         "format": JSON_FORMATS["space"],
@@ -250,10 +249,8 @@ def load_reduced_space(directory) -> ReducedSpace:
 
 def save_solution_database(directory, db: SolutionDatabase):
     """Directory artifact: index.csv plus fields.bin, a matrix artifact with
-    one field per row in sample order. The per-sample ``fields/`` directory
-    of earlier versions is removed once index.csv is written."""
+    one field per row in sample order."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     _save_binary(directory / "fields.bin", _MAGIC_MATRIX, db.fields.shape, db.fields)
     dim = db.params.shape[1]
     header = "sample_id," + ",".join(f"mu{i}" for i in range(dim)) + ",objective"
@@ -262,23 +259,6 @@ def save_solution_database(directory, db: SolutionDatabase):
         mu_cols = ",".join(_fmt(v) for v in db.params[i])
         lines.append(f"{i},{mu_cols},{_fmt(db.objectives[i])}")
     _write_lines(directory / "index.csv", lines)  # last: marks the database complete
-    _remove_per_sample_fields(directory / "fields")
-
-
-def _remove_per_sample_fields(old: Path):
-    """Delete the per-sample ``fields/`` directory of earlier versions, which
-    nothing reads beside ``fields.bin``; a directory that holds anything
-    but ``sample_NNNNN.bin`` files is left alone."""
-    if not old.is_dir() or old.is_symlink():
-        return
-    entries = list(old.iterdir())
-    if all(
-        e.is_file() and not e.is_symlink() and re.fullmatch(r"sample_\d{5,}\.bin", e.name)
-        for e in entries
-    ):
-        for e in entries:
-            e.unlink()
-        old.rmdir()
 
 
 def load_solution_database(directory) -> SolutionDatabase:
@@ -308,11 +288,6 @@ def load_solution_database(directory) -> SolutionDatabase:
         objectives.append(values[-1])
     path = directory / "fields.bin"
     if not path.exists():
-        if (directory / "fields").is_dir():
-            raise ArtifactError(
-                f"{path}: missing; {directory / 'fields'} holds per-sample field "
-                "files, a layout this version does not read: run evaluate again"
-            )
         raise ArtifactError(f"{path}: missing solution fields")
     (rows, cols), fields = _load_binary(
         path, _MAGIC_MATRIX, 2, lambda r, c: r * c, rows=len(params)
@@ -347,7 +322,6 @@ def _interp_from_dict(data: dict, nodes: np.ndarray) -> Interpolator:
 def save_rom(directory, model: RomModel):
     """Directory artifact: solution_basis.bin plus interpolators.json."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     save_pod_basis(directory / "solution_basis.bin", model.basis)
     doc = {
         "format": JSON_FORMATS["rom"],

@@ -79,21 +79,20 @@ def _parse_mu(text: str, expected: int | None = None) -> np.ndarray:
     return mu
 
 
-def cmd_morph(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_morph(args, cfg: PipelineConfig) -> int:
     mesh = _load_reference(cfg)
     ffd_cfg = _resolve_ffd(cfg, mesh)
-    mu = ffd.check_params(ffd_cfg, _parse_mu(args.mu, ffd_cfg.param_dim))
+    mu = _parse_mu(args.mu, ffd_cfg.param_dim)
+    if ffd.check_params(ffd_cfg, mu)[0]:
+        _log("morph: parameter vector outside the configured bounds; morphing it anyway")
     morphed = ffd.morph(mesh, ffd.displacement_jacobian(ffd_cfg, mesh.vertices), mu)
     out = Path(args.stl_out) if args.stl_out else cfg.output_dir / "morphed.stl"
-    out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_atomic(out, [write_stl(morphed, args.format)])
     _log(f"wrote {out}")
     return 0
 
 
-def cmd_build_manifold(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     mesh = _load_reference(cfg)
     ffd_cfg = _resolve_ffd(cfg, mesh)
     n = cfg.sampling.n_train
@@ -113,6 +112,11 @@ def cmd_build_manifold(args) -> int:
         pair=cfg.reduction.pair,
         polygon_uses_regressed=cfg.reduction.polygon_uses_regressed,
     )
+    poly, limit = space.polygon, cfg.reduction.max_vertices
+    if poly is None and basis.rank >= 2:  # a pair was chosen: its points are collinear
+        _log("manifold: training pair is collinear; polygon constraint dropped")
+    elif poly is not None and limit is not None and len(poly.vertices) > limit:
+        _log(f"manifold: cannot simplify the polygon below {len(poly.vertices)} vertices")
     out = cfg.output_dir / "manifold"
     artifacts.save_reduced_space(out, space)
     artifacts.save_decay_csv(out / "decay.csv", pod.decay_report(basis))
@@ -139,10 +143,9 @@ def _evaluate_samples(stub_cfg, geometry_for, params, jobs: int):
     return [run(mu) for mu in params]
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     if args.jobs < 1:
         raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
     mesh = _load_reference(cfg)
     if args.sampling == "full":
         ffd_cfg = _resolve_ffd(cfg, mesh)
@@ -151,7 +154,6 @@ def cmd_evaluate(args) -> int:
             n, ffd_cfg.bounds, cfg.sampling.seed + 1
         )
         _log(f"evaluate: {n} full-space samples")
-        ffd.check_params(ffd_cfg, params)
         jac = ffd.displacement_jacobian(ffd_cfg, mesh.vertices)
 
         def geometry_for(mu):
@@ -186,8 +188,7 @@ def _solution_pod(fields: np.ndarray) -> pod.PodBasis:
     return pod.compute_pod(matrix, center=center)
 
 
-def cmd_compare_decay(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
     full_dir = Path(args.full) if args.full else cfg.output_dir / "db_full"
     reduced_dir = Path(args.reduced) if args.reduced else cfg.output_dir / "db_reduced"
     spectra, reports = {}, {}
@@ -211,7 +212,6 @@ def cmd_compare_decay(args) -> int:
                 cols.extend(["", "", ""])
         lines.append(",".join(cols))
     out = cfg.output_dir / "decay_comparison.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write_atomic(out, [("\n".join(lines) + "\n").encode()])
 
     for mark in _ENERGY_MARKS:
@@ -223,8 +223,7 @@ def cmd_compare_decay(args) -> int:
     return 0
 
 
-def cmd_build_rom(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_build_rom(args, cfg: PipelineConfig) -> int:
     db_dir = Path(args.db) if args.db else cfg.output_dir / "db_reduced"
     db = artifacts.load_solution_database(db_dir)
     model = rom.build_rom(
@@ -241,8 +240,7 @@ def cmd_build_rom(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_validate(args, cfg: PipelineConfig) -> int:
     db_dir = Path(args.db) if args.db else cfg.output_dir / "db_reduced"
     db = artifacts.load_solution_database(db_dir)
     errors, summary = rom.loo_error(
@@ -254,7 +252,6 @@ def cmd_validate(args) -> int:
         rank = _solution_pod(db.fields).rank
         _log_clamp("validate", cfg.solution_truncation, min(rank, db.count - 2))
     out = cfg.output_dir / "rom"
-    out.mkdir(parents=True, exist_ok=True)
     artifacts.save_validation(
         out / "validation.json", errors, summary, cfg.rom.kernel, cfg.rom.epsilon
     )
@@ -264,8 +261,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_predict(args, cfg: PipelineConfig) -> int:
     rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
     model = artifacts.load_rom(rom_dir)
     mu = _parse_mu(args.mu, model.coefficients.nodes.shape[1])
@@ -273,15 +269,13 @@ def cmd_predict(args) -> int:
         _log("predict: point outside the training range; extrapolating")
     value, objective = rom.predict(model, mu)
     out = Path(args.field_out) if args.field_out else cfg.output_dir / "prediction.bin"
-    out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.save_vector(out, value)
     _log(f"wrote {out}")
     print(repr(objective))
     return 0
 
 
-def cmd_optimize(args) -> int:
-    cfg = load_pipeline_config(args.config, args.out, args.seed)
+def cmd_optimize(args, cfg: PipelineConfig) -> int:
     space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
     space = artifacts.load_reduced_space(space_dir)
 
@@ -307,7 +301,6 @@ def cmd_optimize(args) -> int:
     )
     result = optimize.minimize(problem)
     out = cfg.output_dir / "optimization_trace.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     artifacts.save_trace_csv(out, result.traces)
     _log(f"wrote {out} ({result.evaluations} evaluations)")
     if args.objective == "rom":
@@ -319,14 +312,21 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input: one ``error:`` line
+    and exit 1 (see :func:`main`)."""
+
+    def error(self, message):
+        raise ShapeManifoldError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline JSON file")
     common.add_argument("--seed", type=int, default=None, help="override the base seed")
     common.add_argument("--out", default=None, help="override the output directory")
-    common.add_argument("--jobs", type=int, default=1, help="parallel solver evaluations")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapemanifold",
         description="FFD morphing, shape-manifold reduction, surrogate prediction",
     )
@@ -349,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", choices=("full", "reduced"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--space", default=None, help="reduced-space artifact directory")
+    p.add_argument("--jobs", type=int, default=1, help="parallel solver evaluations")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -388,10 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args, load_pipeline_config(args.config, args.out, args.seed))
     except (ShapeManifoldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

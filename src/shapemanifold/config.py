@@ -8,9 +8,8 @@ mandatory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
 
 from . import ffd as ffd_mod
 from . import solver
@@ -76,8 +75,9 @@ class PipelineConfig:
         return self.sampling.seed + 3
 
 
-# The keys the sections read by hand may set; the others reject unknown
-# keys through their dataclass constructors.
+# The keys the sections read by hand may set; a dataclass section allows
+# its fields (see ``_section``), and the stub section's constructor rejects
+# unknown keys.
 _TOP_KEYS = ("reference_stl", "output_dir", "weld_tolerance", "ffd", "truncation",
              "sampling", "reduction", "rom", "optimizer", "stub")
 _FFD_KEYS = ("origin", "axes", "dims", "parameters", "bounds")
@@ -100,6 +100,38 @@ def _check_ffd_keys(data):
     _check_keys(data["bounds"], ("lower", "upper"), "ffd.bounds")
 
 
+# What each annotated field type admits of a JSON value, and how it reads in
+# a message. ``type(v) is int`` refuses a JSON true, and 1.5 is not an int:
+# nothing is coerced.
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "None": (lambda v: v is None, "null"),
+    "tuple[int, int]": (lambda v: type(v) is list and len(v) == 2 and v[0] != v[1]
+                        and all(type(i) is int and i >= 0 for i in v),
+                        "two distinct coefficient indices"),
+}
+
+
+def _check_type(value, annotation: str, name: str):
+    kinds = annotation.split(" | ")
+    if not any(_JSON_TYPES[kind][0](value) for kind in kinds):
+        wanted = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+def _section(cls, data, section: str):
+    """The dataclass ``cls`` from its JSON section, whose keys must be its
+    fields and whose values must be of the types their annotations name."""
+    _check_keys(data, [f.name for f in fields(cls)], section)
+    for f in fields(cls):
+        if f.name in data:
+            _check_type(data[f.name], f.type, f"{section}.{f.name}")
+    return cls(**data)
+
+
 def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
     section = f"truncation.{name}"
     data = trunc[name]
@@ -107,7 +139,9 @@ def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
     if len(data) != 1:
         raise ValueError(f"{section} must set exactly one of 'fixed' and 'energy'")
     if "fixed" in data:
-        return TruncationRule.fixed(int(data["fixed"]))
+        _check_type(data["fixed"], "int", f"{section}.fixed")
+        return TruncationRule.fixed(data["fixed"])
+    _check_type(data["energy"], "float", f"{section}.energy")
     return TruncationRule.energy(float(data["energy"]))
 
 
@@ -130,6 +164,7 @@ def load_pipeline_config(
         if "output_dir" in data:
             cfg.output_dir = base / data["output_dir"]
         if data.get("weld_tolerance") is not None:
+            _check_type(data["weld_tolerance"], "float", "weld_tolerance")
             cfg.weld_tolerance = float(data["weld_tolerance"])
         if data.get("ffd") is not None:
             _check_ffd_keys(data["ffd"])
@@ -140,17 +175,12 @@ def load_pipeline_config(
             cfg.geometry_truncation = _truncation_from_dict(trunc, "geometry")
         if "solution" in trunc:
             cfg.solution_truncation = _truncation_from_dict(trunc, "solution")
-        if "sampling" in data:
-            cfg.sampling = SamplingConfig(**data["sampling"])
-        if "reduction" in data:
-            red = dict(data["reduction"])
-            if red.get("pair") is not None:
-                red["pair"] = tuple(int(i) for i in red["pair"])
-            cfg.reduction = ReductionConfig(**red)
-        if "rom" in data:
-            cfg.rom = RomConfig(**data["rom"])
-        if "optimizer" in data:
-            cfg.optimizer = OptimizerConfig(**data["optimizer"])
+        for name, cls in (("sampling", SamplingConfig), ("reduction", ReductionConfig),
+                          ("rom", RomConfig), ("optimizer", OptimizerConfig)):
+            if name in data:
+                setattr(cfg, name, _section(cls, data[name], name))
+        if cfg.reduction.pair is not None:
+            cfg.reduction.pair = tuple(cfg.reduction.pair)
         if "stub" in data:
             cfg.stub = solver.stub_from_dict(data["stub"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,6 @@ the same geometry, and the zero morph is an exact identity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,23 +165,21 @@ class FfdConfig:
 
 
 def check_params(config: FfdConfig, params) -> np.ndarray:
-    """Validate design parameters against the configuration.
+    """One bool per row of ``params`` (a single vector is one row): True
+    outside the configured box.
 
-    ``params`` is one vector or a matrix with one vector per row; its last
-    axis must have ``param_dim`` entries. Rows outside the configured box
-    trigger a warning but are returned unchanged; the box is a sampling
-    convention, not a hard constraint.
+    The last axis must have ``param_dim`` entries. The box is a sampling
+    convention, not a hard constraint: rows outside it are flagged, not
+    refused.
     """
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    params = np.atleast_2d(np.asarray(params, dtype=float))
     if params.shape[-1] != config.param_dim:
         raise DimensionMismatch(
             f"expected {config.param_dim} parameters, got {params.shape[-1]}"
         )
-    if np.any(params < config.bounds[:, 0] - 1e-12) or np.any(
-        params > config.bounds[:, 1] + 1e-12
-    ):
-        warnings.warn("parameter vector outside the configured bounds", stacklevel=3)
-    return params
+    low = config.bounds[:, 0] - 1e-12
+    high = config.bounds[:, 1] + 1e-12
+    return ((params < low) | (params > high)).any(axis=1)
 
 
 def _control_displacements(config: FfdConfig, mu: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ sampling and optimization operate on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,7 @@ def build_geometry_pod(
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[0] < 2:
         raise ValueError("need a 2-D parameter matrix with at least 2 rows")
-    check_params(config, params)
+    check_params(config, params)  # rows outside the box are allowed
     jac = displacement_jacobian(config, reference.vertices)
     q, r = np.linalg.qr(jac)
     basis = pod._basis_from_factors(q, r @ params.T, flatten(reference))
@@ -165,16 +164,13 @@ def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> DependencyMod
     already-free column that fits it best, provided that fit reaches the
     r2 threshold; ties prefer the smallest source index. With fewer than
     three samples the statistics are meaningless, so everything stays
-    free (with a warning).
+    free.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not 0.0 < r2_threshold <= 1.0:
         raise ValueError("r2 threshold must be in (0, 1]")
     n_coeff = alpha.shape[1]
     if alpha.shape[0] < 3:
-        warnings.warn(
-            "fewer than 3 samples: dependency detection skipped", stacklevel=2
-        )
         return DependencyModel((None,) * n_coeff)
     status: list = []
     free: list[int] = []
@@ -252,6 +248,12 @@ class FeasiblePolygon:
     tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        axes = tuple(self.axes)
+        if len(axes) != 2 or axes[0] == axes[1] or not all(
+            isinstance(a, (int, np.integer)) and not isinstance(a, bool) and a >= 0
+            for a in axes
+        ):
+            raise ValueError(f"polygon axes {axes} are not two distinct coefficient indices")
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 two-dimensional vertices")
@@ -260,7 +262,7 @@ class FeasiblePolygon:
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(cross <= 0.0):
             raise ValueError("polygon vertices must be strictly convex and CCW")
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        object.__setattr__(self, "axes", tuple(int(a) for a in axes))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "edges", e1)
         object.__setattr__(self, "tol", 1e-9 * max(1.0, float(np.abs(v).max())))
@@ -295,7 +297,9 @@ def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
     """Reduce vertex count by replacing one edge with the intersection of
     its neighbors' extensions, choosing the cheapest (least added area)
     collapse each round. The polygon only ever grows, so containment of
-    the original hull (and of every training point) is preserved.
+    the original hull (and of every training point) is preserved. When no
+    collapse is possible the result keeps more than ``max_vertices``
+    vertices.
     """
     verts = [np.asarray(v, dtype=float) for v in hull]
     while len(verts) > max_vertices:
@@ -315,9 +319,6 @@ def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
             if best is None or added < best[0]:
                 best = (added, e, p)
         if best is None:
-            warnings.warn(
-                f"cannot simplify polygon below {len(verts)} vertices", stacklevel=2
-            )
             break
         _, e, p = best
         if e < (e + 1) % len(verts):
@@ -338,10 +339,7 @@ def fit_feasible_polygon(
     hull is simplified outward (see :func:`_collapse_to`) so that every
     input point stays inside the final polygon.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 3:
-        raise CollinearPoints("need at least 3 points")
-    hull = _convex_hull(pts)
+    hull = _convex_hull(np.asarray(points, dtype=float).reshape(-1, 2))
     if max_vertices is not None:
         if max_vertices < 3:
             raise ValueError("max_vertices must be >= 3")
@@ -380,6 +378,9 @@ class ReducedSpace:
             raise ValueError("free indices disagree with the dependency model")
         if box.shape[0] != len(free):
             raise ValueError("bounding box rows must match the free coordinates")
+        n_coeff = len(self.dependencies.status)
+        if self.polygon is not None and max(self.polygon.axes) >= n_coeff:
+            raise ValueError(f"polygon axes {self.polygon.axes} beyond {n_coeff} coefficients")
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
         object.__setattr__(self, "free_indices", free)
         object.__setattr__(self, "bounding_box", box)
@@ -447,7 +448,8 @@ def build_reduced_space(
     ``polygon_uses_regressed`` controls whether a dependent member of the
     pair contributes its regressed value (the default) or its raw
     training value when the polygon is fitted; decoding always evaluates
-    dependent coefficients through the regression either way.
+    dependent coefficients through the regression either way. A pair
+    whose training points are collinear gets no polygon.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] < 1:
@@ -472,10 +474,7 @@ def build_reduced_space(
                 np.column_stack(cols), max_vertices=max_vertices, axes=pair
             )
         except CollinearPoints:
-            warnings.warn(
-                "training pair is collinear; polygon constraint dropped",
-                stacklevel=2,
-            )
+            pass
     box = np.column_stack(
         [alpha[:, list(free)].min(axis=0), alpha[:, list(free)].max(axis=0)]
     )

@@ -203,10 +203,7 @@ class TestDirectoryArtifacts:
         (directory / "fields").mkdir()
         for i, row in enumerate(fields):
             save_vector(directory / "fields" / f"sample_{i:05d}.bin", row)
-        return (
-            f"{path}: missing; {directory / 'fields'} holds per-sample field files, "
-            "a layout this version does not read: run evaluate again"
-        )
+        return f"{path}: missing solution fields"
 
     @staticmethod
     def damage_missing(directory):
@@ -408,60 +405,33 @@ class TestDirectoryArtifacts:
         )
         assert not (tmp_path / "out").exists()
 
-    @staticmethod
-    def write_per_sample_layout(directory, db, extra=()):
-        # The layout of earlier versions: index.csv plus fields/sample_*.bin.
-        save_solution_database(directory, db)
-        (directory / "fields.bin").unlink()
-        (directory / "fields").mkdir()
-        for i, row in enumerate(db.fields):
-            save_vector(directory / "fields" / f"sample_{i:05d}.bin", row)
-        for name in extra:
-            (directory / "fields" / name).write_text("kept\n")
-
-    def test_rewrite_removes_the_per_sample_fields_directory(self, tmp_path):
-        rng = np.random.default_rng(10)
-        db = SolutionDatabase(
-            rng.uniform(-1, 1, (4, 2)), rng.standard_normal((4, 5)), rng.standard_normal(4)
-        )
-        directory = tmp_path / "db"
-        self.write_per_sample_layout(directory, db)
-        assert len(list((directory / "fields").iterdir())) == 4
-        save_solution_database(directory, db)
-        assert sorted(p.name for p in directory.iterdir()) == ["fields.bin", "index.csv"]
-        assert load_solution_database(directory).fields.tobytes() == db.fields.tobytes()
-
-    def test_per_sample_fields_stay_if_the_index_is_not_written(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(11)
-        db = SolutionDatabase(
-            rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
-        )
-        directory = tmp_path / "db"
-        self.write_per_sample_layout(directory, db)
-        real_replace = artifacts.os.replace
-
-        def failing_replace(src, dst):
-            if Path(dst).name == "index.csv":
-                raise OSError("disk full")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(artifacts.os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            save_solution_database(directory, db)
-        assert len(list((directory / "fields").iterdir())) == 3
-
-    def test_fields_directory_with_other_files_is_left_alone(self, tmp_path):
-        rng = np.random.default_rng(12)
-        db = SolutionDatabase(
-            rng.uniform(-1, 1, (3, 2)), rng.standard_normal((3, 4)), rng.standard_normal(3)
-        )
-        for extra in (["notes.txt"], ["sample_1.bin"], ["sample_00003.bin.tmp"]):
-            directory = tmp_path / extra[0] / "db"
-            self.write_per_sample_layout(directory, db, extra)
-            save_solution_database(directory, db)
-            names = sorted(p.name for p in (directory / "fields").iterdir())
-            assert names == sorted([f"sample_{i:05d}.bin" for i in range(3)] + extra)
-            assert load_solution_database(directory).fields.tobytes() == db.fields.tobytes()
+    @pytest.mark.parametrize("axes", [[0, 1, 2], [1, 1], [0, 5]])
+    def test_malformed_polygon_axes_cli_exits_with_one_line(self, tmp_path, capsys, axes):
+        # Three columns once passed as a pair; their vertices then failed
+        # to unpack in evaluate.
+        rng = np.random.default_rng(6)
+        a0 = rng.uniform(-1, 1, 50)
+        alpha = np.column_stack([a0, rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)])
+        basis = compute_pod(rng.standard_normal((12, 3)))
+        directory = tmp_path / "space"
+        save_reduced_space(directory, build_reduced_space(basis, alpha))
+        path = directory / "space.json"
+        doc = json.loads(path.read_text())
+        doc["polygon"]["axes"] = axes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="polygon axes"):
+            load_reduced_space(directory)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        argv = ["optimize", "--objective", "stub", "--space", str(directory),
+                "--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: missing or malformed field (ValueError(")
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_json_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -95,12 +95,18 @@ class TestMorph:
             assert produced == write_stl(morph(reference, jac, mu), fmt)
             assert produced == write_stl(solved[0], fmt)
 
-    def test_out_of_bounds_mu_warns_but_morphs(self, workspace):
+    def test_out_of_bounds_mu_warns_but_morphs(self, workspace, capsys):
         root, cfg = workspace
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run(cfg, "morph", "--mu", "0.9,0,0,0,0")
         assert code == 0
         assert (root / "out" / "morphed.stl").exists()
+        err = capsys.readouterr().err.splitlines()
+        note = "morph: parameter vector outside the configured bounds; morphing it anyway"
+        assert err.count(note) == 1
+        assert run(cfg, "morph", "--mu", "0.3,0,0,0,-0.3") == 0
+        assert note not in capsys.readouterr().err
 
     def test_missing_file_clean_error(self, workspace, capsys):
         root, cfg = workspace
@@ -138,13 +144,49 @@ class TestBuildManifold:
         # mutually dependent under uniform sampling.
         assert len(doc["free_indices"]) == 3
 
-    def test_tiny_training_set_warns(self, workspace):
+    def test_tiny_training_set_warns(self, workspace, capsys):
+        # Two samples: dependency detection leaves every coefficient free,
+        # and the two points of the pair cannot span a polygon.
         root, cfg = workspace
         config = json.loads(cfg.read_text())
         config["sampling"]["n_train"] = 2
         cfg.write_text(json.dumps(config))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(cfg, "build-manifold") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("warning: only 2 training samples; statistics will be poor") == 1
+        assert err.count("manifold: training pair is collinear; polygon constraint dropped") == 1
+        doc = json.loads((root / "out" / "manifold" / "space.json").read_text())
+        assert doc["polygon"] is None
+        assert doc["dependencies"] == [None, None]
+
+    def test_default_run_logs_no_polygon_note(self, workspace, capsys):
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        assert not [
+            line for line in capsys.readouterr().err.splitlines()
+            if "polygon" in line
+        ]
+
+    def test_unsimplifiable_polygon_is_logged(self, workspace, capsys, monkeypatch):
+        # A parallelogram hull has no collapse to a triangle: each edge's
+        # neighbors are parallel.
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["reduction"] = {"max_vertices": 3}
+        cfg.write_text(json.dumps(config))
+        fit = cli.manifold.fit_feasible_polygon
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        monkeypatch.setattr(
+            cli.manifold, "fit_feasible_polygon",
+            lambda points, max_vertices, axes: fit(square, max_vertices, axes),
+        )
+        assert run(cfg, "build-manifold") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("manifold: cannot simplify the polygon below 4 vertices") == 1
+        doc = json.loads((root / "out" / "manifold" / "space.json").read_text())
+        assert doc["polygon"]["vertices"] == square.tolist()
 
     def test_degenerate_param_map_fails_cleanly(self, workspace, capsys):
         root, cfg = workspace
@@ -544,6 +586,55 @@ class TestJobsFlag:
         assert captured.out == ""
         assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not (root / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["morph", "--mu", "0,0,0,0,0"],
+            ["build-manifold"],
+            ["compare-decay"],
+            ["build-rom"],
+            ["validate"],
+            ["predict", "--mu", "0,0,0"],
+            ["optimize"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_only_evaluate_takes_jobs(self, workspace, capsys, argv):
+        root, cfg = workspace
+        assert run(cfg, *argv, "--jobs", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --jobs 1\n"
+        assert not (root / "out").exists()
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build-rom"], "the following arguments are required: --config"),
+            (["evaluate", "--sampling", "full", "--jobs", "x", "--config", "p.json"],
+             "argument --jobs: invalid int value: 'x'"),
+            (["evaluate", "--sampling", "half", "--config", "p.json"],
+             "argument --sampling: invalid choice: 'half'"),
+            (["shrink", "--config", "p.json"], "argument command: invalid choice: 'shrink'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["missing_config", "jobs_not_int", "bad_choice", "bad_command", "no_command"],
+    )
+    def test_exits_1_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["build-rom", "--help"])
+        assert info.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestSeedOverride:

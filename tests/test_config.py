@@ -101,3 +101,85 @@ class TestUnknownKeys:
         path = write_config(tmp_path, truncation=["energy"])
         with pytest.raises(ArtifactError, match="truncation must be a JSON object"):
             load_pipeline_config(path)
+
+
+# JSON values of the wrong type: each would pass a constructor and fail
+# mid-stage. Nothing is coerced.
+BAD_VALUES = {
+    "seed_float": ({"sampling": {"seed": 1.5}}, "sampling.seed must be an integer, got 1.5"),
+    "n_train_float": (
+        {"sampling": {"n_train": 30.7}}, "sampling.n_train must be an integer, got 30.7"
+    ),
+    "n_train_bool": (
+        {"sampling": {"n_train": True}}, "sampling.n_train must be an integer, got True"
+    ),
+    "r2_string": (
+        {"reduction": {"r2_threshold": "0.9"}},
+        "reduction.r2_threshold must be a number, got '0.9'",
+    ),
+    "max_vertices_string": (
+        {"reduction": {"max_vertices": "4"}},
+        "reduction.max_vertices must be an integer or null, got '4'",
+    ),
+    "epsilon_string": ({"rom": {"epsilon": "2"}}, "rom.epsilon must be a number or null, got '2'"),
+    "starts_string": (
+        {"optimizer": {"starts": "8"}}, "optimizer.starts must be an integer, got '8'"
+    ),
+    "fixed_float": (
+        {"truncation": {"solution": {"fixed": 2.5}}},
+        "truncation.solution.fixed must be an integer, got 2.5",
+    ),
+    "energy_string": (
+        {"truncation": {"geometry": {"energy": "0.9"}}},
+        "truncation.geometry.energy must be a number, got '0.9'",
+    ),
+    "weld_string": ({"weld_tolerance": "1e-6"}, "weld_tolerance must be a number, got '1e-6'"),
+}
+
+PAIR = "reduction.pair must be two distinct coefficient indices or null, got "
+BAD_PAIRS = {
+    "three": ([0, 1, 2], PAIR + "[0, 1, 2]"),
+    "one": ([1], PAIR + "[1]"),
+    "repeated": ([1, 1], PAIR + "[1, 1]"),
+    "negative": ([-1, 0], PAIR + "[-1, 0]"),
+    "float": ([0, 1.0], PAIR + "[0, 1.0]"),
+    "bool": ([True, 0], PAIR + "[True, 0]"),
+    "string": ("01", PAIR + "'01'"),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "case", sorted(BAD_VALUES) + [f"pair_{name}" for name in sorted(BAD_PAIRS)]
+    )
+    def test_cli_exits_with_one_line_before_any_work(self, tmp_path, capsys, case):
+        if case.startswith("pair_"):
+            pair, reason = BAD_PAIRS[case[len("pair_"):]]
+            sections = {"reduction": {"pair": pair}}
+        else:
+            sections, reason = BAD_VALUES[case]
+        path = write_config(tmp_path, output_dir="out", **sections)
+        assert main(["build-manifold", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: invalid configuration ({reason})\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_values_load_unchanged(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            weld_tolerance=0,
+            sampling={"seed": 4, "n_train": 30},
+            reduction={"r2_threshold": 1, "max_vertices": None, "pair": [2, 0],
+                       "polygon_uses_regressed": False},
+            rom={"kernel": "thin-plate", "epsilon": 2},
+            optimizer={"starts": 8, "seed": None},
+        )
+        cfg = load_pipeline_config(path)
+        assert cfg.weld_tolerance == 0.0
+        assert (cfg.sampling.seed, cfg.sampling.n_train) == (4, 30)
+        assert cfg.reduction.pair == (2, 0)
+        assert cfg.reduction.max_vertices is None
+        assert cfg.reduction.polygon_uses_regressed is False
+        assert cfg.rom.epsilon == 2
+        assert cfg.optimizer_seed == 7

@@ -203,9 +203,10 @@ class TestApplyParams:
             check_params(cfg, [0.1, 0.2])
 
     def test_out_of_bounds_warns(self):
+        # A single vector is one row, flagged but not refused.
         cfg = five_param_config(make_sphere(6, 8))
-        with pytest.warns(UserWarning):
-            check_params(cfg, [0.9, 0.0, 0.0, 0.0, 0.0])
+        assert check_params(cfg, [0.9, 0.0, 0.0, 0.0, 0.0]).tolist() == [True]
+        assert check_params(cfg, np.zeros(5)).tolist() == [False]
 
 
 def morph_by(mesh, cfg, mu):
@@ -271,15 +272,15 @@ class TestCheckParams:
         cfg = five_param_config(make_sphere(6, 8))
         with pytest.raises(DimensionMismatch):
             check_params(cfg, np.zeros((3, 4)))
-        with pytest.warns(UserWarning, match="outside the configured bounds"):
-            check_params(cfg, [[0.0] * 5, [0.0, 0.0, -0.5, 0.0, 0.0]])
+        outside = check_params(cfg, [[0.0] * 5, [0.0, 0.0, -0.5, 0.0, 0.0], [0.3] * 5])
+        assert outside.tolist() == [False, True, False]
 
     def test_in_box_is_silent(self):
+        # The box's corners are inside, up to 1e-12.
         cfg = five_param_config(make_sphere(6, 8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = check_params(cfg, cfg.bounds.T)
-        np.testing.assert_array_equal(out, cfg.bounds.T)
+        assert not check_params(cfg, cfg.bounds.T).any()
+        assert not check_params(cfg, cfg.bounds.T + 1e-13).any()
+        assert check_params(cfg, cfg.bounds.T + 1e-11).tolist() == [False, True]
 
 
 class TestDisplacementJacobian:

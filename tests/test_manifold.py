@@ -15,6 +15,7 @@ from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
     ParamMap,
+    check_params,
     default_config,
     displacement_jacobian,
     morph,
@@ -225,12 +226,17 @@ class TestGeometryPodContract:
             build_geometry_pod(mesh, cfg, np.full((1, 5), 0.1))
 
     def test_out_of_box_row_warns(self):
+        # An out-of-box row is reduced like any other: the box is a
+        # sampling convention.
         mesh = make_sphere(5, 6)
         cfg = default_config(mesh)
         params = sample_ffd_params(10, cfg.bounds, seed=5)
         params[3, 2] = 0.9
-        with pytest.warns(UserWarning, match="parameter vector outside the configured bounds"):
-            build_geometry_pod(mesh, cfg, params)
+        assert np.flatnonzero(check_params(cfg, params)).tolist() == [3]
+        basis, alpha = build_geometry_pod(mesh, cfg, params)
+        family = displacement_jacobian(cfg, mesh.vertices) @ params.T
+        scale = np.abs(family).max()
+        assert np.abs(basis.modes @ alpha.T - family).max() <= 1e-12 * scale
 
     def test_in_box_sample_is_silent(self):
         # The Jacobian is built from unit parameter vectors, which lie
@@ -324,8 +330,10 @@ class TestDetectDependencies:
         np.testing.assert_allclose(full, [2.0, -0.75, 7.0], atol=1e-9)
 
     def test_few_samples_warns(self):
-        with pytest.warns(UserWarning):
-            model = detect_dependencies(np.ones((2, 3)), r2_threshold=0.99)
+        # Two rows would fit any line exactly: every coefficient stays free.
+        alpha = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 5.0]])
+        model = detect_dependencies(alpha, r2_threshold=0.99)
+        assert model.status == (None, None, None)
         assert model.free_indices == (0, 1, 2)
 
 
@@ -354,6 +362,22 @@ class TestFeasiblePolygon:
         for p in hexagon:
             assert poly.contains(p)
             assert ray_cast_inside(p, poly.vertices)
+
+    def test_parallelogram_cannot_become_a_triangle(self):
+        # Each edge's neighbors are parallel, so no collapse exists: the
+        # hull keeps its four vertices, which the caller can count.
+        corners = np.array([[0, 0], [2, 0], [3, 1], [1, 1]], dtype=float)
+        poly = fit_feasible_polygon(corners, max_vertices=3)
+        np.testing.assert_array_equal(poly.vertices, corners)
+
+    @pytest.mark.parametrize(
+        "axes", [(1, 1), (0, 1, 2), (0,), (0.0, 1), (True, 0), (-1, 0), ("0", "1")]
+    )
+    def test_axes_must_be_two_distinct_indices(self, axes):
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        with pytest.raises(ValueError, match="not two distinct coefficient indices"):
+            FeasiblePolygon(axes, square)
+        assert FeasiblePolygon((np.int64(2), 0), square).axes == (2, 0)
 
     def test_collinear(self):
         pts = np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)])
@@ -464,8 +488,7 @@ class TestBuildReducedSpace:
         rng = np.random.default_rng(seed)
         a0 = rng.uniform(-2, 2, int(rng.integers(8, 40)))
         alpha = np.column_stack([a0, 2.0 * a0 + 0.1, 0.3 - 0.7 * a0])
-        with pytest.warns(UserWarning, match="training pair is collinear"):
-            space = space_from_alpha(alpha)
+        space = space_from_alpha(alpha)
         assert space.polygon is None
         assert space.free_indices == (0,)
 
@@ -535,6 +558,20 @@ class TestSampleReduced:
         )
         with pytest.raises(InfeasibleRegion):
             sample_reduced(space, 50, seed=2)
+
+    def test_polygon_axes_must_name_coefficients(self):
+        from shapemanifold.pod import PodBasis
+
+        basis = PodBasis(np.eye(6)[:, :2], np.array([2.0, 1.0]), np.zeros(6))
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        with pytest.raises(ValueError, match=r"polygon axes \(0, 2\) beyond 2 coefficients"):
+            ReducedSpace(
+                basis=basis,
+                dependencies=DependencyModel((None, None)),
+                polygon=FeasiblePolygon((0, 2), square),
+                free_indices=(0, 1),
+                bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+            )
 
 
 class TestDecode:

@@ -32,7 +32,6 @@ def test_pod_modes_orthonormal(seed, rows, cols, data):
     assert_pod_orthonormal(matrix, rank)
 
 
-@pytest.mark.filterwarnings("ignore:requested .* modes but only")
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(
     st.integers(0, 2**32 - 1),

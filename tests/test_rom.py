@@ -469,7 +469,6 @@ class TestLooError:
         # Endpoints extrapolate; reported, larger than the typical interior one.
         assert errors[0] > np.median(errors[1:-1])
 
-    @pytest.mark.filterwarnings("ignore:requested .* modes but only")
     @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
     @pytest.mark.parametrize("rule", sorted(LOO_RULES) + ["fixed above rank"])
     def test_matches_fold_rebuild_oracle(self, kernel, rule):
@@ -489,7 +488,6 @@ class TestLooError:
             np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=1e-10)
             assert summary == {"mean": float(errors.mean()), "max": float(errors.max())}
 
-    @pytest.mark.filterwarnings("ignore:requested .* modes but only")
     @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
     def test_permutation_invariant(self, kernel):
         # Fixed-seed twin of the hypothesis property in test_pod_properties.py.
