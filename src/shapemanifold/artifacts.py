@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _read, _section
 from .errors import ArtifactError, EmptyDatabase
 from .manifold import (
     Dependency,
@@ -218,32 +219,26 @@ def load_reduced_space(directory) -> ReducedSpace:
     doc = _load_json(path, JSON_FORMATS["space"])
     basis = load_pod_basis(directory / "geometry_basis.bin")
     with _fields_of(path):
-        status = []
-        for entry in doc["dependencies"]:
-            if entry is None:
-                status.append(None)
-            else:
-                status.append(
-                    Dependency(
-                        int(entry["source"]),
-                        float(entry["slope"]),
-                        float(entry["intercept"]),
-                        float(entry["r2"]),
-                    )
-                )
-        polygon = None
-        if doc["polygon"] is not None:
+        status = tuple(
+            None if entry is None else _section(Dependency, entry, f"dependencies[{i}]")
+            for i, entry in enumerate(doc["dependencies"])
+        )
+        polygon = doc["polygon"]
+        if polygon is not None:
+            # Any integers: FeasiblePolygon names axes that are not a pair.
             polygon = FeasiblePolygon(
-                axes=tuple(doc["polygon"]["axes"]),
-                vertices=np.asarray(doc["polygon"]["vertices"], dtype=float),
+                axes=_read(polygon["axes"], "tuple[int, ...]", "polygon.axes"),
+                vertices=_read(polygon["vertices"], "np.ndarray", "polygon.vertices"),
             )
         return ReducedSpace(
             basis=basis,
-            dependencies=DependencyModel(tuple(status)),
+            dependencies=DependencyModel(status),
             polygon=polygon,
-            free_indices=tuple(doc["free_indices"]),
-            bounding_box=np.asarray(doc["bounding_box"], dtype=float),
-            polygon_uses_regressed=bool(doc["polygon_uses_regressed"]),
+            free_indices=_read(doc["free_indices"], "tuple[int, ...]", "free_indices"),
+            bounding_box=_read(doc["bounding_box"], "np.ndarray", "bounding_box"),
+            polygon_uses_regressed=_read(
+                doc["polygon_uses_regressed"], "bool", "polygon_uses_regressed"
+            ),
         )
 
 
@@ -306,16 +301,16 @@ def _interp_to_dict(interp: Interpolator) -> dict:
     }
 
 
-def _interp_from_dict(data: dict, nodes: np.ndarray) -> Interpolator:
-    weights = np.asarray(data["weights"], dtype=float)
+def _interp_from_dict(data: dict, nodes: np.ndarray, name: str) -> Interpolator:
+    weights = _read(data["weights"], "np.ndarray", f"{name}.weights")
     if weights.ndim == 1:  # one output stored as a flat list
         weights = weights[:, None]
     return Interpolator(
-        kernel=data["kernel"],
-        epsilon=float(data["epsilon"]),
+        kernel=_read(data["kernel"], "str", f"{name}.kernel"),
+        epsilon=_read(data["epsilon"], "float", f"{name}.epsilon"),
         nodes=nodes,
         weights=weights,
-        tail=None if data["tail"] is None else np.asarray(data["tail"], dtype=float),
+        tail=_read(data["tail"], "np.ndarray | None", f"{name}.tail"),
     )
 
 
@@ -341,13 +336,13 @@ def load_rom(directory) -> RomModel:
     doc = _load_json(path, JSON_FORMATS["rom"])
     basis = load_pod_basis(directory / "solution_basis.bin")
     with _fields_of(path):
-        nodes = np.asarray(doc["nodes"], dtype=float)
+        nodes = _read(doc["nodes"], "np.ndarray", "nodes")
         return RomModel(
             basis=basis,
-            coefficients=_interp_from_dict(doc["coefficients"], nodes),
-            objective=_interp_from_dict(doc["objective"], nodes),
-            objective_mean=float(doc["objective_mean"]),
-            metadata=dict(doc.get("metadata", {})),
+            coefficients=_interp_from_dict(doc["coefficients"], nodes, "coefficients"),
+            objective=_interp_from_dict(doc["objective"], nodes, "objective"),
+            objective_mean=_read(doc["objective_mean"], "float", "objective_mean"),
+            metadata=_read(doc.get("metadata", {}), "dict", "metadata"),
         )
 
 

@@ -2,19 +2,29 @@
 
 Paths are resolved relative to the directory containing the config file.
 All numeric settings have defaults; only the reference geometry path is
-mandatory.
+mandatory. Every JSON value the package takes in, here and from the JSON
+artifacts, is read by :func:`_read` as its field's annotation says.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import ffd as ffd_mod
 from . import solver
 from .errors import ArtifactError
 from .pod import TruncationRule
+from .rom import _KERNELS
+
+
+def _check(ok: bool, name: str, rule: str, value):
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -27,6 +37,7 @@ class SamplingConfig:
     def __post_init__(self):
         if min(self.n_train, self.n_full, self.n_reduced) < 1:
             raise ValueError("sample counts must be >= 1")
+        _check(self.seed >= 0, "sampling.seed", "non-negative", self.seed)
 
 
 @dataclass
@@ -36,11 +47,26 @@ class ReductionConfig:
     pair: tuple[int, int] | None = None
     polygon_uses_regressed: bool = True
 
+    def __post_init__(self):
+        _check(0 < self.r2_threshold <= 1, "reduction.r2_threshold", "in (0, 1]",
+               self.r2_threshold)
+        _check(self.max_vertices is None or self.max_vertices >= 3,
+               "reduction.max_vertices", "at least 3 or null", self.max_vertices)
+        pair = self.pair
+        _check(pair is None or (pair[0] != pair[1] and min(pair) >= 0), "reduction.pair",
+               "two distinct coefficient indices or null", pair and list(pair))
+
 
 @dataclass
 class RomConfig:
     kernel: str = "gaussian"
     epsilon: float | None = None
+
+    def __post_init__(self):
+        _check(self.kernel in _KERNELS, "rom.kernel", f"one of {', '.join(_KERNELS)}",
+               self.kernel)
+        _check(self.epsilon is None or self.epsilon > 0, "rom.epsilon", "above 0 or null",
+               self.epsilon)
 
 
 @dataclass
@@ -48,6 +74,13 @@ class OptimizerConfig:
     starts: int = 8
     budget: int = 200
     seed: int | None = None  # falls back to sampling seed + 3
+
+    def __post_init__(self):
+        _check(self.starts >= 1, "optimizer.starts", "at least 1", self.starts)
+        # One simplex in the smallest reduced space (d = 1) takes d + 2 evaluations.
+        _check(self.budget >= 3, "optimizer.budget", "at least 3", self.budget)
+        _check(self.seed is None or self.seed >= 0, "optimizer.seed", "non-negative or null",
+               self.seed)
 
 
 @dataclass
@@ -75,13 +108,8 @@ class PipelineConfig:
         return self.sampling.seed + 3
 
 
-# The keys the sections read by hand may set; a dataclass section allows
-# its fields (see ``_section``), and the stub section's constructor rejects
-# unknown keys.
 _TOP_KEYS = ("reference_stl", "output_dir", "weld_tolerance", "ffd", "truncation",
              "sampling", "reduction", "rom", "optimizer", "stub")
-_FFD_KEYS = ("origin", "axes", "dims", "parameters", "bounds")
-_FFD_ENTRY_KEYS = ("param", "point", "axis", "weight")
 
 
 def _check_keys(data, allowed, section: str):
@@ -92,44 +120,90 @@ def _check_keys(data, allowed, section: str):
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
 
 
-def _check_ffd_keys(data):
-    _check_keys(data, _FFD_KEYS, "ffd")
-    _check_keys(data["parameters"], ("dim", "entries"), "ffd.parameters")
-    for i, entry in enumerate(data["parameters"]["entries"]):
-        _check_keys(entry, _FFD_ENTRY_KEYS, f"ffd.parameters.entries[{i}]")
-    _check_keys(data["bounds"], ("lower", "upper"), "ffd.bounds")
+def _of(*types):
+    return lambda v: type(v) in types
+
+
+def _number(v) -> bool:
+    # Finite, and within the double range as a JSON integer too.
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _array(v) -> bool:
+    return type(v) is list and all(_number(x) or _array(x) for x in v)
+
+
+def _list(item, length=None):
+    return lambda v: type(v) is list and length in (None, len(v)) and all(map(item, v))
 
 
 # What each annotated field type admits of a JSON value, and how it reads in
-# a message. ``type(v) is int`` refuses a JSON true, and 1.5 is not an int:
-# nothing is coerced.
-_JSON_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "None": (lambda v: v is None, "null"),
-    "tuple[int, int]": (lambda v: type(v) is list and len(v) == 2 and v[0] != v[1]
-                        and all(type(i) is int and i >= 0 for i in v),
-                        "two distinct coefficient indices"),
+# a message. ``type(v) is int`` refuses a JSON true, and 1.5 is not an int; a
+# number is finite, and a string is never one. Nothing is coerced.
+_KINDS = {
+    "int": (_of(int), "an integer"),
+    "float": (_number, "a number"),
+    "bool": (_of(bool), "true or false"),
+    "str": (_of(str), "a string"),
+    "dict": (_of(dict), "a JSON object"),
+    "None": (_of(type(None)), "null"),
+    "tuple[int, ...]": (_list(_of(int)), "a list of integers"),
+    # A coefficient pair: ReductionConfig checks that the two differ.
+    "tuple[int, int]": (_list(_of(int), 2), "two distinct coefficient indices"),
+    "tuple[int, int, int]": (_list(_of(int), 3), "three integers"),
+    "tuple[float, float, float]": (_list(_number, 3), "three numbers"),
+    "np.ndarray": (_array, "an array of numbers"),
 }
 
 
-def _check_type(value, annotation: str, name: str):
+def _read(value, annotation: str, name: str):
+    """``value`` as a field annotated ``annotation`` holds it (a list as a
+    tuple or a float array), or a ``ValueError`` naming ``name``."""
     kinds = annotation.split(" | ")
-    if not any(_JSON_TYPES[kind][0](value) for kind in kinds):
-        wanted = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
-        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    for kind in kinds:
+        if _KINDS[kind][0](value):
+            if kind == "np.ndarray":
+                return np.array(value, dtype=float)
+            return tuple(value) if kind.startswith("tuple") else value
+    wanted = " or ".join(_KINDS[kind][1] for kind in kinds)
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
-def _section(cls, data, section: str):
-    """The dataclass ``cls`` from its JSON section, whose keys must be its
-    fields and whose values must be of the types their annotations name."""
+def _section(cls, data, section: str, **readers):
+    """The dataclass ``cls`` from its JSON object ``data``, whose keys are
+    fields read by annotation (or by ``readers[field](value, name)``)."""
     _check_keys(data, [f.name for f in fields(cls)], section)
+    values = {}
     for f in fields(cls):
         if f.name in data:
-            _check_type(data[f.name], f.type, f"{section}.{f.name}")
-    return cls(**data)
+            read = readers.get(f.name, lambda v, name: _read(v, f.type, name))
+            values[f.name] = read(data[f.name], f"{section}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**values)
+
+
+def _box(data, section: str) -> np.ndarray:
+    """A ``{"lower": [...], "upper": [...]}`` object as (lower, upper) rows."""
+    _check_keys(data, ("lower", "upper"), section)
+    return np.column_stack(
+        [_read(data[key], "np.ndarray", f"{section}.{key}") for key in ("lower", "upper")]
+    )
+
+
+def _ffd_from_dict(data) -> ffd_mod.FfdConfig:
+    _check_keys(data, ("origin", "axes", "dims", "parameters", "bounds"), "ffd")
+    params = data["parameters"]
+    _check_keys(params, ("dim", "entries"), "ffd.parameters")
+    entries = [_section(ffd_mod.MapEntry, entry, f"ffd.parameters.entries[{i}]")
+               for i, entry in enumerate(params["entries"])]
+    return ffd_mod.FfdConfig(
+        _read(data["origin"], "np.ndarray", "ffd.origin"),
+        _read(data["axes"], "np.ndarray", "ffd.axes"),
+        _read(data["dims"], "tuple[int, int, int]", "ffd.dims"),
+        ffd_mod.ParamMap(entries, _read(params["dim"], "int", "ffd.parameters.dim")),
+        _box(data["bounds"], "ffd.bounds"),
+    )
 
 
 def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
@@ -139,10 +213,8 @@ def _truncation_from_dict(trunc: dict, name: str) -> TruncationRule:
     if len(data) != 1:
         raise ValueError(f"{section} must set exactly one of 'fixed' and 'energy'")
     if "fixed" in data:
-        _check_type(data["fixed"], "int", f"{section}.fixed")
-        return TruncationRule.fixed(data["fixed"])
-    _check_type(data["energy"], "float", f"{section}.energy")
-    return TruncationRule.energy(float(data["energy"]))
+        return TruncationRule.fixed(_read(data["fixed"], "int", f"{section}.fixed"))
+    return TruncationRule.energy(_read(data["energy"], "float", f"{section}.energy"))
 
 
 def load_pipeline_config(
@@ -160,15 +232,15 @@ def load_pipeline_config(
 
     try:
         _check_keys(data, _TOP_KEYS, "top-level")
-        cfg = PipelineConfig(reference_stl=(base / data["reference_stl"]))
+        cfg = PipelineConfig(
+            reference_stl=base / _read(data["reference_stl"], "str", "reference_stl")
+        )
         if "output_dir" in data:
-            cfg.output_dir = base / data["output_dir"]
+            cfg.output_dir = base / _read(data["output_dir"], "str", "output_dir")
         if data.get("weld_tolerance") is not None:
-            _check_type(data["weld_tolerance"], "float", "weld_tolerance")
-            cfg.weld_tolerance = float(data["weld_tolerance"])
+            cfg.weld_tolerance = _read(data["weld_tolerance"], "float", "weld_tolerance")
         if data.get("ffd") is not None:
-            _check_ffd_keys(data["ffd"])
-            cfg.ffd = ffd_mod.config_from_dict(data["ffd"])
+            cfg.ffd = _ffd_from_dict(data["ffd"])
         trunc = data.get("truncation", {})
         _check_keys(trunc, ("geometry", "solution"), "truncation")
         if "geometry" in trunc:
@@ -179,15 +251,14 @@ def load_pipeline_config(
                           ("rom", RomConfig), ("optimizer", OptimizerConfig)):
             if name in data:
                 setattr(cfg, name, _section(cls, data[name], name))
-        if cfg.reduction.pair is not None:
-            cfg.reduction.pair = tuple(cfg.reduction.pair)
         if "stub" in data:
-            cfg.stub = solver.stub_from_dict(data["stub"])
+            cfg.stub = _section(solver.StubConfig, data["stub"], "stub",
+                                region=lambda v, name: None if v is None else _box(v, name))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: invalid configuration ({exc})") from exc
 
     if out_override is not None:
         cfg.output_dir = Path(out_override)
     if seed_override is not None:
-        cfg.sampling.seed = seed_override
+        cfg.sampling = replace(cfg.sampling, seed=seed_override)
     return cfg

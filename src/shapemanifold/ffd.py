@@ -78,7 +78,7 @@ class MeshMorpher:
         origin, axes = _validate_frame(origin, axes)
         self.origin = origin
         self.axes = axes
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(dims)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         inv = np.linalg.inv(axes.T)
         stu = (pts - origin) @ inv.T
@@ -142,7 +142,7 @@ class FfdConfig:
 
     def __post_init__(self):
         origin, axes = _validate_frame(self.origin, self.axes)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("lattice degrees must be three integers >= 1")
         for e in self.param_map.entries:
@@ -257,25 +257,3 @@ def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:
         bounds=np.tile(bounds, (5, 1)),
     )
 
-
-def config_from_dict(data: dict) -> FfdConfig:
-    """Lattice configuration from its JSON form (the ``ffd`` section of the
-    pipeline config)."""
-    params = data["parameters"]
-    entries = tuple(
-        MapEntry(
-            int(e["param"]),
-            tuple(int(c) for c in e["point"]),
-            int(e["axis"]),
-            float(e["weight"]),
-        )
-        for e in params["entries"]
-    )
-    bounds = np.column_stack([data["bounds"]["lower"], data["bounds"]["upper"]])
-    return FfdConfig(
-        origin=np.asarray(data["origin"], dtype=float),
-        axes=np.asarray(data["axes"], dtype=float),
-        dims=tuple(int(d) for d in data["dims"]),
-        param_map=ParamMap(entries, param_dim=int(params["dim"])),
-        bounds=bounds,
-    )

@@ -373,7 +373,7 @@ class ReducedSpace:
 
     def __post_init__(self):
         box = np.asarray(self.bounding_box, dtype=float).reshape(-1, 2)
-        free = tuple(int(i) for i in self.free_indices)
+        free = tuple(self.free_indices)
         if free != self.dependencies.free_indices:
             raise ValueError("free indices disagree with the dependency model")
         if box.shape[0] != len(free):

@@ -35,11 +35,6 @@ class StubConfig:
     def __post_init__(self):
         if self.mode not in ("field-synthetic", "quadratic-centroid"):
             raise ValueError(f"unknown stub mode {self.mode!r}")
-        freq = tuple(float(f) for f in self.frequency)
-        if len(freq) != 3 or not all(np.isfinite(freq)):
-            raise ValueError("frequency must be three finite numbers")
-        object.__setattr__(self, "frequency", freq)
-        object.__setattr__(self, "target", tuple(float(c) for c in self.target))
         if self.region is not None:
             region = np.asarray(self.region, dtype=float).reshape(3, 2)
             if np.any(region[:, 0] > region[:, 1]):
@@ -94,14 +89,3 @@ def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
     objective = float(((centroid - target) ** 2).sum())
     return SolutionSnapshot(values, objective)
 
-
-def stub_from_dict(data: dict) -> StubConfig:
-    """Solver settings from their JSON form (the ``stub`` section of the
-    pipeline config); an unknown key raises ``TypeError``."""
-    kwargs = dict(data)
-    if "amplitude" in kwargs:
-        kwargs["amplitude"] = float(kwargs["amplitude"])
-    if kwargs.get("region") is not None:
-        region = kwargs["region"]
-        kwargs["region"] = np.column_stack([region["lower"], region["upper"]])
-    return StubConfig(**kwargs)

@@ -433,6 +433,46 @@ class TestDirectoryArtifacts:
         assert lines[0].startswith(f"error: {path}: missing or malformed field (ValueError(")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "artifact, edit, reason",
+        [
+            ("space", lambda doc: doc.update(polygon_uses_regressed="false"),
+             "polygon_uses_regressed must be true or false, got 'false'"),
+            ("rom", lambda doc: doc.update(objective_mean=True),
+             "objective_mean must be a number, got True"),
+            ("rom", lambda doc: doc["coefficients"].update(epsilon="0.5"),
+             "coefficients.epsilon must be a number, got '0.5'"),
+        ],
+        ids=["regressed_string", "objective_mean_bool", "epsilon_string"],
+    )
+    def test_hand_edited_json_cli_exits_with_one_line(self, tmp_path, capsys, artifact, edit,
+                                                      reason):
+        # These values were once coerced: "false" loaded as True, true as
+        # 1.0, and a numeric string as its number.
+        _, rom_json = self.saved_rom(tmp_path)
+        rng = np.random.default_rng(5)
+        alpha = rng.uniform(-1, 1, (50, 2))
+        space = build_reduced_space(compute_pod(rng.standard_normal((10, 2))), alpha)
+        save_reduced_space(tmp_path / "space", space)
+        path = rom_json if artifact == "rom" else tmp_path / "space" / "space.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        common = ["--config", str(config), "--rom", str(tmp_path / "rom")]
+        commands = [["optimize", "--space", str(tmp_path / "space"), *common]]
+        if artifact == "rom":  # predict reads no space.json
+            commands.append(["predict", "--mu", "0.1,0.2", *common])
+        for argv in commands:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}: missing or malformed field (ValueError({reason!r}))\n"
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_json_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)

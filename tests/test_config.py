@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from shapemanifold.cli import main
 from shapemanifold.config import load_pipeline_config
 from shapemanifold.errors import ArtifactError
+from shapemanifold.ffd import MapEntry
 
 
 def write_config(tmp_path, **sections):
@@ -25,6 +27,15 @@ class TestSeedOverride:
         path = write_config(tmp_path, sampling={"seed": 1})
         assert load_pipeline_config(path).optimizer_seed == 4
         assert load_pipeline_config(path, seed_override=7).optimizer_seed == 10
+
+    @pytest.mark.parametrize("command", [["build-manifold"], ["evaluate", "--sampling", "full"]])
+    def test_negative_override_exits_with_one_line(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, output_dir="out")
+        assert main([*command, "--config", str(path), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sampling.seed must be non-negative, got -1\n"
+        assert not (tmp_path / "out").exists()
 
 
 FFD = {
@@ -103,8 +114,14 @@ class TestUnknownKeys:
             load_pipeline_config(path)
 
 
-# JSON values of the wrong type: each would pass a constructor and fail
-# mid-stage. Nothing is coerced.
+def with_entry(**values):
+    """``FFD`` with its one map entry changed."""
+    entry = {**FFD["parameters"]["entries"][0], **values}
+    return {**FFD, "parameters": {"dim": 1, "entries": [entry]}}
+
+
+# JSON values of the wrong type or out of range: each would be coerced, or
+# pass a constructor and fail mid-stage.
 BAD_VALUES = {
     "seed_float": ({"sampling": {"seed": 1.5}}, "sampling.seed must be an integer, got 1.5"),
     "n_train_float": (
@@ -134,6 +151,66 @@ BAD_VALUES = {
         "truncation.geometry.energy must be a number, got '0.9'",
     ),
     "weld_string": ({"weld_tolerance": "1e-6"}, "weld_tolerance must be a number, got '1e-6'"),
+    # The ffd and stub sections follow the same rule.
+    "ffd_dims": (
+        {"ffd": {**FFD, "dims": [2.7, True, "2"]}},
+        "ffd.dims must be three integers, got [2.7, True, '2']",
+    ),
+    "ffd_entry_param": (
+        {"ffd": with_entry(param=0.9)},
+        "ffd.parameters.entries[0].param must be an integer, got 0.9",
+    ),
+    "ffd_entry_point": (
+        {"ffd": with_entry(point=[1, 1, 1.5])},
+        "ffd.parameters.entries[0].point must be three integers, got [1, 1, 1.5]",
+    ),
+    "ffd_entry_weight": (
+        {"ffd": with_entry(weight="1")},
+        "ffd.parameters.entries[0].weight must be a number, got '1'",
+    ),
+    "ffd_bound_string": (
+        {"ffd": {**FFD, "bounds": {"lower": ["-0.3"], "upper": [0.1]}}},
+        "ffd.bounds.lower must be an array of numbers, got ['-0.3']",
+    ),
+    "stub_amplitude": ({"stub": {"amplitude": "2"}}, "stub.amplitude must be a number, got '2'"),
+    "stub_frequency": (
+        {"stub": {"frequency": ["3", 2, 1]}},
+        "stub.frequency must be three numbers, got ['3', 2, 1]",
+    ),
+    "stub_target": (
+        {"stub": {"mode": "quadratic-centroid", "target": [True, 0, "0"]}},
+        "stub.target must be three numbers, got [True, 0, '0']",
+    ),
+    # Numbers are finite: JSON NaN and Infinity parse, and are refused.
+    "ffd_bound_nan": (
+        {"ffd": {**FFD, "bounds": {"lower": [float("nan")], "upper": [0.1]}}},
+        "ffd.bounds.lower must be an array of numbers, got [nan]",
+    ),
+    "epsilon_infinite": (
+        {"rom": {"epsilon": float("inf")}}, "rom.epsilon must be a number or null, got inf"
+    ),
+    # Values a stage would refuse only after it has worked, or never.
+    "max_vertices_2": (
+        {"reduction": {"max_vertices": 2}},
+        "reduction.max_vertices must be at least 3 or null, got 2",
+    ),
+    "r2_above_1": (
+        {"reduction": {"r2_threshold": 1.5}},
+        "reduction.r2_threshold must be in (0, 1], got 1.5",
+    ),
+    "starts_0": ({"optimizer": {"starts": 0}}, "optimizer.starts must be at least 1, got 0"),
+    "budget_0": ({"optimizer": {"budget": 0}}, "optimizer.budget must be at least 3, got 0"),
+    "kernel_cubic": (
+        {"rom": {"kernel": "cubic"}},
+        "rom.kernel must be one of gaussian, thin-plate, linear-rbf, got 'cubic'",
+    ),
+    "epsilon_negative": (
+        {"rom": {"epsilon": -1.0}}, "rom.epsilon must be above 0 or null, got -1.0"
+    ),
+    "seed_negative": ({"sampling": {"seed": -1}}, "sampling.seed must be non-negative, got -1"),
+    "optimizer_seed_negative": (
+        {"optimizer": {"seed": -5}}, "optimizer.seed must be non-negative or null, got -5"
+    ),
 }
 
 PAIR = "reduction.pair must be two distinct coefficient indices or null, got "
@@ -174,6 +251,9 @@ class TestValueTypes:
                        "polygon_uses_regressed": False},
             rom={"kernel": "thin-plate", "epsilon": 2},
             optimizer={"starts": 8, "seed": None},
+            ffd=with_entry(weight=1),
+            stub={"mode": "quadratic-centroid", "frequency": [3, 2, 1], "amplitude": 2,
+                  "target": [0, 0.5, 1], "region": {"lower": [0, 0, 0], "upper": [1, 2, 3]}},
         )
         cfg = load_pipeline_config(path)
         assert cfg.weld_tolerance == 0.0
@@ -183,3 +263,9 @@ class TestValueTypes:
         assert cfg.reduction.polygon_uses_regressed is False
         assert cfg.rom.epsilon == 2
         assert cfg.optimizer_seed == 7
+        assert cfg.ffd.dims == (1, 1, 1)
+        assert cfg.ffd.param_map.entries == (MapEntry(0, (1, 1, 1), 0, 1),)
+        np.testing.assert_array_equal(cfg.ffd.bounds, [[-0.1, 0.1]])
+        assert (cfg.stub.frequency, cfg.stub.amplitude) == ((3, 2, 1), 2)
+        assert cfg.stub.target == (0, 0.5, 1)
+        np.testing.assert_array_equal(cfg.stub.region, [[0, 1], [0, 2], [0, 3]])

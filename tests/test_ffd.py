@@ -1,8 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from shapemanifold.config import load_pipeline_config
 from shapemanifold.errors import DimensionMismatch, SingularLattice
 from shapemanifold.ffd import (
     FfdConfig,
@@ -11,7 +13,6 @@ from shapemanifold.ffd import (
     ParamMap,
     bernstein_row,
     check_params,
-    config_from_dict,
     default_config,
     displacement_jacobian,
     morph,
@@ -313,7 +314,7 @@ class TestDisplacementJacobian:
 
 
 class TestConfigSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         cfg = five_param_config(make_sphere(6, 8))
         entry = {"param": 0, "point": [1, 1, 1], "axis": 0, "weight": 1.0}
         data = {
@@ -332,7 +333,9 @@ class TestConfigSerialization:
             },
             "bounds": {"lower": [-0.3] * 5, "upper": [0.3] * 5},
         }
-        again = config_from_dict(data)
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps({"reference_stl": "ref.stl", "ffd": data}))
+        again = load_pipeline_config(path).ffd
         np.testing.assert_array_equal(again.origin, cfg.origin)
         np.testing.assert_array_equal(again.axes, cfg.axes)
         assert again.dims == cfg.dims

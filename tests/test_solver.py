@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from shapemanifold.config import load_pipeline_config
 from shapemanifold.errors import EmptyRegion
 from shapemanifold.ffd import default_config, displacement_jacobian, morph
 from shapemanifold.mesh import TriMesh
-from shapemanifold.solver import StubConfig, evaluate, stub_from_dict
+from shapemanifold.solver import StubConfig, evaluate
 
 from helpers import make_sphere, np_cross_evaluate
 
@@ -144,18 +147,25 @@ class TestSmoothness:
         assert 30.0 < ratio < 300.0
 
 
+def load_stub(tmp_path, stub: dict) -> StubConfig:
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps({"reference_stl": "ref.stl", "stub": stub}))
+    return load_pipeline_config(path).stub
+
+
 class TestStubSerialization:
-    def test_field_mode_round_trip(self):
+    def test_field_mode_round_trip(self, tmp_path):
         cfg = StubConfig(mode="field-synthetic", frequency=(4.0, 1.0, 2.0), amplitude=0.5)
-        again = stub_from_dict(
-            {"mode": "field-synthetic", "frequency": [4.0, 1.0, 2.0], "amplitude": 0.5}
+        again = load_stub(
+            tmp_path,
+            {"mode": "field-synthetic", "frequency": [4.0, 1.0, 2.0], "amplitude": 0.5},
         )
         assert again == cfg
 
-    def test_centroid_mode_round_trip(self):
+    def test_centroid_mode_round_trip(self, tmp_path):
         region = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         cfg = StubConfig(mode="quadratic-centroid", target=(1.0, 2.0, 3.0), region=region)
-        again = stub_from_dict({
+        again = load_stub(tmp_path, {
             "mode": "quadratic-centroid",
             "target": [1.0, 2.0, 3.0],
             "region": {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 2.0, 3.0]},
