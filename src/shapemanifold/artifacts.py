@@ -208,12 +208,14 @@ def save_reduced_space(directory, space: ReducedSpace):
             "vertices": space.polygon.vertices.tolist(),
         },
         "bounding_box": space.bounding_box.tolist(),
-        "polygon_uses_regressed": space.polygon_uses_regressed,
     }
     _write_lines(directory / "space.json", [json.dumps(doc, indent=1)])
 
 
 def load_reduced_space(directory) -> ReducedSpace:
+    """A :func:`save_reduced_space` directory. The stored ``free_indices``
+    must agree with the dependencies; keys this version does not write are
+    ignored."""
     directory = Path(directory)
     path = directory / "space.json"
     doc = _load_json(path, JSON_FORMATS["space"])
@@ -230,15 +232,14 @@ def load_reduced_space(directory) -> ReducedSpace:
                 axes=_read(polygon["axes"], "tuple[int, ...]", "polygon.axes"),
                 vertices=_read(polygon["vertices"], "np.ndarray", "polygon.vertices"),
             )
+        deps = DependencyModel(status)
+        if _read(doc["free_indices"], "tuple[int, ...]", "free_indices") != deps.free_indices:
+            raise ValueError("free indices disagree with the dependency model")
         return ReducedSpace(
             basis=basis,
-            dependencies=DependencyModel(status),
+            dependencies=deps,
             polygon=polygon,
-            free_indices=_read(doc["free_indices"], "tuple[int, ...]", "free_indices"),
             bounding_box=_read(doc["bounding_box"], "np.ndarray", "bounding_box"),
-            polygon_uses_regressed=_read(
-                doc["polygon_uses_regressed"], "bool", "polygon_uses_regressed"
-            ),
         )
 
 

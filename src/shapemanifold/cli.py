@@ -95,6 +95,12 @@ def cmd_morph(args, cfg: PipelineConfig) -> int:
 def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     mesh = _load_reference(cfg)
     ffd_cfg = _resolve_ffd(cfg, mesh)
+    pair = cfg.reduction.pair
+    if pair is not None and max(pair) >= ffd_cfg.param_dim:
+        raise ShapeManifoldError(
+            f"reduction.pair {pair}: the {ffd_cfg.param_dim} design parameters "
+            f"give at most {ffd_cfg.param_dim} coefficients"
+        )
     n = cfg.sampling.n_train
     if n < 10:
         _log(f"warning: only {n} training samples; statistics will be poor")
@@ -109,8 +115,7 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
         alpha,
         r2_threshold=cfg.reduction.r2_threshold,
         max_vertices=cfg.reduction.max_vertices,
-        pair=cfg.reduction.pair,
-        polygon_uses_regressed=cfg.reduction.polygon_uses_regressed,
+        pair=pair,
     )
     poly, limit = space.polygon, cfg.reduction.max_vertices
     if poly is None and basis.rank >= 2:  # a pair was chosen: its points are collinear
@@ -146,6 +151,8 @@ def _evaluate_samples(stub_cfg, geometry_for, params, jobs: int):
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     if args.jobs < 1:
         raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.n is not None and args.n < 1:
+        raise ShapeManifoldError(f"--n must be at least 1, got {args.n}")
     mesh = _load_reference(cfg)
     if args.sampling == "full":
         ffd_cfg = _resolve_ffd(cfg, mesh)

@@ -45,7 +45,6 @@ class ReductionConfig:
     r2_threshold: float = 0.99
     max_vertices: int | None = 4
     pair: tuple[int, int] | None = None
-    polygon_uses_regressed: bool = True
 
     def __post_init__(self):
         _check(0 < self.r2_threshold <= 1, "reduction.r2_threshold", "in (0, 1]",

@@ -215,23 +215,22 @@ def morph(reference: TriMesh, jac: np.ndarray, mu) -> TriMesh:
     ``jac @ mu``, where ``jac`` is the :func:`displacement_jacobian` of
     those vertices.
 
-    Connectivity, vertex count, vertex order and weld tolerance are
-    unchanged, so flat coordinate vectors of the output align with those
-    of the input. ``mu`` is not checked against the box; see
-    :func:`check_params`. A zero displacement leaves its coordinate
-    untouched, ``-0.0`` included.
+    Connectivity, vertex count and vertex order are unchanged, so flat
+    coordinate vectors of the output align with those of the input.
+    ``mu`` is not checked against the box; see :func:`check_params`. A
+    zero displacement leaves its coordinate untouched, ``-0.0`` included.
     """
     disp = (jac @ mu).reshape(-1, 3)
     vertices = np.where(disp == 0.0, reference.vertices, reference.vertices + disp)
-    return TriMesh(vertices, reference.facets, reference.weld_tolerance)
+    return TriMesh(vertices, reference.facets)
 
 
-def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:
+def default_config(mesh: TriMesh) -> FfdConfig:
     """Out-of-the-box lattice: degree (2, 2, 2) spanning the mesh bounds.
 
-    Five parameters drive the single fully interior control point
-    (1, 1, 1): three along the axes with unit weight, plus two that reuse
-    the x and y directions at half weight. The five inputs therefore
+    Five parameters in [-0.3, 0.3] drive the single fully interior control
+    point (1, 1, 1): three along the axes with unit weight, plus two that
+    reuse the x and y directions at half weight. The five inputs therefore
     excite only three independent displacement fields, and because only
     an interior point moves, the lattice box faces stay fixed.
 
@@ -254,6 +253,5 @@ def default_config(mesh: TriMesh, bounds=(-0.3, 0.3)) -> FfdConfig:
         axes=np.diag(extent),
         dims=(2, 2, 2),
         param_map=ParamMap(entries, param_dim=5),
-        bounds=np.tile(bounds, (5, 1)),
     )
 

@@ -365,27 +365,25 @@ class ReducedSpace:
     basis: pod.PodBasis
     dependencies: DependencyModel
     polygon: FeasiblePolygon | None
-    free_indices: tuple[int, ...]
     bounding_box: np.ndarray
-    polygon_uses_regressed: bool = True
     box_low: np.ndarray = field(init=False, repr=False, compare=False)
     box_high: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         box = np.asarray(self.bounding_box, dtype=float).reshape(-1, 2)
-        free = tuple(self.free_indices)
-        if free != self.dependencies.free_indices:
-            raise ValueError("free indices disagree with the dependency model")
-        if box.shape[0] != len(free):
+        if box.shape[0] != self.dim:
             raise ValueError("bounding box rows must match the free coordinates")
         n_coeff = len(self.dependencies.status)
         if self.polygon is not None and max(self.polygon.axes) >= n_coeff:
             raise ValueError(f"polygon axes {self.polygon.axes} beyond {n_coeff} coefficients")
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
-        object.__setattr__(self, "free_indices", free)
         object.__setattr__(self, "bounding_box", box)
         object.__setattr__(self, "box_low", box[:, 0] - tol)
         object.__setattr__(self, "box_high", box[:, 1] + tol)
+
+    @property
+    def free_indices(self) -> tuple[int, ...]:
+        return self.dependencies.free_indices
 
     @property
     def dim(self) -> int:
@@ -439,17 +437,14 @@ def build_reduced_space(
     r2_threshold: float = 0.99,
     max_vertices: int | None = 4,
     pair: tuple[int, int] | None = None,
-    polygon_uses_regressed: bool = True,
 ) -> ReducedSpace:
     """Assemble the reduced space from training coefficients.
 
     ``pair`` selects the coefficient plane the feasible polygon lives in;
     by default the first dependent coefficient against the next free one.
-    ``polygon_uses_regressed`` controls whether a dependent member of the
-    pair contributes its regressed value (the default) or its raw
-    training value when the polygon is fitted; decoding always evaluates
-    dependent coefficients through the regression either way. A pair
-    whose training points are collinear gets no polygon.
+    A dependent member of the pair contributes its regressed value, the
+    value decoding gives it, so the polygon contains every training
+    point. A pair whose training points are collinear gets no polygon.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] < 1:
@@ -465,7 +460,7 @@ def build_reduced_space(
         cols = []
         for idx in pair:
             s = deps.status[idx]
-            if s is not None and polygon_uses_regressed:
+            if s is not None:
                 cols.append(s.slope * alpha[:, s.source] + s.intercept)
             else:
                 cols.append(alpha[:, idx])
@@ -478,14 +473,7 @@ def build_reduced_space(
     box = np.column_stack(
         [alpha[:, list(free)].min(axis=0), alpha[:, list(free)].max(axis=0)]
     )
-    return ReducedSpace(
-        basis=basis,
-        dependencies=deps,
-        polygon=polygon,
-        free_indices=free,
-        bounding_box=box,
-        polygon_uses_regressed=polygon_uses_regressed,
-    )
+    return ReducedSpace(basis=basis, dependencies=deps, polygon=polygon, bounding_box=box)
 
 
 def sample_reduced(space: ReducedSpace, n: int, seed: int) -> np.ndarray:

@@ -36,33 +36,24 @@ _BINARY_HEADER = b"shapemanifold"
 
 @dataclass(frozen=True)
 class FacetSoup:
-    """Facets exactly as read from an STL file, before welding.
+    """Facet corners exactly as read from an STL file, before welding.
 
-    ``corners`` has shape (F, 3, 3): facet, corner, coordinate. Attribute
-    words are only meaningful for binary input and are zero otherwise.
+    ``corners`` has shape (F, 3, 3): facet, corner, coordinate. Stored
+    normals and attribute words are not kept: :func:`write_stl` recomputes
+    the normals from the winding.
     """
 
-    normals: np.ndarray
     corners: np.ndarray
-    attributes: np.ndarray
 
     def __post_init__(self):
-        normals = np.ascontiguousarray(self.normals, dtype=float)
         corners = np.ascontiguousarray(self.corners, dtype=float)
-        attrs = np.ascontiguousarray(self.attributes, dtype=np.uint16)
         if corners.ndim != 3 or corners.shape[1:] != (3, 3):
             raise MalformedStl("facet corners must have shape (F, 3, 3)")
         if corners.shape[0] == 0:
             raise EmptyMesh("STL data contains no facets")
-        if normals.shape != (corners.shape[0], 3):
-            raise MalformedStl("normal count does not match facet count")
-        if attrs.shape != (corners.shape[0],):
-            raise MalformedStl("attribute count does not match facet count")
         if not np.isfinite(corners).all():
             raise MalformedStl("non-finite vertex coordinate in STL data")
-        object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "attributes", attrs)
 
     def __len__(self) -> int:
         return self.corners.shape[0]
@@ -74,7 +65,6 @@ class TriMesh:
 
     vertices: np.ndarray
     facets: np.ndarray
-    weld_tolerance: float = 0.0
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -87,8 +77,6 @@ class TriMesh:
             raise ValueError("non-finite vertex coordinate")
         if facets.size and (facets.min() < 0 or facets.max() >= len(vertices)):
             raise ValueError("facet index outside vertex range")
-        if not self.weld_tolerance >= 0.0:
-            raise ValueError("weld tolerance must be >= 0")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", facets)
 
@@ -133,7 +121,7 @@ def _read_binary(data: bytes) -> FacetSoup:
     corners = np.stack(
         [records["v0"], records["v1"], records["v2"]], axis=1
     ).astype(float)
-    return FacetSoup(records["normal"].astype(float), corners, records["attr"].copy())
+    return FacetSoup(corners)
 
 
 def _read_ascii(data: bytes) -> FacetSoup:
@@ -166,14 +154,14 @@ def _read_ascii(data: bytes) -> FacetSoup:
                 raise MalformedStl(f"expected a number, found '{tok}'") from exc
         return out
 
-    normals, corners = [], []
+    corners = []
     expect("solid")
     while pos < len(tokens):
         tok = next_token()
         low = tok.lower()
         if low == "facet":
             expect("normal")
-            normals.append(floats(3))
+            floats(3)  # recomputed on output, not kept
             expect("outer")
             expect("loop")
             tri = []
@@ -198,12 +186,7 @@ def _read_ascii(data: bytes) -> FacetSoup:
             continue
     if not corners:
         raise EmptyMesh("ASCII STL contains no facets")
-    count = len(corners)
-    return FacetSoup(
-        np.array(normals, dtype=float),
-        np.array(corners, dtype=float),
-        np.zeros(count, dtype=np.uint16),
-    )
+    return FacetSoup(np.array(corners, dtype=float))
 
 
 def read_stl(data: bytes) -> FacetSoup:
@@ -340,7 +323,7 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
         new = owner == np.arange(len(points))
         labels = (np.cumsum(new) - 1)[owner][labels]
         points = points[new]
-    return TriMesh(points, labels.reshape(-1, 3), weld_tolerance=tol)
+    return TriMesh(points, labels.reshape(-1, 3))
 
 
 def _facet_cross(mesh: TriMesh) -> np.ndarray:
@@ -410,9 +393,8 @@ def flatten(mesh: TriMesh) -> np.ndarray:
 def unflatten(values: np.ndarray, reference: TriMesh) -> TriMesh:
     """Rebuild a mesh from a flat coordinate vector.
 
-    Connectivity and weld tolerance are taken from ``reference``; only the
-    vertex positions change, which is exactly the guarantee the morphing
-    map provides.
+    Connectivity is taken from ``reference``; only the vertex positions
+    change, which is exactly the guarantee the morphing map provides.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != 3 * reference.vertex_count:
@@ -420,8 +402,4 @@ def unflatten(values: np.ndarray, reference: TriMesh) -> TriMesh:
             f"vector length {values.size} does not match "
             f"3 x {reference.vertex_count} vertices"
         )
-    return TriMesh(
-        values.reshape(-1, 3),
-        reference.facets,
-        weld_tolerance=reference.weld_tolerance,
-    )
+    return TriMesh(values.reshape(-1, 3), reference.facets)

@@ -39,10 +39,12 @@ def distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
 
 def _infeasibility_sq(space: ReducedSpace, x: np.ndarray) -> float:
     # Squared distance to the feasible set: box violation of the free
-    # coordinates plus polygon violation of the constrained pair.
-    box = space.bounding_box
-    below = np.maximum(box[:, 0] - x, 0.0)
-    above = np.maximum(x - box[:, 1], 0.0)
+    # coordinates plus polygon violation of the constrained pair. Both are
+    # measured as ``space.contains`` tests, from the box widened by its
+    # tolerance and the boundary-inclusive polygon, so the result is zero
+    # exactly where ``contains`` holds.
+    below = np.maximum(space.box_low - x, 0.0)
+    above = np.maximum(x - space.box_high, 0.0)
     total = float((below**2).sum() + (above**2).sum())
     if space.polygon is not None:
         pair = space.pair_point(x)
@@ -150,11 +152,14 @@ def minimize(problem: OptProblem) -> OptResult:
     steps = np.where(widths > 0.0, 0.05 * widths, 1e-3)
 
     trials: list[tuple[np.ndarray, float]] = []
+    feasible: list[bool] = []
 
     def penalized(x):
         value = float(problem.objective(x))
         trials.append((x.copy(), value))
-        return value + weight * _infeasibility_sq(space, x)
+        excess = _infeasibility_sq(space, x)
+        feasible.append(excess == 0.0)
+        return value + weight * excess
 
     traces = []
     for x0 in starts:
@@ -168,8 +173,8 @@ def minimize(problem: OptProblem) -> OptResult:
     for x, value in zip(starts, start_values):
         if value < best_value:
             best_mu, best_value = x.copy(), value
-    for x, value in trials:
-        if value < best_value and space.contains(x):
+    for (x, value), ok in zip(trials, feasible):
+        if ok and value < best_value:
             best_mu, best_value = x.copy(), value
 
     if best_mu is None:

@@ -41,10 +41,11 @@ from shapemanifold.manifold import (
     DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
+    build_reduced_space,
     fit_feasible_polygon,
 )
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
-from shapemanifold.optimize import distance_to_polygon
+from shapemanifold.optimize import _infeasibility_sq, distance_to_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,26 @@ def assert_polygon_contains_cloud(cloud: np.ndarray, max_vertices) -> None:
     for point in cloud:
         assert polygon.contains(point)
         assert distance_to_polygon(point, polygon) == 0.0
+
+
+def assert_space_contains_training_points(rng) -> None:
+    """Every training point of ``build_reduced_space`` is ``contains``-feasible
+    on a cloud of 20 to 200 samples where coefficient 2 regresses on
+    coefficient 0 (with noise, at random scales) and is a member of the
+    polygon pair: (1, 2), (2, 1) or the default."""
+    m = int(rng.integers(20, 201))
+    a0, a1 = rng.uniform(-1.0, 1.0, (2, m))
+    slope = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)
+    a2 = slope * (a0 + 0.01 * rng.standard_normal(m)) + rng.standard_normal()
+    alpha = np.column_stack([a0, a1, a2]) * 10.0 ** rng.uniform(-2.0, 2.0, 3)
+    basis = pod.PodBasis(np.eye(9)[:, :3], np.array([3.0, 2.0, 1.0]), np.zeros(9))
+    pair = [(1, 2), (2, 1), None][int(rng.integers(3))]
+    max_vertices = [None, 3, 4, 6][int(rng.integers(4))]
+    space = build_reduced_space(basis, alpha, max_vertices=max_vertices, pair=pair)
+    assert space.dependencies.status[2].source == 0
+    assert space.polygon is not None and 2 in space.polygon.axes
+    for row in alpha[:, list(space.free_indices)]:
+        assert space.contains(row)
 
 
 def ols_oracle(x, y):
@@ -375,18 +396,12 @@ def loop_weld(soup: FacetSoup, tol: float) -> TriMesh:
                 exact[key] = idx
             indices[n] = idx
 
-    return TriMesh(
-        np.array(vertices, dtype=float),
-        indices.reshape(-1, 3),
-        weld_tolerance=tol,
-    )
+    return TriMesh(np.array(vertices, dtype=float), indices.reshape(-1, 3))
 
 
 def soup_of(corners) -> FacetSoup:
-    """Facet soup with zero normals and attributes around (F, 3, 3) corners."""
-    corners = np.asarray(corners, dtype=float)
-    count = corners.shape[0]
-    return FacetSoup(np.zeros((count, 3)), corners, np.zeros(count, dtype=np.uint16))
+    """Facet soup around (F, 3, 3) corners."""
+    return FacetSoup(np.asarray(corners, dtype=float))
 
 
 def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
@@ -394,8 +409,19 @@ def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
     got, want = weld(soup, tol), loop_weld(soup, tol)
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert got.facets.tobytes() == want.facets.tobytes()
-    assert got.weld_tolerance == want.weld_tolerance
     return got
+
+
+def written_normals(data: bytes) -> np.ndarray:
+    """The facet normals stored in STL bytes from ``write_stl``, (F, 3):
+    float32 from a binary record, the printed numbers from ASCII text."""
+    if data.startswith(b"solid"):
+        lines = data.decode("ascii").splitlines()
+        return np.array([[float(v) for v in line.split()[2:]]
+                         for line in lines if line.strip().startswith("facet normal")])
+    (count,) = struct.unpack_from("<I", data, 80)
+    record = np.dtype([("normal", "<f4", (3,)), ("rest", "V38")])  # 50 bytes
+    return np.frombuffer(data, dtype=record, count=count, offset=84)["normal"].astype(float)
 
 
 def loop_loo_error(db: rom.SolutionDatabase, rule, kernel="gaussian", epsilon=None):
@@ -686,16 +712,13 @@ def random_reduced_space(rng) -> ReducedSpace:
         basis=pod.compute_pod(rng.standard_normal((12, 3))),
         dependencies=deps,
         polygon=polygon,
-        free_indices=deps.free_indices,
         bounding_box=np.array(ranges).reshape(-1, 2),
     )
 
 
-def assert_space_contains_matches_per_call_box(rng) -> None:
-    """``ReducedSpace.contains`` agrees with the per-call-tolerance oracle
-    on points in and around the box, on its faces and corners, and of the
-    wrong length."""
-    space = random_reduced_space(rng)
+def space_probe_points(rng, space: ReducedSpace) -> list:
+    """Points in and around the box of ``space``, on its faces and corners,
+    just inside and outside its tolerance, and with signed zeros."""
     box = space.bounding_box
     d = space.dim
     span = box[:, 1] - box[:, 0]
@@ -705,10 +728,27 @@ def assert_space_contains_matches_per_call_box(rng) -> None:
     points += [box[np.arange(d), c] for c in corners]
     tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
     points += [box[np.arange(d), c] + (2 * c - 1) * tol * k for c in corners for k in (1, 2)]
-    points += [signed_zeros(rng, p) for p in points[:30]]
-    for p in points:
+    return points + [signed_zeros(rng, p) for p in points[:30]]
+
+
+def assert_space_contains_matches_per_call_box(rng) -> None:
+    """``ReducedSpace.contains`` agrees with the per-call-tolerance oracle
+    on the probe points and on a point of the wrong length."""
+    space = random_reduced_space(rng)
+    for p in space_probe_points(rng, space):
         assert space.contains(p) is per_call_box_contains(space, p)
-    assert space.contains(np.zeros(d + 1)) is per_call_box_contains(space, np.zeros(d + 1))
+    wrong = np.zeros(space.dim + 1)
+    assert space.contains(wrong) is per_call_box_contains(space, wrong)
+
+
+def assert_penalty_zero_exactly_where_feasible(rng) -> None:
+    """The optimizer's infeasibility penalty is zero on the probe points
+    that ``ReducedSpace.contains`` accepts, and positive on the others."""
+    space = random_reduced_space(rng)
+    for p in space_probe_points(rng, space):
+        penalty = _infeasibility_sq(space, p)
+        assert penalty >= 0.0
+        assert (penalty == 0.0) is space.contains(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -24,11 +25,16 @@ from shapemanifold.artifacts import (
 from shapemanifold.cli import main
 from shapemanifold.errors import ArtifactError
 from shapemanifold.mesh import write_stl
-from shapemanifold.manifold import build_reduced_space
+from shapemanifold.manifold import (
+    build_reduced_space,
+    decode,
+    fit_feasible_polygon,
+    sample_reduced,
+)
 from shapemanifold.pod import TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
-from helpers import assert_binary_artifacts_round_trip, make_sphere
+from helpers import assert_binary_artifacts_round_trip, make_sphere, make_tetra
 
 
 def sample_basis(seed=0):
@@ -154,6 +160,59 @@ class TestDirectoryArtifacts:
         assert dep == space.dependencies.status[1]
         doc = json.loads((tmp_path / "space" / "space.json").read_text())
         assert list(doc["dependencies"][1]) == ["source", "slope", "intercept", "r2"]
+        assert list(doc) == ["format", "version", "free_indices", "dependencies",
+                             "polygon", "bounding_box"]
+
+    def test_space_with_the_dropped_key_loads_as_before(self, tmp_path):
+        # Older files carry "polygon_uses_regressed", which nothing read. With
+        # false, the polygon was fitted to coefficient 2's raw values; the
+        # file still loads, and decodes through the regression as it did.
+        rng = np.random.default_rng(8)
+        a0 = rng.uniform(-1, 1, 200)
+        alpha = np.column_stack(
+            [a0, rng.uniform(-1, 1, 200), 0.5 * a0 + 0.01 * rng.standard_normal(200)]
+        )
+        space = build_reduced_space(compute_pod(rng.standard_normal((12, 3))), alpha)
+        assert space.dependencies.status[2].source == 0 and space.polygon.axes == (1, 2)
+        raw = fit_feasible_polygon(alpha[:, [1, 2]], max_vertices=4, axes=(1, 2))
+        assert raw.vertices.tobytes() != space.polygon.vertices.tobytes()
+        old = dataclasses.replace(space, polygon=raw)
+        save_reduced_space(tmp_path / "space", old)
+        path = tmp_path / "space" / "space.json"
+        doc = json.loads(path.read_text())
+        doc["polygon_uses_regressed"] = False
+        path.write_text(json.dumps(doc, indent=1))
+        again = load_reduced_space(tmp_path / "space")
+        assert again.polygon.vertices.tobytes() == raw.vertices.tobytes()
+        assert again.dependencies == old.dependencies
+        assert again.bounding_box.tobytes() == old.bounding_box.tobytes()
+        tetra = make_tetra()
+        for mu in sample_reduced(old, 40, seed=1):
+            got, want = decode(again, mu, tetra), decode(old, mu, tetra)
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+
+    def test_free_indices_must_match_the_dependencies(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        a0 = rng.uniform(-1, 1, 50)
+        alpha = np.column_stack([a0, rng.uniform(-1, 1, 50), 2.0 * a0])
+        space = build_reduced_space(compute_pod(rng.standard_normal((10, 3))), alpha)
+        assert space.free_indices == (0, 1)
+        save_reduced_space(tmp_path / "space", space)
+        path = tmp_path / "space" / "space.json"
+        doc = json.loads(path.read_text())
+        doc["free_indices"] = [0, 2]
+        path.write_text(json.dumps(doc))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        argv = ["optimize", "--objective", "stub", "--space", str(tmp_path / "space"),
+                "--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: missing or malformed field "
+            "(ValueError('free indices disagree with the dependency model'))\n"
+        )
 
     def test_database_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -357,7 +416,7 @@ class TestDirectoryArtifacts:
             lambda doc: doc.pop("bounding_box"),
             lambda doc: doc.update(dependencies=3),
             lambda doc: doc["polygon"].pop("axes"),
-            lambda doc: doc.update(polygon_uses_regressed=None, free_indices=None),
+            lambda doc: doc.update(free_indices=None),
         ],
     )
     def test_malformed_space_fields_name_the_file(self, tmp_path, edit):
@@ -436,19 +495,19 @@ class TestDirectoryArtifacts:
     @pytest.mark.parametrize(
         "artifact, edit, reason",
         [
-            ("space", lambda doc: doc.update(polygon_uses_regressed="false"),
-             "polygon_uses_regressed must be true or false, got 'false'"),
+            ("space", lambda doc: doc.update(free_indices="0"),
+             "free_indices must be a list of integers, got '0'"),
             ("rom", lambda doc: doc.update(objective_mean=True),
              "objective_mean must be a number, got True"),
             ("rom", lambda doc: doc["coefficients"].update(epsilon="0.5"),
              "coefficients.epsilon must be a number, got '0.5'"),
         ],
-        ids=["regressed_string", "objective_mean_bool", "epsilon_string"],
+        ids=["free_idx", "objective_mean_bool", "epsilon_string"],
     )
     def test_hand_edited_json_cli_exits_with_one_line(self, tmp_path, capsys, artifact, edit,
                                                       reason):
-        # These values were once coerced: "false" loaded as True, true as
-        # 1.0, and a numeric string as its number.
+        # These values were once coerced: a string became the tuple of its
+        # characters, true became 1.0, and a numeric string its number.
         _, rom_json = self.saved_rom(tmp_path)
         rng = np.random.default_rng(5)
         alpha = rng.uniform(-1, 1, (50, 2))

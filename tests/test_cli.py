@@ -188,6 +188,33 @@ class TestBuildManifold:
         doc = json.loads((root / "out" / "manifold" / "space.json").read_text())
         assert doc["polygon"]["vertices"] == square.tolist()
 
+    def test_pair_beyond_the_parameters_fails_before_the_reduction(self, workspace, capsys):
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["reduction"] = {"pair": [0, 7]}
+        cfg.write_text(json.dumps(config))
+        assert run(cfg, "build-manifold") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err[-1] == (
+            "error: reduction.pair (0, 7): the 5 design parameters give at most 5 coefficients"
+        )
+        assert not [line for line in err if line.startswith("manifold: ")]
+        assert not (root / "out").exists()
+
+    def test_pair_beyond_the_coefficients_fails_after_the_reduction(self, workspace, capsys):
+        # Five parameters, but the built-in lattice gives three coefficients.
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["reduction"] = {"pair": [0, 4]}
+        cfg.write_text(json.dumps(config))
+        assert run(cfg, "build-manifold") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2:] == ["manifold: kept 3 geometry modes",
+                            "error: pair (0, 4) outside the 3 coefficients"]
+        assert not (root / "out").exists()
+
     def test_degenerate_param_map_fails_cleanly(self, workspace, capsys):
         root, cfg = workspace
         config = json.loads(cfg.read_text())
@@ -223,6 +250,17 @@ class TestEvaluate:
         assert run(cfg, "evaluate", "--sampling", "full", "--n", "1") == 0
         index = (root / "out" / "db_full" / "index.csv").read_text().splitlines()
         assert len(index) == 2
+
+    @pytest.mark.parametrize("sampling", ["full", "reduced"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_fails_with_one_line(self, workspace, capsys, sampling, n):
+        # Refused, not replaced by the configured count.
+        root, cfg = workspace
+        assert run(cfg, "evaluate", "--sampling", sampling, "--n", n) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be at least 1, got {n}\n"
+        assert not (root / "out").exists()
 
 
 class TestCompareDecay:

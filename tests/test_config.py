@@ -74,6 +74,11 @@ BAD_SECTIONS = {
         "unknown ffd.bounds key 'mid'",
     ),
     "sampling": ({"sampling": {"n_trian": 5}}, "'n_trian'"),
+    # A dependent pair member always contributes its regressed value.
+    "reduction": (
+        {"reduction": {"polygon_uses_regressed": False}},
+        "unknown reduction key 'polygon_uses_regressed'",
+    ),
 }
 
 
@@ -247,8 +252,7 @@ class TestValueTypes:
             tmp_path,
             weld_tolerance=0,
             sampling={"seed": 4, "n_train": 30},
-            reduction={"r2_threshold": 1, "max_vertices": None, "pair": [2, 0],
-                       "polygon_uses_regressed": False},
+            reduction={"r2_threshold": 1, "max_vertices": None, "pair": [2, 0]},
             rom={"kernel": "thin-plate", "epsilon": 2},
             optimizer={"starts": 8, "seed": None},
             ffd=with_entry(weight=1),
@@ -260,7 +264,6 @@ class TestValueTypes:
         assert (cfg.sampling.seed, cfg.sampling.n_train) == (4, 30)
         assert cfg.reduction.pair == (2, 0)
         assert cfg.reduction.max_vertices is None
-        assert cfg.reduction.polygon_uses_regressed is False
         assert cfg.rom.epsilon == 2
         assert cfg.optimizer_seed == 7
         assert cfg.ffd.dims == (1, 1, 1)

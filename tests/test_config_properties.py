@@ -27,7 +27,7 @@ ADMITTED = {
     "sampling": {"n_train": {"int"}, "n_full": {"int"}, "n_reduced": {"int"},
                  "seed": {"int"}},
     "reduction": {"r2_threshold": NUMBER, "max_vertices": {"int", "null"},
-                  "pair": {"list", "null"}, "polygon_uses_regressed": {"bool"}},
+                  "pair": {"list", "null"}},
     "rom": {"kernel": {"str"}, "epsilon": NUMBER | {"null"}},
     "optimizer": {"starts": {"int"}, "budget": {"int"}, "seed": {"int", "null"}},
     "stub": {"mode": {"str"}, "frequency": {"list"}, "amplitude": NUMBER,

@@ -1,7 +1,8 @@
 """Property tests: the feasibility tests on values derived at construction
 (polygon edges and tolerance, the widened box, the expand plan) give the
 per-call formulas' results bit for bit, boundary points and signed zeros
-included. The fixed-seed twins in ``test_manifold.py`` and
+included, and the optimizer's penalty is zero exactly where the space's
+feasibility test holds. The fixed-seed twins in ``test_manifold.py`` and
 ``test_optimize.py`` run the same checks without hypothesis.
 """
 
@@ -15,6 +16,7 @@ from helpers import (  # noqa: E402
     assert_contains_matches_roll_oracle,
     assert_distance_matches_roll_oracle,
     assert_expand_matches_dict_loop,
+    assert_penalty_zero_exactly_where_feasible,
     assert_space_contains_matches_per_call_box,
 )
 
@@ -38,6 +40,12 @@ def test_distance_to_polygon_matches_roll_oracle(seed):
 @seeds
 def test_reduced_space_contains_matches_per_call_box(seed):
     assert_space_contains_matches_per_call_box(np.random.default_rng(seed))
+
+
+@settings
+@seeds
+def test_penalty_zero_exactly_where_feasible(seed):
+    assert_penalty_zero_exactly_where_feasible(np.random.default_rng(seed))
 
 
 @settings

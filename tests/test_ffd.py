@@ -17,7 +17,6 @@ from shapemanifold.ffd import (
     displacement_jacobian,
     morph,
 )
-from shapemanifold.mesh import TriMesh
 
 from helpers import (
     assert_ffd_invariants,
@@ -260,12 +259,10 @@ class TestMorphMesh:
         d12 = morph_by(mesh, cfg, mu1 + mu2).vertices - mesh.vertices
         assert np.abs(d12 - (d1 + d2)).max() < 1e-12
 
-    def test_keeps_facets_and_weld_tolerance(self):
+    def test_keeps_facets(self):
         mesh = make_sphere(6, 9)
-        mesh = TriMesh(mesh.vertices, mesh.facets, weld_tolerance=1e-7)
         morphed = morph_by(mesh, five_param_config(mesh), [0.1, 0.0, 0.0, 0.0, 0.0])
         assert morphed.facets.tobytes() == mesh.facets.tobytes()
-        assert morphed.weld_tolerance == 1e-7
 
 
 class TestCheckParams:

@@ -40,6 +40,7 @@ from helpers import (
     assert_expand_matches_dict_loop,
     assert_polygon_contains_cloud,
     assert_space_contains_matches_per_call_box,
+    assert_space_contains_training_points,
     make_sphere,
     ols_oracle,
     oracle_displacement,
@@ -505,6 +506,12 @@ class TestBuildReducedSpace:
             else:
                 assert len(fit_feasible_polygon(pts).vertices) == 3
 
+    def test_contains_every_training_point_of_a_dependent_pair(self):
+        # Fixed-seed twin of test_polygon_properties.py.
+        rng = np.random.default_rng(313)
+        for _ in range(50):
+            assert_space_contains_training_points(rng)
+
     def test_encode_decode_consistency(self):
         alpha = paper_structured_alpha()
         space = space_from_alpha(alpha)
@@ -553,7 +560,6 @@ class TestSampleReduced:
             basis=basis,
             dependencies=DependencyModel((None, None)),
             polygon=tiny,
-            free_indices=(0, 1),
             bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )
         with pytest.raises(InfeasibleRegion):
@@ -569,7 +575,6 @@ class TestSampleReduced:
                 basis=basis,
                 dependencies=DependencyModel((None, None)),
                 polygon=FeasiblePolygon((0, 2), square),
-                free_indices=(0, 1),
                 bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
             )
 

@@ -23,6 +23,7 @@ from helpers import (
     make_tetra,
     np_cross_facet_normals,
     soup_of,
+    written_normals,
 )
 
 
@@ -44,8 +45,7 @@ def two_facet_soup(perturb: float = 0.0) -> FacetSoup:
     # one copy of a shared corner coordinate.
     tri1 = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     tri2 = [[1.0 + perturb, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
-    corners = np.array([tri1, tri2])
-    return FacetSoup(np.zeros((2, 3)), corners, np.zeros(2, dtype=np.uint16))
+    return FacetSoup(np.array([tri1, tri2]))
 
 
 class TestReadStl:
@@ -59,7 +59,6 @@ class TestReadStl:
     def test_ascii_one_facet(self):
         soup = read_stl(ascii_stl_one_facet())
         assert len(soup) == 1
-        np.testing.assert_allclose(soup.normals[0], [0.0, 0.0, 1.0])
         np.testing.assert_allclose(
             soup.corners[0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         )
@@ -90,6 +89,14 @@ class TestReadStl:
     def test_ascii_bad_token(self):
         text = ascii_stl_one_facet().replace(b"vertex 1 0 0", b"vertex one 0 0")
         with pytest.raises(MalformedStl):
+            read_stl(text)
+
+    def test_ascii_bad_normal_token(self):
+        # The stored normal is not kept, but it must still be three numbers.
+        text = ascii_stl_one_facet()
+        start = text.index(b"facet normal") + len(b"facet normal ")
+        text = text[:start] + b"up " + text[start:]
+        with pytest.raises(MalformedStl, match="expected a number, found 'up'"):
             read_stl(text)
 
     def test_ascii_keyword_case_and_scientific_numbers(self):
@@ -152,7 +159,7 @@ class TestWeld:
         rng = np.random.default_rng(5)
         pts = rng.random((30, 3))
         corners = pts[rng.integers(0, 30, size=(40, 3))]
-        soup = FacetSoup(np.zeros((40, 3)), corners, np.zeros(40, dtype=np.uint16))
+        soup = FacetSoup(corners)
         tol = 0.05
         mesh = weld(soup, tol)
         v = mesh.vertices
@@ -266,34 +273,38 @@ class TestWriteStl:
 
     def test_read_write_read_idempotent(self):
         # After one pass the coordinates are 32-bit stable, so a further
-        # write/read cycle must reproduce the soup exactly.
+        # write/read cycle must reproduce the bytes exactly, normals and
+        # attribute words included.
         soup1 = read_stl(write_stl(make_sphere(4, 6), "binary"))
-        soup2 = read_stl(write_stl(weld(soup1, tol=0.0), "binary"))
-        soup3 = read_stl(write_stl(weld(soup2, tol=0.0), "binary"))
-        np.testing.assert_array_equal(soup2.corners, soup3.corners)
-        np.testing.assert_array_equal(soup2.normals, soup3.normals)
-        np.testing.assert_array_equal(soup2.attributes, soup3.attributes)
+        data2 = write_stl(weld(soup1, tol=0.0), "binary")
+        assert write_stl(weld(read_stl(data2), tol=0.0), "binary") == data2
 
     def test_degenerate_facet_zero_normal(self):
         mesh = TriMesh(
             np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
             np.array([[0, 1, 1]]),
         )
-        soup = read_stl(write_stl(mesh, "binary"))
-        np.testing.assert_array_equal(soup.normals[0], [0.0, 0.0, 0.0])
+        for fmt in ("binary", "ascii"):
+            normals = written_normals(write_stl(mesh, fmt))
+            np.testing.assert_array_equal(normals, [[0.0, 0.0, 0.0]])
 
     def test_recomputed_normal(self):
+        # The input's stored normal is (0, 0, 1) too; flip the winding so
+        # that only a recomputed normal matches.
         mesh = weld(read_stl(ascii_stl_one_facet()), tol=0.0)
-        soup = read_stl(write_stl(mesh, "binary"))
-        np.testing.assert_allclose(soup.normals[0], [0.0, 0.0, 1.0])
+        mesh = TriMesh(mesh.vertices, mesh.facets[:, ::-1])
+        for fmt in ("binary", "ascii"):
+            normals = written_normals(write_stl(mesh, fmt))
+            np.testing.assert_array_equal(normals, [[0.0, 0.0, -1.0]])
 
     def test_normals_are_unit_edge_cross_products(self):
         mesh = make_sphere(7, 9, radius=0.6)
         v, f = mesh.vertices, mesh.facets
         n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
         n /= np.linalg.norm(n, axis=1)[:, None]
-        soup = read_stl(write_stl(mesh, "binary"))
-        np.testing.assert_array_equal(soup.normals, n.astype(np.float32))
+        binary = written_normals(write_stl(mesh, "binary"))
+        np.testing.assert_array_equal(binary, n.astype(np.float32))
+        np.testing.assert_array_equal(written_normals(write_stl(mesh, "ascii")), n)
 
     @pytest.mark.parametrize("fmt", ["binary", "ascii"])
     def test_bytes_match_np_cross_normals(self, monkeypatch, fmt):
@@ -324,7 +335,6 @@ class TestFlatten:
         again = unflatten(flatten(mesh), mesh)
         np.testing.assert_array_equal(again.vertices, mesh.vertices)
         np.testing.assert_array_equal(again.facets, mesh.facets)
-        assert again.weld_tolerance == mesh.weld_tolerance
 
     def test_empty_mesh(self):
         mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))

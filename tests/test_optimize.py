@@ -16,6 +16,7 @@ from shapemanifold.pod import PodBasis
 
 from helpers import (
     assert_distance_matches_roll_oracle,
+    assert_penalty_zero_exactly_where_feasible,
     random_cloud,
     segment_distance_oracle,
 )
@@ -34,7 +35,6 @@ def square_space(lo=0.0, hi=1.0) -> ReducedSpace:
         basis=basis,
         dependencies=DependencyModel((None, None)),
         polygon=unit_square_polygon(),
-        free_indices=(0, 1),
         bounding_box=np.array([[lo, hi], [lo, hi]], dtype=float),
     )
 
@@ -89,6 +89,14 @@ class TestDistanceToPolygon:
         rng = np.random.default_rng(912)
         for _ in range(60):
             assert_distance_matches_roll_oracle(rng)
+
+
+class TestInfeasibility:
+    def test_zero_exactly_where_feasible(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(913)
+        for _ in range(60):
+            assert_penalty_zero_exactly_where_feasible(rng)
 
 
 class TestMinimize:

@@ -1,9 +1,12 @@
-"""Property test: the feasible polygon contains every training point.
+"""Property tests: the feasible polygon contains every training point.
 
-Each example is a rotated, anisotropic Gaussian cloud of 3 to 80 points
-at a random scale and offset, fitted with the plain convex hull or with
-the hull simplified to 3 to 6 vertices. The fixed-seed twin in
-``test_manifold.py`` runs the same check without hypothesis.
+In the plane: each example is a rotated, anisotropic Gaussian cloud of 3
+to 80 points at a random scale and offset, fitted with the plain convex
+hull or with the hull simplified to 3 to 6 vertices. In the reduced space:
+each example is a coefficient cloud whose polygon pair has a dependent
+member, and every training point must be ``contains``-feasible. The
+fixed-seed twins in ``test_manifold.py`` run the same checks without
+hypothesis.
 """
 
 import numpy as np
@@ -12,7 +15,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from helpers import assert_polygon_contains_cloud, random_cloud  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_polygon_contains_cloud,
+    assert_space_contains_training_points,
+    random_cloud,
+)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -22,3 +29,9 @@ from helpers import assert_polygon_contains_cloud, random_cloud  # noqa: E402
 def test_polygon_contains_every_training_point(seed, n_points, max_vertices):
     cloud = random_cloud(np.random.default_rng(seed), n_points)
     assert_polygon_contains_cloud(cloud, max_vertices)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.integers(0, 2**32 - 1))
+def test_reduced_space_contains_every_training_point(seed):
+    assert_space_contains_training_points(np.random.default_rng(seed))

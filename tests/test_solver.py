@@ -13,7 +13,7 @@ from helpers import make_sphere, np_cross_evaluate
 
 
 def translated(mesh: TriMesh, shift) -> TriMesh:
-    return TriMesh(mesh.vertices + np.asarray(shift), mesh.facets, mesh.weld_tolerance)
+    return TriMesh(mesh.vertices + np.asarray(shift), mesh.facets)
 
 
 class TestFieldSynthetic:
