@@ -40,7 +40,7 @@ from .mesh import (
     weld,
     write_stl,
 )
-from .optimize import OptProblem, OptResult, distance_to_polygon, minimize
+from .optimize import OptProblem, OptResult, minimize
 from .pod import (
     PodBasis,
     TruncationRule,

@@ -26,7 +26,6 @@ from .mesh import (
     TriMesh,
     default_weld_tolerance,
     read_stl,
-    unflatten,
     weld,
     write_stl,
 )
@@ -294,10 +293,7 @@ def cmd_optimize(args, cfg: PipelineConfig) -> int:
         mesh = _load_reference(cfg)
 
         def objective(mu):
-            # Reconstruct without the feasibility check: the optimizer's
-            # penalty owns constraint handling for trial points.
-            geometry = unflatten(pod.reconstruct(space.basis, space.expand(mu)), mesh)
-            return solver.evaluate(geometry, cfg.stub).objective
+            return solver.evaluate(manifold.decode(space, mu, mesh), cfg.stub).objective
 
     problem = optimize.OptProblem(
         objective=objective,

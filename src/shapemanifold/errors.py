@@ -45,10 +45,6 @@ class InfeasibleRegion(ShapeManifoldError):
     """Feasible region is empty or too small to sample."""
 
 
-class OutOfRegion(ShapeManifoldError):
-    """Reduced coordinates fall outside the feasible region."""
-
-
 class EmptyRegion(ShapeManifoldError):
     """No mesh vertices inside the configured region box."""
 

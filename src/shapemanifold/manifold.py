@@ -23,7 +23,6 @@ from .errors import (
     DegenerateAbscissa,
     DegenerateTrainingSet,
     InfeasibleRegion,
-    OutOfRegion,
 )
 from .ffd import FfdConfig, check_params, displacement_jacobian
 from .mesh import TriMesh, flatten, unflatten
@@ -197,6 +196,12 @@ def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Stacked matmuls round each row like a scalar 2-vector dot product,
+    # which elementwise sums do not.
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 # A hull narrower than this fraction of its largest coordinate (its width
 # taken as twice its area over its longest box side) is round-off around
 # collinear points: coordinates of magnitude c carry errors of about 1e-16 c.
@@ -267,12 +272,6 @@ class FeasiblePolygon:
         object.__setattr__(self, "edges", e1)
         object.__setattr__(self, "tol", 1e-9 * max(1.0, float(np.abs(v).max())))
 
-    @property
-    def area(self) -> float:
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-
     def contains(self, point) -> bool:
         """Boundary-inclusive: every edge sees the point on its left, up to
         ``-tol``."""
@@ -280,6 +279,18 @@ class FeasiblePolygon:
         v, e = self.vertices, self.edges
         cross = e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])
         return bool(np.all(cross >= -self.tol))
+
+    def distance(self, point) -> float:
+        """Euclidean distance to the polygon; zero wherever :meth:`contains`
+        holds."""
+        p = np.asarray(point, dtype=float).reshape(2)
+        if self.contains(p):
+            return 0.0
+        a, ab = self.vertices, self.edges
+        # Strict convexity of the polygon rules out zero-length edges.
+        t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
+        gap = p - (a + t[:, None] * ab)
+        return float(np.sqrt(_row_dots(gap, gap)).min())
 
 
 def _line_intersection(a, b, c, d):
@@ -402,17 +413,25 @@ class ReducedSpace:
         a, b = self.polygon.axes
         return np.array([full[a], full[b]])
 
+    def infeasibility(self, mu_red) -> float:
+        """Squared distance to the feasible set: the squared excess of the
+        free coordinates over the widened box plus the squared polygon
+        distance of the constrained pair."""
+        x = np.asarray(mu_red, dtype=float).reshape(-1)
+        if x.size != self.dim:
+            raise ValueError(f"expected {self.dim} reduced coordinates, got {x.size}")
+        below = np.maximum(self.box_low - x, 0.0)
+        above = np.maximum(x - self.box_high, 0.0)
+        total = float((below**2).sum() + (above**2).sum())
+        pair = self.pair_point(x)
+        if pair is not None:
+            total += self.polygon.distance(pair) ** 2
+        return total
+
     def contains(self, mu_red) -> bool:
-        """Feasibility test: inside the bounding box and the polygon."""
+        """Feasibility test: the right length and zero infeasibility."""
         mu_red = np.asarray(mu_red, dtype=float).reshape(-1)
-        if mu_red.size != self.dim:
-            return False
-        if np.any(mu_red < self.box_low) or np.any(mu_red > self.box_high):
-            return False
-        pair = self.pair_point(mu_red)
-        if pair is not None and not self.polygon.contains(pair):
-            return False
-        return True
+        return mu_red.size == self.dim and self.infeasibility(mu_red) == 0.0
 
 
 def _default_pair(deps: DependencyModel, n_coeff: int) -> tuple[int, int] | None:
@@ -507,13 +526,6 @@ def sample_reduced(space: ReducedSpace, n: int, seed: int) -> np.ndarray:
 
 
 def decode(space: ReducedSpace, mu_red, reference: TriMesh) -> TriMesh:
-    """Geometry for one reduced coordinate vector.
-
-    The coordinates must be feasible; out-of-region decoding is an error
-    rather than a clamp so constraint violations cannot pass silently.
-    """
-    mu_red = np.asarray(mu_red, dtype=float).reshape(-1)
-    if not space.contains(mu_red):
-        raise OutOfRegion(f"reduced coordinates {mu_red.tolist()} are infeasible")
-    vec = pod.reconstruct(space.basis, space.expand(mu_red))
-    return unflatten(vec, reference)
+    """Geometry for one reduced coordinate vector, feasible or not: the
+    sampler and the optimizer decide feasibility."""
+    return unflatten(pod.reconstruct(space.basis, space.expand(mu_red)), reference)

@@ -12,44 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleRegion
-from .manifold import FeasiblePolygon, ReducedSpace, sample_reduced
+from .manifold import ReducedSpace, sample_reduced
 
 _DIAMETER_TOL = 1e-6
 _SPREAD_TOL = 1e-10
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Stacked matmuls round each row like a scalar 2-vector dot product,
-    # which elementwise sums do not.
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
-    """Euclidean distance to the polygon; zero inside or on the boundary."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    if polygon.contains(p):
-        return 0.0
-    a = polygon.vertices
-    ab = polygon.edges
-    # Strict convexity of the polygon rules out zero-length edges.
-    t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
-    gap = p - (a + t[:, None] * ab)
-    return float(np.sqrt(_row_dots(gap, gap)).min())
-
-
-def _infeasibility_sq(space: ReducedSpace, x: np.ndarray) -> float:
-    # Squared distance to the feasible set: box violation of the free
-    # coordinates plus polygon violation of the constrained pair. Both are
-    # measured as ``space.contains`` tests, from the box widened by its
-    # tolerance and the boundary-inclusive polygon, so the result is zero
-    # exactly where ``contains`` holds.
-    below = np.maximum(space.box_low - x, 0.0)
-    above = np.maximum(x - space.box_high, 0.0)
-    total = float((below**2).sum() + (above**2).sum())
-    if space.polygon is not None:
-        pair = space.pair_point(x)
-        total += distance_to_polygon(pair, space.polygon) ** 2
-    return total
 
 
 @dataclass(frozen=True)
@@ -138,8 +104,10 @@ def minimize(problem: OptProblem) -> OptResult:
     Start points are drawn from the feasible region with the problem
     seed, so results are reproducible. Trial points outside the region
     are evaluated with a quadratic penalty added (the objective must
-    tolerate mild excursions; surrogates do). The reported best value is
-    the raw objective, minimized over feasible evaluations only.
+    tolerate mild excursions; surrogates do): the space's infeasibility,
+    which is zero exactly where ``space.contains`` holds. The reported
+    best value is the raw objective, minimized over feasible evaluations
+    only.
     """
     space = problem.space
     starts = sample_reduced(space, problem.starts, problem.seed)
@@ -157,7 +125,7 @@ def minimize(problem: OptProblem) -> OptResult:
     def penalized(x):
         value = float(problem.objective(x))
         trials.append((x.copy(), value))
-        excess = _infeasibility_sq(space, x)
+        excess = space.infeasibility(x)
         feasible.append(excess == 0.0)
         return value + weight * excess
 

@@ -42,10 +42,10 @@ from shapemanifold.manifold import (
     FeasiblePolygon,
     ReducedSpace,
     build_reduced_space,
+    decode,
     fit_feasible_polygon,
 )
-from shapemanifold.mesh import FacetSoup, TriMesh, flatten, weld
-from shapemanifold.optimize import _infeasibility_sq, distance_to_polygon
+from shapemanifold.mesh import FacetSoup, TriMesh, flatten, unflatten, weld
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,15 @@ def segment_distance_oracle(p, a, b) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def shoelace_area(vertices) -> float:
+    """Signed area of a polygon by the shoelace formula, positive for
+    counter-clockwise vertices."""
+    v = [(float(x), float(y)) for x, y in vertices]
+    return 0.5 * sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])
+    )
+
+
 def random_cloud(rng, n_points: int) -> np.ndarray:
     """A rotated Gaussian cloud in the plane, with axis scales up to three
     decades apart, at a random overall scale and offset."""
@@ -194,7 +203,7 @@ def assert_polygon_contains_cloud(cloud: np.ndarray, max_vertices) -> None:
     polygon = fit_feasible_polygon(cloud, max_vertices)
     for point in cloud:
         assert polygon.contains(point)
-        assert distance_to_polygon(point, polygon) == 0.0
+        assert polygon.distance(point) == 0.0
 
 
 def assert_space_contains_training_points(rng) -> None:
@@ -549,7 +558,7 @@ def _row_dots(x, y):
 
 
 def roll_distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
-    """``optimize.distance_to_polygon`` with the edges by ``np.roll``."""
+    """``FeasiblePolygon.distance`` with the edges by ``np.roll``."""
     p = np.asarray(point, dtype=float).reshape(2)
     if roll_point_in_polygon(p, polygon.vertices):
         return 0.0
@@ -646,11 +655,11 @@ def assert_contains_matches_roll_oracle(rng) -> None:
 
 
 def assert_distance_matches_roll_oracle(rng) -> None:
-    """``distance_to_polygon`` gives the ``np.roll`` formula's distance bit
-    for bit."""
+    """``FeasiblePolygon.distance`` gives the ``np.roll`` formula's distance
+    bit for bit."""
     polygon = random_polygon(rng)
     for p in probe_points(rng, polygon.vertices, 40):
-        assert bits(distance_to_polygon(p, polygon)) == bits(
+        assert bits(polygon.distance(p)) == bits(
             roll_distance_to_polygon(p, polygon)
         )
 
@@ -709,7 +718,7 @@ def random_reduced_space(rng) -> ReducedSpace:
         pad = 0.3 * (hi - lo)
         ranges.append([lo - pad, hi + pad])
     return ReducedSpace(
-        basis=pod.compute_pod(rng.standard_normal((12, 3))),
+        basis=pod.compute_pod(rng.standard_normal((12, n))),
         dependencies=deps,
         polygon=polygon,
         bounding_box=np.array(ranges).reshape(-1, 2),
@@ -742,13 +751,32 @@ def assert_space_contains_matches_per_call_box(rng) -> None:
 
 
 def assert_penalty_zero_exactly_where_feasible(rng) -> None:
-    """The optimizer's infeasibility penalty is zero on the probe points
-    that ``ReducedSpace.contains`` accepts, and positive on the others."""
+    """``ReducedSpace.infeasibility``, the optimizer's penalty, is zero on
+    the probe points that the per-call-tolerance oracle accepts, and
+    positive on the others."""
     space = random_reduced_space(rng)
     for p in space_probe_points(rng, space):
-        penalty = _infeasibility_sq(space, p)
+        penalty = space.infeasibility(p)
         assert penalty >= 0.0
-        assert (penalty == 0.0) is space.contains(p)
+        assert (penalty == 0.0) is per_call_box_contains(space, p)
+
+
+def assert_decode_matches_inline_reconstruction(rng) -> int:
+    """On the probe points that ``ReducedSpace.contains`` rejects, ``decode``
+    gives bit for bit the mesh of the inline ``unflatten(pod.reconstruct(...))``
+    map; returns how many such points were checked."""
+    space = random_reduced_space(rng)
+    reference = make_tetra()  # 12 coordinates, the state size of the basis
+    checked = 0
+    for p in space_probe_points(rng, space):
+        if space.contains(p):
+            continue
+        got = decode(space, p, reference)
+        want = unflatten(pod.reconstruct(space.basis, space.expand(p)), reference)
+        assert bits(got.vertices) == bits(want.vertices)
+        assert np.array_equal(got.facets, want.facets)
+        checked += 1
+    return checked
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property tests: the feasibility tests on values derived at construction
 (polygon edges and tolerance, the widened box, the expand plan) give the
 per-call formulas' results bit for bit, boundary points and signed zeros
-included, and the optimizer's penalty is zero exactly where the space's
-feasibility test holds. The fixed-seed twins in ``test_manifold.py`` and
-``test_optimize.py`` run the same checks without hypothesis.
+included; the space's infeasibility, the optimizer's penalty, is zero
+exactly where the per-call feasibility test holds; and ``decode`` maps
+infeasible points like the inline reconstruction. The fixed-seed twins in
+``test_manifold.py`` and ``test_optimize.py`` run the same checks without
+hypothesis.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from helpers import (  # noqa: E402
     assert_contains_matches_roll_oracle,
+    assert_decode_matches_inline_reconstruction,
     assert_distance_matches_roll_oracle,
     assert_expand_matches_dict_loop,
     assert_penalty_zero_exactly_where_feasible,
@@ -52,3 +55,9 @@ def test_penalty_zero_exactly_where_feasible(seed):
 @seeds
 def test_expand_matches_dict_loop(seed):
     assert_expand_matches_dict_loop(np.random.default_rng(seed))
+
+
+@settings
+@seeds
+def test_decode_of_infeasible_points_matches_inline_reconstruction(seed):
+    assert_decode_matches_inline_reconstruction(np.random.default_rng(seed))

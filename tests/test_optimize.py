@@ -7,11 +7,7 @@ from shapemanifold.manifold import (
     ReducedSpace,
     fit_feasible_polygon,
 )
-from shapemanifold.optimize import (
-    OptProblem,
-    distance_to_polygon,
-    minimize,
-)
+from shapemanifold.optimize import OptProblem, minimize
 from shapemanifold.pod import PodBasis
 
 from helpers import (
@@ -41,13 +37,13 @@ def square_space(lo=0.0, hi=1.0) -> ReducedSpace:
 
 class TestDistanceToPolygon:
     def test_interior_point(self):
-        assert distance_to_polygon([0.5, 0.5], unit_square_polygon()) == 0.0
+        assert unit_square_polygon().distance([0.5, 0.5]) == 0.0
 
     def test_boundary_point(self):
-        assert distance_to_polygon([1.0, 0.5], unit_square_polygon()) == 0.0
+        assert unit_square_polygon().distance([1.0, 0.5]) == 0.0
 
     def test_outward_normal_at_edge_midpoint(self):
-        assert distance_to_polygon([0.5, -2.0], unit_square_polygon()) == pytest.approx(2.0)
+        assert unit_square_polygon().distance([0.5, -2.0]) == pytest.approx(2.0)
 
     def test_beyond_corner_matches_segment_oracle(self):
         poly = unit_square_polygon()
@@ -58,7 +54,7 @@ class TestDistanceToPolygon:
             for i in range(len(v))
         )
         assert oracle == pytest.approx(np.hypot(1.0, 1.5))  # corner (1, 1)
-        assert distance_to_polygon(p, poly) == pytest.approx(oracle)
+        assert poly.distance(p) == pytest.approx(oracle)
 
     def test_matches_segment_oracle_on_random_convex_polygons(self):
         # Relative to the larger of the distance and the coordinate size:
@@ -79,7 +75,7 @@ class TestDistanceToPolygon:
                     for i in range(len(v))
                 )
                 scale = max(oracle, float(np.abs(v).max()), float(np.abs(p).max()))
-                assert abs(distance_to_polygon(p, poly) - oracle) <= 1e-14 * scale
+                assert abs(poly.distance(p) - oracle) <= 1e-14 * scale
                 checked += 1
         assert checked > 1000
 
