@@ -303,14 +303,11 @@ def _interp_to_dict(interp: Interpolator) -> dict:
 
 
 def _interp_from_dict(data: dict, nodes: np.ndarray, name: str) -> Interpolator:
-    weights = _read(data["weights"], "np.ndarray", f"{name}.weights")
-    if weights.ndim == 1:  # one output stored as a flat list
-        weights = weights[:, None]
     return Interpolator(
         kernel=_read(data["kernel"], "str", f"{name}.kernel"),
         epsilon=_read(data["epsilon"], "float", f"{name}.epsilon"),
         nodes=nodes,
-        weights=weights,
+        weights=_read(data["weights"], "np.ndarray", f"{name}.weights"),
         tail=_read(data["tail"], "np.ndarray | None", f"{name}.tail"),
     )
 

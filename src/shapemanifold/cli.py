@@ -152,8 +152,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None and args.n < 1:
         raise ShapeManifoldError(f"--n must be at least 1, got {args.n}")
-    mesh = _load_reference(cfg)
     if args.sampling == "full":
+        mesh = _load_reference(cfg)
         ffd_cfg = _resolve_ffd(cfg, mesh)
         n = args.n or cfg.sampling.n_full
         params = manifold.sample_ffd_params(
@@ -168,7 +168,9 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         out = cfg.output_dir / "db_full"
     else:
         space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
+        # Before the weld: a manifold that does not load fails first.
         space = artifacts.load_reduced_space(space_dir)
+        mesh = _load_reference(cfg)
         n = args.n or cfg.sampling.n_reduced
         params = manifold.sample_reduced(space, n, cfg.sampling.seed + 2)
         _log(f"evaluate: {n} reduced-space samples")

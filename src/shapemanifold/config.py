@@ -35,8 +35,10 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_train, self.n_full, self.n_reduced) < 1:
-            raise ValueError("sample counts must be >= 1")
+        # build_geometry_pod needs two training geometries.
+        _check(self.n_train >= 2, "sampling.n_train", "at least 2", self.n_train)
+        _check(self.n_full >= 1, "sampling.n_full", "at least 1", self.n_full)
+        _check(self.n_reduced >= 1, "sampling.n_reduced", "at least 1", self.n_reduced)
         _check(self.seed >= 0, "sampling.seed", "non-negative", self.seed)
 
 

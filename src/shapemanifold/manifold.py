@@ -370,7 +370,8 @@ class ReducedSpace:
     set; the polygon (if any) constrains one coefficient pair, where a
     dependent member of the pair is evaluated through its regression.
     ``box_low`` and ``box_high`` are the box widened by its tolerance,
-    derived once at construction.
+    derived once at construction. The basis has one mode per coefficient
+    of the dependency model.
     """
 
     basis: pod.PodBasis
@@ -385,6 +386,11 @@ class ReducedSpace:
         if box.shape[0] != self.dim:
             raise ValueError("bounding box rows must match the free coordinates")
         n_coeff = len(self.dependencies.status)
+        if n_coeff != self.basis.rank:
+            raise ValueError(
+                f"{n_coeff} coefficients in the dependency model, "
+                f"but the basis has {self.basis.rank} modes"
+            )
         if self.polygon is not None and max(self.polygon.axes) >= n_coeff:
             raise ValueError(f"polygon axes {self.polygon.axes} beyond {n_coeff} coefficients")
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))

@@ -95,8 +95,9 @@ def _kernel_matrix(kernel: str, r: np.ndarray, epsilon: float) -> np.ndarray:
 class Interpolator:
     """Fitted RBF interpolant from d-dimensional nodes to q outputs.
 
-    ``tail`` holds the affine polynomial coefficients used by the
-    thin-plate kernel (None for the others).
+    ``weights`` has one row per node and ``tail`` holds the (d + 1) x q
+    affine polynomial coefficients used by the thin-plate kernel (None for
+    the others).
     """
 
     kernel: str
@@ -108,6 +109,14 @@ class Interpolator:
     def __post_init__(self):
         if (self.tail is not None) != (self.kernel == "thin-plate"):
             raise ValueError("an affine tail goes with the thin-plate kernel only")
+        m, shape = len(self.nodes), self.weights.shape
+        if len(shape) != 2 or shape[0] != m:
+            raise ValueError(f"weights must be {m} x q for {m} nodes, got shape {shape}")
+        d = self.nodes.shape[-1]
+        if self.tail is not None and self.tail.shape != (d + 1, shape[1]):
+            raise ValueError(
+                f"tail must be {d + 1} x {shape[1]}, got shape {self.tail.shape}"
+            )
 
     def __call__(self, x) -> np.ndarray:
         return self.apply(self.kernel_rows(x))

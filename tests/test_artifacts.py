@@ -31,7 +31,7 @@ from shapemanifold.manifold import (
     fit_feasible_polygon,
     sample_reduced,
 )
-from shapemanifold.pod import TruncationRule, compute_pod, decay_report
+from shapemanifold.pod import PodBasis, TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
 from helpers import assert_binary_artifacts_round_trip, make_sphere, make_tetra
@@ -377,21 +377,6 @@ class TestDirectoryArtifacts:
         save_rom(tmp_path / "rom", model)
         return model, tmp_path / "rom" / "interpolators.json"
 
-    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate"])
-    def test_flat_objective_weights_load_as_a_column(self, tmp_path, kernel):
-        model, path = self.saved_rom(tmp_path, kernel)
-        doc = json.loads(path.read_text())
-        doc["objective"]["weights"] = [w[0] for w in doc["objective"]["weights"]]
-        path.write_text(json.dumps(doc))
-        again = load_rom(tmp_path / "rom")
-        assert again.objective.weights.shape == model.objective.weights.shape
-        np.testing.assert_array_equal(again.objective.weights, model.objective.weights)
-        for probe in ([0.2, -0.3], [0.9, 0.1]):
-            f1, o1 = predict(model, probe)
-            f2, o2 = predict(again, probe)
-            np.testing.assert_array_equal(f1, f2)
-            assert o1 == o2
-
     @pytest.mark.parametrize(
         "edit",
         [
@@ -492,6 +477,31 @@ class TestDirectoryArtifacts:
         assert lines[0].startswith(f"error: {path}: missing or malformed field (ValueError(")
         assert not (tmp_path / "out").exists()
 
+    def test_basis_short_of_the_coefficients_cli_exits_with_one_line(self, tmp_path, capsys):
+        # A basis cut to 2 modes under a space.json of 3 coefficients once
+        # let evaluate sample before failing, and optimize exit 0.
+        rng = np.random.default_rng(6)
+        alpha = rng.uniform(-1, 1, (50, 3))
+        basis = compute_pod(rng.standard_normal((12, 3)))
+        directory = tmp_path / "space"
+        save_reduced_space(directory, build_reduced_space(basis, alpha))
+        save_pod_basis(directory / "geometry_basis.bin",
+                       PodBasis(basis.modes[:, :2], basis.singular_values[:2], basis.center))
+        reason = "3 coefficients in the dependency model, but the basis has 2 modes"
+        message = f"{directory / 'space.json'}: missing or malformed field (ValueError({reason!r}))"
+        with pytest.raises(ArtifactError) as info:
+            load_reduced_space(directory)
+        assert str(info.value) == message
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        # No ref.stl exists: the space must fail before the reference is read.
+        for argv in (["evaluate", "--sampling", "reduced"], ["optimize"]):
+            assert main([*argv, "--space", str(directory), "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "artifact, edit, reason",
         [
@@ -501,13 +511,17 @@ class TestDirectoryArtifacts:
              "objective_mean must be a number, got True"),
             ("rom", lambda doc: doc["coefficients"].update(epsilon="0.5"),
              "coefficients.epsilon must be a number, got '0.5'"),
+            ("rom", lambda doc: doc["objective"].update(
+                weights=[w[0] for w in doc["objective"]["weights"]]),
+             "weights must be 9 x q for 9 nodes, got shape (9,)"),
         ],
-        ids=["free_idx", "objective_mean_bool", "epsilon_string"],
+        ids=["free_idx", "objective_mean_bool", "epsilon_string", "flat_weights"],
     )
     def test_hand_edited_json_cli_exits_with_one_line(self, tmp_path, capsys, artifact, edit,
                                                       reason):
         # These values were once coerced: a string became the tuple of its
-        # characters, true became 1.0, and a numeric string its number.
+        # characters, true became 1.0, a numeric string its number, and a
+        # flat weights list a column.
         _, rom_json = self.saved_rom(tmp_path)
         rng = np.random.default_rng(5)
         alpha = rng.uniform(-1, 1, (50, 2))

@@ -213,6 +213,12 @@ BAD_VALUES = {
         {"rom": {"epsilon": -1.0}}, "rom.epsilon must be above 0 or null, got -1.0"
     ),
     "seed_negative": ({"sampling": {"seed": -1}}, "sampling.seed must be non-negative, got -1"),
+    # One training geometry passed the load and failed after the weld.
+    "n_train_1": ({"sampling": {"n_train": 1}}, "sampling.n_train must be at least 2, got 1"),
+    "n_full_0": ({"sampling": {"n_full": 0}}, "sampling.n_full must be at least 1, got 0"),
+    "n_reduced_0": (
+        {"sampling": {"n_reduced": 0}}, "sampling.n_reduced must be at least 1, got 0"
+    ),
     "optimizer_seed_negative": (
         {"optimizer": {"seed": -5}}, "optimizer.seed must be non-negative or null, got -5"
     ),

@@ -348,6 +348,24 @@ class TestSharedSystem:
         with pytest.raises(ValueError, match="affine tail"):
             dataclasses.replace(interp, tail=tail)
 
+    @pytest.mark.parametrize(
+        "field, cut",
+        [
+            ("weights", lambda a: a[:, 0]),
+            ("weights", lambda a: a[:-1]),
+            ("tail", lambda a: a[:, 0]),
+            ("tail", lambda a: a[:-1]),
+            ("tail", lambda a: np.hstack([a, a])),
+        ],
+        ids=["flat_weights", "short_weights", "flat_tail", "short_tail", "wide_tail"],
+    )
+    def test_misshapen_weights_or_tail_refused(self, field, cut):
+        # A flat weights list was once read as a column.
+        interp = build_rom(linear_span_database(), TruncationRule.energy(0.9999),
+                           "thin-plate").objective
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            dataclasses.replace(interp, **{field: cut(getattr(interp, field))})
+
 
 class TestBuildRomPredict:
     def test_identical_fields_constant_model(self):
