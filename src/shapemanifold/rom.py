@@ -95,9 +95,9 @@ def _kernel_matrix(kernel: str, r: np.ndarray, epsilon: float) -> np.ndarray:
 class Interpolator:
     """Fitted RBF interpolant from d-dimensional nodes to q outputs.
 
-    ``weights`` has one row per node and ``tail`` holds the (d + 1) x q
-    affine polynomial coefficients used by the thin-plate kernel (None for
-    the others).
+    ``nodes`` is m x d, ``weights`` m x q, and ``tail`` holds the
+    (d + 1) x q affine polynomial coefficients used by the thin-plate
+    kernel (None for the others).
     """
 
     kernel: str
@@ -109,10 +109,11 @@ class Interpolator:
     def __post_init__(self):
         if (self.tail is not None) != (self.kernel == "thin-plate"):
             raise ValueError("an affine tail goes with the thin-plate kernel only")
-        m, shape = len(self.nodes), self.weights.shape
+        if self.nodes.ndim != 2:
+            raise ValueError(f"nodes must be m x d, got shape {self.nodes.shape}")
+        (m, d), shape = self.nodes.shape, self.weights.shape
         if len(shape) != 2 or shape[0] != m:
             raise ValueError(f"weights must be {m} x q for {m} nodes, got shape {shape}")
-        d = self.nodes.shape[-1]
         if self.tail is not None and self.tail.shape != (d + 1, shape[1]):
             raise ValueError(
                 f"tail must be {d + 1} x {shape[1]}, got shape {self.tail.shape}"

@@ -514,14 +514,17 @@ class TestDirectoryArtifacts:
             ("rom", lambda doc: doc["objective"].update(
                 weights=[w[0] for w in doc["objective"]["weights"]]),
              "weights must be 9 x q for 9 nodes, got shape (9,)"),
+            ("rom", lambda doc: doc.update(nodes=[n[0] for n in doc["nodes"]]),
+             "nodes must be m x d, got shape (9,)"),
         ],
-        ids=["free_idx", "objective_mean_bool", "epsilon_string", "flat_weights"],
+        ids=["free_idx", "objective_mean_bool", "epsilon_string", "flat_weights",
+             "flat_nodes"],
     )
     def test_hand_edited_json_cli_exits_with_one_line(self, tmp_path, capsys, artifact, edit,
                                                       reason):
         # These values were once coerced: a string became the tuple of its
         # characters, true became 1.0, a numeric string its number, and a
-        # flat weights list a column.
+        # flat weights list a column; flat nodes ended predict in a traceback.
         _, rom_json = self.saved_rom(tmp_path)
         rng = np.random.default_rng(5)
         alpha = rng.uniform(-1, 1, (50, 2))

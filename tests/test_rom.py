@@ -356,10 +356,12 @@ class TestSharedSystem:
             ("tail", lambda a: a[:, 0]),
             ("tail", lambda a: a[:-1]),
             ("tail", lambda a: np.hstack([a, a])),
+            ("nodes", lambda a: a[:, 0]),
         ],
-        ids=["flat_weights", "short_weights", "flat_tail", "short_tail", "wide_tail"],
+        ids=["flat_weights", "short_weights", "flat_tail", "short_tail", "wide_tail",
+             "flat_nodes"],
     )
-    def test_misshapen_weights_or_tail_refused(self, field, cut):
+    def test_misshapen_nodes_weights_or_tail_refused(self, field, cut):
         # A flat weights list was once read as a column.
         interp = build_rom(linear_span_database(), TruncationRule.energy(0.9999),
                            "thin-plate").objective
