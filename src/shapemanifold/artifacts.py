@@ -128,44 +128,39 @@ def load_vector(path) -> np.ndarray:
     return _load_binary(Path(path), _MAGIC_VECTOR, 1, lambda size: size)[1]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_lines(path, lines):
     write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
+def _cell(value) -> str:
+    return "" if value is None else str(value) if type(value) is int else repr(float(value))
+
+
+def save_csv(path, header, rows):
+    """CSV artifact: the header names, then one line per row; a Python int
+    is written as is, any other number as its float repr, None as an
+    empty cell."""
+    _write_lines(path, [",".join(header), *(",".join(map(_cell, row)) for row in rows)])
+
+
 def save_decay_csv(path, report: np.ndarray):
     """Decay table rows as emitted by the mode-decay report."""
-    lines = ["index,sigma,ratio,cumulative_energy"]
-    for row in np.atleast_2d(report):
-        lines.append(
-            f"{int(row[0])},{_fmt(row[1])},{_fmt(row[2])},{_fmt(row[3])}"
-        )
-    _write_lines(path, lines)
+    save_csv(path, ["index", "sigma", "ratio", "cumulative_energy"],
+             ([int(row[0]), *row[1:]] for row in np.atleast_2d(report)))
 
 
 def save_coefficients_csv(path, alpha: np.ndarray):
     """Training coefficient scatter, one row per sample."""
     alpha = np.atleast_2d(alpha)
-    header = ",".join(f"alpha{i + 1}" for i in range(alpha.shape[1]))
-    lines = [header]
-    for row in alpha:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+    save_csv(path, [f"alpha{i + 1}" for i in range(alpha.shape[1])], alpha)
 
 
 def save_trace_csv(path, traces):
     """Optimizer evaluations: start,iter,mu...,value."""
     dim = len(traces[0][0][0]) if traces and traces[0] else 0
-    header = "start,iter," + ",".join(f"mu{i}" for i in range(dim)) + ",value"
-    lines = [header]
-    for start, trace in enumerate(traces):
-        for it, (mu, value) in enumerate(trace):
-            mu_cols = ",".join(_fmt(v) for v in mu)
-            lines.append(f"{start},{it},{mu_cols},{_fmt(value)}")
-    _write_lines(path, lines)
+    save_csv(path, ["start", "iter", *(f"mu{i}" for i in range(dim)), "value"],
+             ([start, it, *mu, value] for start, trace in enumerate(traces)
+              for it, (mu, value) in enumerate(trace)))
 
 
 def _load_json(path, expected_format: str) -> dict:
@@ -191,9 +186,11 @@ def _fields_of(path):
 
 
 def save_reduced_space(directory, space: ReducedSpace):
-    """Directory artifact: space.json plus geometry_basis.bin."""
+    """Directory artifact: space.json, geometry_basis.bin and facets.bin, a
+    matrix artifact of the reference facets' vertex indices."""
     directory = Path(directory)
     save_pod_basis(directory / "geometry_basis.bin", space.basis)
+    _save_binary(directory / "facets.bin", _MAGIC_MATRIX, space.facets.shape, space.facets)
     doc = {
         "format": JSON_FORMATS["space"],
         "version": _VERSION,
@@ -220,6 +217,13 @@ def load_reduced_space(directory) -> ReducedSpace:
     path = directory / "space.json"
     doc = _load_json(path, JSON_FORMATS["space"])
     basis = load_pod_basis(directory / "geometry_basis.bin")
+    facets_path, count = directory / "facets.bin", basis.state_dim // 3
+    if not facets_path.exists():
+        raise ArtifactError(f"{facets_path}: missing; the manifold was written before "
+                            "facets were stored, run build-manifold again")
+    (_, cols), facets = _load_binary(facets_path, _MAGIC_MATRIX, 2, lambda r, c: r * c)
+    if cols != 3 or not np.all((facets == np.floor(facets)) & (facets >= 0) & (facets < count)):
+        raise ArtifactError(f"{facets_path}: not rows of 3 integer vertex indices below {count}")
     with _fields_of(path):
         status = tuple(
             None if entry is None else _section(Dependency, entry, f"dependencies[{i}]")
@@ -237,6 +241,7 @@ def load_reduced_space(directory) -> ReducedSpace:
             raise ValueError("free indices disagree with the dependency model")
         return ReducedSpace(
             basis=basis,
+            facets=facets.reshape(-1, 3),
             dependencies=deps,
             polygon=polygon,
             bounding_box=_read(doc["bounding_box"], "np.ndarray", "bounding_box"),
@@ -248,13 +253,9 @@ def save_solution_database(directory, db: SolutionDatabase):
     one field per row in sample order."""
     directory = Path(directory)
     _save_binary(directory / "fields.bin", _MAGIC_MATRIX, db.fields.shape, db.fields)
-    dim = db.params.shape[1]
-    header = "sample_id," + ",".join(f"mu{i}" for i in range(dim)) + ",objective"
-    lines = [header]
-    for i in range(db.count):
-        mu_cols = ",".join(_fmt(v) for v in db.params[i])
-        lines.append(f"{i},{mu_cols},{_fmt(db.objectives[i])}")
-    _write_lines(directory / "index.csv", lines)  # last: marks the database complete
+    header = ["sample_id", *(f"mu{i}" for i in range(db.params.shape[1])), "objective"]
+    rows = ([i, *db.params[i], db.objectives[i]] for i in range(db.count))
+    save_csv(directory / "index.csv", header, rows)  # last: marks the database complete
 
 
 def load_solution_database(directory) -> SolutionDatabase:

@@ -15,6 +15,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,7 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     _log(f"manifold: kept {basis.rank} geometry modes")
     space = manifold.build_reduced_space(
         basis,
+        mesh.facets,
         alpha,
         r2_threshold=cfg.reduction.r2_threshold,
         max_vertices=cfg.reduction.max_vertices,
@@ -152,6 +154,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None and args.n < 1:
         raise ShapeManifoldError(f"--n must be at least 1, got {args.n}")
+    if args.sampling == "full" and args.space is not None:
+        raise ShapeManifoldError("--space is read by --sampling reduced only")
     if args.sampling == "full":
         mesh = _load_reference(cfg)
         ffd_cfg = _resolve_ffd(cfg, mesh)
@@ -168,16 +172,11 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         out = cfg.output_dir / "db_full"
     else:
         space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
-        # Before the weld: a manifold that does not load fails first.
         space = artifacts.load_reduced_space(space_dir)
-        mesh = _load_reference(cfg)
         n = args.n or cfg.sampling.n_reduced
         params = manifold.sample_reduced(space, n, cfg.sampling.seed + 2)
         _log(f"evaluate: {n} reduced-space samples")
-
-        def geometry_for(mu):
-            return manifold.decode(space, mu, mesh)
-
+        geometry_for = partial(manifold.decode, space)
         out = cfg.output_dir / "db_reduced"
     snapshots = _evaluate_samples(cfg.stub, geometry_for, params, args.jobs)
     db = rom.SolutionDatabase(
@@ -206,21 +205,11 @@ def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
-    rows = max(len(reports["full"]), len(reports["reduced"]))
-    lines = [
-        "index,sigma_full,ratio_full,cumulative_full,"
-        "sigma_reduced,ratio_reduced,cumulative_reduced"
-    ]
-    for i in range(rows):
-        cols = [str(i + 1)]
-        for name in ("full", "reduced"):
-            if i < len(reports[name]):
-                cols.extend(repr(float(v)) for v in reports[name][i][1:])
-            else:
-                cols.extend(["", "", ""])
-        lines.append(",".join(cols))
     out = cfg.output_dir / "decay_comparison.csv"
-    artifacts.write_atomic(out, [("\n".join(lines) + "\n").encode()])
+    pairs = zip_longest(reports["full"][:, 1:], reports["reduced"][:, 1:], fillvalue=[None] * 3)
+    artifacts.save_csv(out, ["index", "sigma_full", "ratio_full", "cumulative_full",
+                             "sigma_reduced", "ratio_reduced", "cumulative_reduced"],
+                       ([i, *a, *b] for i, (a, b) in enumerate(pairs, start=1)))
 
     for mark in _ENERGY_MARKS:
         rule = pod.TruncationRule.energy(mark)
@@ -284,6 +273,8 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_optimize(args, cfg: PipelineConfig) -> int:
+    if args.objective == "stub" and args.rom is not None:
+        raise ShapeManifoldError("--rom is read by --objective rom only")
     space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
     space = artifacts.load_reduced_space(space_dir)
 
@@ -292,10 +283,8 @@ def cmd_optimize(args, cfg: PipelineConfig) -> int:
         model = artifacts.load_rom(rom_dir)
         objective = partial(rom.predict_objective, model)
     else:  # query the synthetic solver through the decode map directly
-        mesh = _load_reference(cfg)
-
         def objective(mu):
-            return solver.evaluate(manifold.decode(space, mu, mesh), cfg.stub).objective
+            return solver.evaluate(manifold.decode(space, mu), cfg.stub).objective
 
     problem = optimize.OptProblem(
         objective=objective,

@@ -240,6 +240,8 @@ def load_pipeline_config(
             cfg.output_dir = base / _read(data["output_dir"], "str", "output_dir")
         if data.get("weld_tolerance") is not None:
             cfg.weld_tolerance = _read(data["weld_tolerance"], "float", "weld_tolerance")
+            _check(cfg.weld_tolerance >= 0, "weld_tolerance", "non-negative or null",
+                   cfg.weld_tolerance)
         if data.get("ffd") is not None:
             cfg.ffd = _ffd_from_dict(data["ffd"])
         trunc = data.get("truncation", {})

@@ -369,15 +369,18 @@ class ReducedSpace:
     ``bounding_box`` is (d, 2) over the free coordinates of the training
     set; the polygon (if any) constrains one coefficient pair, where a
     dependent member of the pair is evaluated through its regression.
-    ``box_low`` and ``box_high`` are the box widened by its tolerance,
-    derived once at construction. The basis has one mode per coefficient
-    of the dependency model.
+    The basis has one mode per coefficient of the dependency model and is
+    centred on the reference mesh, whose (F, 3) ``facets`` every decoded
+    mesh shares. ``reference`` (that mesh) and ``box_low``/``box_high`` (the
+    box widened by its tolerance) are derived once, at construction.
     """
 
     basis: pod.PodBasis
+    facets: np.ndarray
     dependencies: DependencyModel
     polygon: FeasiblePolygon | None
     bounding_box: np.ndarray
+    reference: TriMesh = field(init=False, repr=False, compare=False)
     box_low: np.ndarray = field(init=False, repr=False, compare=False)
     box_high: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -393,7 +396,10 @@ class ReducedSpace:
             )
         if self.polygon is not None and max(self.polygon.axes) >= n_coeff:
             raise ValueError(f"polygon axes {self.polygon.axes} beyond {n_coeff} coefficients")
+        reference = TriMesh(self.basis.center.reshape(-1, 3), self.facets)
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+        object.__setattr__(self, "facets", reference.facets)
+        object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "bounding_box", box)
         object.__setattr__(self, "box_low", box[:, 0] - tol)
         object.__setattr__(self, "box_high", box[:, 1] + tol)
@@ -458,12 +464,14 @@ def _default_pair(deps: DependencyModel, n_coeff: int) -> tuple[int, int] | None
 
 def build_reduced_space(
     basis: pod.PodBasis,
+    facets: np.ndarray,
     alpha: np.ndarray,
     r2_threshold: float = 0.99,
     max_vertices: int | None = 4,
     pair: tuple[int, int] | None = None,
 ) -> ReducedSpace:
-    """Assemble the reduced space from training coefficients.
+    """Assemble the reduced space from training coefficients and the facets
+    of the reference mesh the basis is centred on.
 
     ``pair`` selects the coefficient plane the feasible polygon lives in;
     by default the first dependent coefficient against the next free one.
@@ -498,7 +506,7 @@ def build_reduced_space(
     box = np.column_stack(
         [alpha[:, list(free)].min(axis=0), alpha[:, list(free)].max(axis=0)]
     )
-    return ReducedSpace(basis=basis, dependencies=deps, polygon=polygon, bounding_box=box)
+    return ReducedSpace(basis, facets, deps, polygon, box)
 
 
 def sample_reduced(space: ReducedSpace, n: int, seed: int) -> np.ndarray:
@@ -531,7 +539,7 @@ def sample_reduced(space: ReducedSpace, n: int, seed: int) -> np.ndarray:
     return np.array(accepted[:n])
 
 
-def decode(space: ReducedSpace, mu_red, reference: TriMesh) -> TriMesh:
+def decode(space: ReducedSpace, mu_red) -> TriMesh:
     """Geometry for one reduced coordinate vector, feasible or not: the
     sampler and the optimizer decide feasibility."""
-    return unflatten(pod.reconstruct(space.basis, space.expand(mu_red)), reference)
+    return unflatten(pod.reconstruct(space.basis, space.expand(mu_red)), space.reference)

@@ -97,6 +97,13 @@ def make_tetra() -> TriMesh:
     return TriMesh(vertices, facets)
 
 
+def ring_facets(basis: pod.PodBasis) -> np.ndarray:
+    """Facets over the ``state_dim // 3`` vertices of a synthetic basis's
+    center: facet k names vertices k, k + 1 and k + 2 (mod the count)."""
+    ring = np.arange(basis.state_dim // 3)
+    return np.column_stack([np.roll(ring, -k) for k in range(3)])
+
+
 def ascii_stl_one_facet() -> bytes:
     return (
         b"solid test\n"
@@ -219,7 +226,9 @@ def assert_space_contains_training_points(rng) -> None:
     basis = pod.PodBasis(np.eye(9)[:, :3], np.array([3.0, 2.0, 1.0]), np.zeros(9))
     pair = [(1, 2), (2, 1), None][int(rng.integers(3))]
     max_vertices = [None, 3, 4, 6][int(rng.integers(4))]
-    space = build_reduced_space(basis, alpha, max_vertices=max_vertices, pair=pair)
+    space = build_reduced_space(
+        basis, ring_facets(basis), alpha, max_vertices=max_vertices, pair=pair
+    )
     assert space.dependencies.status[2].source == 0
     assert space.polygon is not None and 2 in space.polygon.axes
     for row in alpha[:, list(space.free_indices)]:
@@ -717,8 +726,10 @@ def random_reduced_space(rng) -> ReducedSpace:
                 lo, hi = np.sort((np.array([v.min(), v.max()]) - s.intercept) / s.slope)
         pad = 0.3 * (hi - lo)
         ranges.append([lo - pad, hi + pad])
+    tetra = make_tetra()  # 12 coordinates, the state size of the basis
     return ReducedSpace(
-        basis=pod.compute_pod(rng.standard_normal((12, n))),
+        basis=pod.compute_pod(rng.standard_normal((12, n)), center=flatten(tetra)),
+        facets=tetra.facets,
         dependencies=deps,
         polygon=polygon,
         bounding_box=np.array(ranges).reshape(-1, 2),
@@ -762,16 +773,19 @@ def assert_penalty_zero_exactly_where_feasible(rng) -> None:
 
 
 def assert_decode_matches_inline_reconstruction(rng) -> int:
-    """On the probe points that ``ReducedSpace.contains`` rejects, ``decode``
+    """The space's reference is the tetrahedron it was built on, bit for bit,
+    and on the probe points that ``ReducedSpace.contains`` rejects, ``decode``
     gives bit for bit the mesh of the inline ``unflatten(pod.reconstruct(...))``
-    map; returns how many such points were checked."""
+    map onto that tetrahedron; returns how many such points were checked."""
     space = random_reduced_space(rng)
-    reference = make_tetra()  # 12 coordinates, the state size of the basis
+    reference = make_tetra()
+    assert bits(space.reference.vertices) == bits(reference.vertices)
+    assert np.array_equal(space.reference.facets, reference.facets)
     checked = 0
     for p in space_probe_points(rng, space):
         if space.contains(p):
             continue
-        got = decode(space, p, reference)
+        got = decode(space, p)
         want = unflatten(pod.reconstruct(space.basis, space.expand(p)), reference)
         assert bits(got.vertices) == bits(want.vertices)
         assert np.array_equal(got.facets, want.facets)
@@ -834,11 +848,13 @@ def special_floats(rng, size: int, non_finite: bool = False) -> np.ndarray:
 
 
 def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, rows, cols):
-    """A basis (``state_dim`` x ``rank``), a vector (``length``) and a
-    database's ``fields.bin`` (``rows`` x ``cols``) load back bit for bit in
-    their saved shapes, the loaded modes are C-contiguous, and the files
-    hold the documented layout: magic, version, uint64 dimensions, float64
-    payload (modes column-major)."""
+    """A basis (``state_dim`` x ``rank``), a vector (``length``), a
+    database's ``fields.bin`` (``rows`` x ``cols``) and a manifold's
+    ``facets.bin`` (``rows`` facets over ``state_dim`` vertices) load back
+    bit for bit in their saved shapes, the loaded modes are C-contiguous,
+    and the files hold the documented layout: magic, version, uint64
+    dimensions, float64 payload (modes column-major, facet indices as
+    integer-valued floats)."""
     header = struct.pack("<I", 1)
     # Signed unit columns: exactly orthonormal, with -0.0 off the diagonal.
     modes = -np.eye(state_dim)[:, rng.permutation(state_dim)[:rank]]
@@ -874,3 +890,21 @@ def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, 
     )
     again = artifacts.load_solution_database(directory / "db").fields
     assert again.shape == (rows, cols) and bits(again) == bits(fields)
+
+    vertices = special_floats(rng, 3 * state_dim)
+    space = ReducedSpace(
+        basis=pod.PodBasis(-np.eye(3 * state_dim)[:, :rank], sigma, vertices),
+        facets=rng.integers(0, state_dim, (rows, 3)),
+        dependencies=DependencyModel((None,) * rank),
+        polygon=None,
+        bounding_box=np.zeros((rank, 2)),
+    )
+    artifacts.save_reduced_space(directory / "manifold", space)
+    path = directory / "manifold" / "facets.bin"
+    assert path.read_bytes() == (
+        b"SMMATRIX" + header + struct.pack("<QQ", rows, 3)
+        + space.facets.astype("<f8").tobytes()
+    )
+    again = artifacts.load_reduced_space(directory / "manifold")
+    assert again.facets.dtype == np.int64 and np.array_equal(again.facets, space.facets)
+    assert bits(again.reference.vertices) == bits(vertices)

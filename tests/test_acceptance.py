@@ -39,7 +39,7 @@ from shapemanifold.optimize import OptProblem, minimize
 from shapemanifold.rom import SolutionDatabase, build_rom, loo_error, predict
 from shapemanifold.solver import StubConfig, evaluate
 
-from helpers import jacobi_singular_values, make_sphere
+from helpers import jacobi_singular_values, make_sphere, ring_facets
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -162,7 +162,7 @@ def test_criterion_06_polygon_soundness():
     quad_ok = all(quad.contains(p) for p in pairs)
 
     basis = pod.PodBasis(np.eye(6)[:, :2], np.array([2.0, 1.0]), np.zeros(6))
-    space = build_reduced_space(basis, pairs, max_vertices=4)
+    space = build_reduced_space(basis, ring_facets(basis), pairs, max_vertices=4)
     samples = sample_reduced(space, 10_000, seed=607)
     samples_ok = all(space.polygon.contains(space.pair_point(row)) for row in samples)
     report(
@@ -203,14 +203,14 @@ def test_criterion_07_reduced_sampling_decays_faster(tmp_path):
     stub = StubConfig()
     train = sample_ffd_params(600, cfg.bounds, seed=701)
     basis, alpha = build_geometry_pod(mesh, cfg, train, pod.TruncationRule.fixed(2))
-    space = build_reduced_space(basis, alpha)
+    space = build_reduced_space(basis, mesh.facets, alpha)
 
     full_params = sample_ffd_params(40, cfg.bounds, seed=702)
     jac = displacement_jacobian(cfg, mesh.vertices)
     full_fields = [evaluate(morph(mesh, jac, mu), stub).field for mu in full_params]
     reduced_params = sample_reduced(space, 32, seed=703)
     reduced_fields = [
-        evaluate(decode(space, mu, mesh), stub).field for mu in reduced_params
+        evaluate(decode(space, mu), stub).field for mu in reduced_params
     ]
 
     n_full, rep_full = _decay_modes(full_fields, 0.999)
@@ -234,10 +234,10 @@ def _pipeline_database(n_samples=20, seed=808):
     basis, alpha = build_geometry_pod(
         mesh, cfg, train, pod.TruncationRule.energy(0.9999)
     )
-    space = build_reduced_space(basis, alpha)
+    space = build_reduced_space(basis, mesh.facets, alpha)
     params = sample_reduced(space, n_samples, seed=seed + 1)
     stub = StubConfig()
-    snaps = [evaluate(decode(space, mu, mesh), stub) for mu in params]
+    snaps = [evaluate(decode(space, mu), stub) for mu in params]
     db = SolutionDatabase(
         params,
         np.array([s.field for s in snaps]),

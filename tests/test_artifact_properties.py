@@ -1,8 +1,9 @@
 """Property test: binary artifacts round-trip bit-exactly.
 
 Each example saves and loads a POD basis (rank 0 included), a vector
-(length 0 included) and a solution database's ``fields.bin``, with signed
-zeros, subnormals and the extremes of the double range among the values.
+(length 0 included), a solution database's ``fields.bin`` and a manifold's
+``facets.bin``, with signed zeros, subnormals and the extremes of the
+double range among the values.
 The fixed-seed twin in ``test_artifacts.py`` runs the same check without
 hypothesis.
 """

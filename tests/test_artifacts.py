@@ -34,7 +34,7 @@ from shapemanifold.manifold import (
 from shapemanifold.pod import PodBasis, TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
-from helpers import assert_binary_artifacts_round_trip, make_sphere, make_tetra
+from helpers import assert_binary_artifacts_round_trip, make_sphere, make_tetra, ring_facets
 
 
 def sample_basis(seed=0):
@@ -149,10 +149,11 @@ class TestDirectoryArtifacts:
         basis_three = type(basis)(
             basis.modes[:, :3], basis.singular_values[:3], basis.center
         )
-        space = build_reduced_space(basis_three, alpha)
+        space = build_reduced_space(basis_three, ring_facets(basis_three), alpha)
         save_reduced_space(tmp_path / "space", space)
         again = load_reduced_space(tmp_path / "space")
         assert again.free_indices == space.free_indices
+        assert again.facets.tobytes() == space.facets.tobytes()
         assert again.polygon.axes == space.polygon.axes
         np.testing.assert_array_equal(again.polygon.vertices, space.polygon.vertices)
         np.testing.assert_array_equal(again.bounding_box, space.bounding_box)
@@ -172,7 +173,8 @@ class TestDirectoryArtifacts:
         alpha = np.column_stack(
             [a0, rng.uniform(-1, 1, 200), 0.5 * a0 + 0.01 * rng.standard_normal(200)]
         )
-        space = build_reduced_space(compute_pod(rng.standard_normal((12, 3))), alpha)
+        tetra = make_tetra()
+        space = build_reduced_space(compute_pod(rng.standard_normal((12, 3))), tetra.facets, alpha)
         assert space.dependencies.status[2].source == 0 and space.polygon.axes == (1, 2)
         raw = fit_feasible_polygon(alpha[:, [1, 2]], max_vertices=4, axes=(1, 2))
         assert raw.vertices.tobytes() != space.polygon.vertices.tobytes()
@@ -186,16 +188,16 @@ class TestDirectoryArtifacts:
         assert again.polygon.vertices.tobytes() == raw.vertices.tobytes()
         assert again.dependencies == old.dependencies
         assert again.bounding_box.tobytes() == old.bounding_box.tobytes()
-        tetra = make_tetra()
         for mu in sample_reduced(old, 40, seed=1):
-            got, want = decode(again, mu, tetra), decode(old, mu, tetra)
+            got, want = decode(again, mu), decode(old, mu)
             assert got.vertices.tobytes() == want.vertices.tobytes()
 
     def test_free_indices_must_match_the_dependencies(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)
         alpha = np.column_stack([a0, rng.uniform(-1, 1, 50), 2.0 * a0])
-        space = build_reduced_space(compute_pod(rng.standard_normal((10, 3))), alpha)
+        basis = compute_pod(rng.standard_normal((9, 3)))
+        space = build_reduced_space(basis, ring_facets(basis), alpha)
         assert space.free_indices == (0, 1)
         save_reduced_space(tmp_path / "space", space)
         path = tmp_path / "space" / "space.json"
@@ -408,7 +410,8 @@ class TestDirectoryArtifacts:
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)
         alpha = np.column_stack([a0, rng.uniform(-1, 1, 50)])
-        space = build_reduced_space(compute_pod(rng.standard_normal((10, 2))), alpha)
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        space = build_reduced_space(basis, ring_facets(basis), alpha)
         save_reduced_space(tmp_path / "space", space)
         path = tmp_path / "space" / "space.json"
         doc = json.loads(path.read_text())
@@ -458,7 +461,7 @@ class TestDirectoryArtifacts:
         alpha = np.column_stack([a0, rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)])
         basis = compute_pod(rng.standard_normal((12, 3)))
         directory = tmp_path / "space"
-        save_reduced_space(directory, build_reduced_space(basis, alpha))
+        save_reduced_space(directory, build_reduced_space(basis, ring_facets(basis), alpha))
         path = directory / "space.json"
         doc = json.loads(path.read_text())
         doc["polygon"]["axes"] = axes
@@ -484,7 +487,7 @@ class TestDirectoryArtifacts:
         alpha = rng.uniform(-1, 1, (50, 3))
         basis = compute_pod(rng.standard_normal((12, 3)))
         directory = tmp_path / "space"
-        save_reduced_space(directory, build_reduced_space(basis, alpha))
+        save_reduced_space(directory, build_reduced_space(basis, ring_facets(basis), alpha))
         save_pod_basis(directory / "geometry_basis.bin",
                        PodBasis(basis.modes[:, :2], basis.singular_values[:2], basis.center))
         reason = "3 coefficients in the dependency model, but the basis has 2 modes"
@@ -494,7 +497,7 @@ class TestDirectoryArtifacts:
         assert str(info.value) == message
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
-        # No ref.stl exists: the space must fail before the reference is read.
+        # No ref.stl exists, and neither stage reads it.
         for argv in (["evaluate", "--sampling", "reduced"], ["optimize"]):
             assert main([*argv, "--space", str(directory), "--config", str(config)]) == 1
             captured = capsys.readouterr()
@@ -528,7 +531,8 @@ class TestDirectoryArtifacts:
         _, rom_json = self.saved_rom(tmp_path)
         rng = np.random.default_rng(5)
         alpha = rng.uniform(-1, 1, (50, 2))
-        space = build_reduced_space(compute_pod(rng.standard_normal((10, 2))), alpha)
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        space = build_reduced_space(basis, ring_facets(basis), alpha)
         save_reduced_space(tmp_path / "space", space)
         path = rom_json if artifact == "rom" else tmp_path / "space" / "space.json"
         doc = json.loads(path.read_text())
@@ -549,12 +553,50 @@ class TestDirectoryArtifacts:
             )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "facets",
+        [[[0.0, 1.0, 2.5]], [[0.0, 1.0, 3.0]], [[0.0, np.inf, 2.0]], [[0.0, np.nan, 2.0]],
+         [[0.0, 1.0], [1.0, 2.0]], None],
+        ids=["non_integer", "out_of_range", "infinite", "nan", "two_columns", "missing"],
+    )
+    def test_bad_facets_cli_exits_with_one_line(self, tmp_path, capsys, facets):
+        # Every stage that loads a manifold refuses it, the rom objective included.
+        reason = "not rows of 3 integer vertex indices below 3"  # the basis has 3 vertices
+        if facets is None:
+            reason = ("missing; the manifold was written before facets were stored, "
+                      "run build-manifold again")
+        self.saved_rom(tmp_path)
+        rng = np.random.default_rng(5)
+        alpha = rng.uniform(-1, 1, (50, 2))
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        directory = tmp_path / "space"
+        save_reduced_space(directory, build_reduced_space(basis, ring_facets(basis), alpha))
+        path = directory / "facets.bin"
+        if facets is None:
+            path.unlink()
+        else:
+            facets = np.array(facets)
+            artifacts._save_binary(path, b"SMMATRIX", facets.shape, facets)
+        with pytest.raises(ArtifactError) as info:
+            load_reduced_space(directory)
+        assert str(info.value) == f"{path}: {reason}"
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        for argv in (["evaluate", "--sampling", "reduced"],
+                     ["optimize", "--rom", str(tmp_path / "rom")],
+                     ["optimize", "--objective", "stub"]):
+            assert main([*argv, "--space", str(directory), "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_json_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)
         alpha = np.column_stack([a0, rng.uniform(-1, 1, 50)])
-        basis = compute_pod(rng.standard_normal((10, 2)))
-        space = build_reduced_space(basis, alpha)
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        space = build_reduced_space(basis, ring_facets(basis), alpha)
         save_reduced_space(tmp_path / "space", space)
         (tmp_path / "space" / "space.json").write_text("{\"format\": \"nope\"}")
         with pytest.raises(ArtifactError):

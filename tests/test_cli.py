@@ -647,6 +647,50 @@ class TestJobsFlag:
         assert not (root / "out").exists()
 
 
+class TestUnreadOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--sampling", "full", "--space", "/nonexistent", "--n", "2"],
+             "--space is read by --sampling reduced only"),
+            (["optimize", "--objective", "stub", "--rom", "/nonexistent"],
+             "--rom is read by --objective rom only"),
+        ],
+        ids=["space_with_full", "rom_with_stub"],
+    )
+    def test_fails_with_one_line_before_any_work(self, workspace, capsys, argv, message):
+        # Both were accepted and ignored.
+        root, cfg = workspace
+        assert run(cfg, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (root / "out").exists()
+
+
+class TestManifoldCarriesItsMesh:
+    """evaluate --sampling reduced and optimize --objective stub read the
+    manifold only: its facets.bin holds the reference connectivity."""
+
+    def test_stages_write_the_same_bytes_without_the_stl(self, workspace, capsys):
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        space = ["--space", str(root / "out" / "manifold")]
+        outputs = []
+        for name in ("with", "without"):
+            if name == "without":
+                (root / "sphere.stl").unlink()
+            out = root / name
+            capsys.readouterr()
+            assert run(cfg, "evaluate", "--sampling", "reduced", *space, "--out", str(out)) == 0
+            assert run(cfg, "optimize", "--objective", "stub", *space, "--out", str(out)) == 0
+            captured = capsys.readouterr()
+            assert "reference:" not in captured.err
+            files = ("db_reduced/index.csv", "db_reduced/fields.bin", "optimization_trace.csv")
+            outputs.append([captured.out] + [(out / f).read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
+
+
 class TestParserErrors:
     @pytest.mark.parametrize(
         "argv, message",

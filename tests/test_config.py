@@ -222,6 +222,15 @@ BAD_VALUES = {
     "optimizer_seed_negative": (
         {"optimizer": {"seed": -5}}, "optimizer.seed must be non-negative or null, got -5"
     ),
+    # Failed only inside the weld, without naming the field; evaluate
+    # --sampling reduced and optimize --objective stub weld nothing.
+    "weld_negative": (
+        {"weld_tolerance": -1}, "weld_tolerance must be non-negative or null, got -1"
+    ),
+    "weld_tiny_negative": (
+        {"weld_tolerance": -1e-300},
+        "weld_tolerance must be non-negative or null, got -1e-300",
+    ),
 }
 
 PAIR = "reduction.pair must be two distinct coefficient indices or null, got "

@@ -41,11 +41,13 @@ from helpers import (
     assert_polygon_contains_cloud,
     assert_space_contains_matches_per_call_box,
     assert_space_contains_training_points,
+    bits,
     make_sphere,
     ols_oracle,
     oracle_displacement,
     random_cloud,
     ray_cast_inside,
+    ring_facets,
     shoelace_area,
     snapshot_geometry_pod,
 )
@@ -432,7 +434,7 @@ def space_from_alpha(alpha, **kwargs):
         np.linspace(n_modes, 1, n_modes),
         np.zeros(3 * n_modes),
     )
-    return build_reduced_space(basis, alpha, **kwargs)
+    return build_reduced_space(basis, ring_facets(basis), alpha, **kwargs)
 
 
 class TestReducedSpaceContains:
@@ -559,6 +561,7 @@ class TestSampleReduced:
         )
         space = ReducedSpace(
             basis=basis,
+            facets=ring_facets(basis),
             dependencies=DependencyModel((None, None)),
             polygon=tiny,
             bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
@@ -574,6 +577,7 @@ class TestSampleReduced:
         with pytest.raises(ValueError, match=r"polygon axes \(0, 2\) beyond 2 coefficients"):
             ReducedSpace(
                 basis=basis,
+                facets=ring_facets(basis),
                 dependencies=DependencyModel((None, None)),
                 polygon=FeasiblePolygon((0, 2), square),
                 bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
@@ -588,11 +592,18 @@ class TestDecode:
         basis, alpha = build_geometry_pod(
             mesh, cfg, params, TruncationRule.energy(0.9999)
         )
-        return mesh, cfg, params, basis, alpha, build_reduced_space(basis, alpha)
+        return mesh, cfg, params, basis, alpha, build_reduced_space(basis, mesh.facets, alpha)
+
+    def test_reference_is_the_mesh_the_space_was_built_on(self):
+        # The basis is centred on flatten(mesh), so the stored reference
+        # holds its vertices bit for bit, with its facets.
+        mesh, _, _, _, _, space = self.build_pipeline_space()
+        assert bits(space.reference.vertices) == bits(mesh.vertices)
+        assert np.array_equal(space.reference.facets, mesh.facets)
 
     def test_zero_coordinates_give_reference(self):
         mesh, _, _, _, _, space = self.build_pipeline_space()
-        decoded = decode(space, np.zeros(space.dim), mesh)
+        decoded = decode(space, np.zeros(space.dim))
         assert np.abs(decoded.vertices - mesh.vertices).max() < 1e-10
 
     def test_training_round_trip(self):
@@ -602,7 +613,7 @@ class TestDecode:
         # sample's coordinates reproduces its geometry to basis accuracy.
         jac = displacement_jacobian(cfg, mesh.vertices)
         for i in (0, 7, 42):
-            decoded = decode(space, alpha[i][list(space.free_indices)], mesh)
+            decoded = decode(space, alpha[i][list(space.free_indices)])
             truth = morph(mesh, jac, params[i])
             rel = np.linalg.norm(decoded.vertices - truth.vertices) / np.linalg.norm(
                 truth.vertices

@@ -14,6 +14,7 @@ from helpers import (
     assert_distance_matches_roll_oracle,
     assert_penalty_zero_exactly_where_feasible,
     random_cloud,
+    ring_facets,
     segment_distance_oracle,
 )
 
@@ -29,6 +30,7 @@ def square_space(lo=0.0, hi=1.0) -> ReducedSpace:
     basis = PodBasis(np.eye(6)[:, :2], np.array([2.0, 1.0]), np.zeros(6))
     return ReducedSpace(
         basis=basis,
+        facets=ring_facets(basis),
         dependencies=DependencyModel((None, None)),
         polygon=unit_square_polygon(),
         bounding_box=np.array([[lo, hi], [lo, hi]], dtype=float),
