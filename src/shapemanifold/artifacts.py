@@ -217,6 +217,9 @@ def load_reduced_space(directory) -> ReducedSpace:
     path = directory / "space.json"
     doc = _load_json(path, JSON_FORMATS["space"])
     basis = load_pod_basis(directory / "geometry_basis.bin")
+    if basis.state_dim % 3:
+        raise ArtifactError(f"{directory / 'geometry_basis.bin'}: {basis.state_dim} "
+                            "coordinates, not 3 per vertex")
     facets_path, count = directory / "facets.bin", basis.state_dim // 3
     if not facets_path.exists():
         raise ArtifactError(f"{facets_path}: missing; the manifold was written before "

@@ -3,16 +3,19 @@
 Commands: morph, build-manifold, evaluate, compare-decay, build-rom,
 validate, predict, optimize. Each stage reads the artifacts of earlier
 stages from the output directory, so downstream stages can be re-run
-without recomputing upstream ones. Seeds are derived from one base seed:
-training sampling uses the base, full-space evaluation base + 1,
-reduced-space evaluation base + 2, and the optimizer base + 3 (unless
-set explicitly).
+without recomputing upstream ones. :data:`STAGES` declares what each
+stage or stage mode reads, writes and takes; the parser, the default
+paths and the refusal of a path option the mode does not read come from
+it. Seeds are derived from one base seed: training sampling uses the
+base, full-space evaluation base + 1, reduced-space evaluation base + 2,
+and the optimizer base + 3 (unless set explicitly).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import zip_longest
@@ -65,14 +68,14 @@ def _resolve_ffd(cfg: PipelineConfig, mesh: TriMesh) -> ffd.FfdConfig:
     return ffd.default_config(mesh)
 
 
-def _parse_mu(text: str, expected: int | None = None) -> np.ndarray:
+def _parse_mu(text: str, expected: int) -> np.ndarray:
     try:
         mu = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ShapeManifoldError(f"cannot parse parameter vector {text!r}") from exc
     if not np.isfinite(mu).all():
         raise ShapeManifoldError(f"parameter vector {text!r} is not finite")
-    if expected is not None and mu.size != expected:
+    if mu.size != expected:
         raise ShapeManifoldError(
             f"expected {expected} parameter components, got {mu.size}"
         )
@@ -86,9 +89,8 @@ def cmd_morph(args, cfg: PipelineConfig) -> int:
     if ffd.check_params(ffd_cfg, mu)[0]:
         _log("morph: parameter vector outside the configured bounds; morphing it anyway")
     morphed = ffd.morph(mesh, ffd.displacement_jacobian(ffd_cfg, mesh.vertices), mu)
-    out = Path(args.stl_out) if args.stl_out else cfg.output_dir / "morphed.stl"
-    artifacts.write_atomic(out, [write_stl(morphed, args.format)])
-    _log(f"wrote {out}")
+    artifacts.write_atomic(args.stl_out, [write_stl(morphed, args.format)])
+    _log(f"wrote {args.stl_out}")
     return 0
 
 
@@ -123,15 +125,14 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
         _log("manifold: training pair is collinear; polygon constraint dropped")
     elif poly is not None and limit is not None and len(poly.vertices) > limit:
         _log(f"manifold: cannot simplify the polygon below {len(poly.vertices)} vertices")
-    out = cfg.output_dir / "manifold"
-    artifacts.save_reduced_space(out, space)
-    artifacts.save_decay_csv(out / "decay.csv", pod.decay_report(basis))
-    artifacts.save_coefficients_csv(out / "coefficients.csv", alpha)
+    artifacts.save_reduced_space(args.output, space)
+    artifacts.save_decay_csv(args.output / "decay.csv", pod.decay_report(basis))
+    artifacts.save_coefficients_csv(args.output / "coefficients.csv", alpha)
     _log(
         f"manifold: {space.dim} free parameters "
         f"({len(basis.singular_values)} modes, "
         f"{sum(s is not None for s in space.dependencies.status)} dependent); "
-        f"wrote {out}"
+        f"wrote {args.output}"
     )
     return 0
 
@@ -154,8 +155,6 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise ShapeManifoldError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None and args.n < 1:
         raise ShapeManifoldError(f"--n must be at least 1, got {args.n}")
-    if args.sampling == "full" and args.space is not None:
-        raise ShapeManifoldError("--space is read by --sampling reduced only")
     if args.sampling == "full":
         mesh = _load_reference(cfg)
         ffd_cfg = _resolve_ffd(cfg, mesh)
@@ -168,24 +167,20 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
         def geometry_for(mu):
             return ffd.morph(mesh, jac, mu)
-
-        out = cfg.output_dir / "db_full"
     else:
-        space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
-        space = artifacts.load_reduced_space(space_dir)
+        space = artifacts.load_reduced_space(args.space)
         n = args.n or cfg.sampling.n_reduced
         params = manifold.sample_reduced(space, n, cfg.sampling.seed + 2)
         _log(f"evaluate: {n} reduced-space samples")
         geometry_for = partial(manifold.decode, space)
-        out = cfg.output_dir / "db_reduced"
     snapshots = _evaluate_samples(cfg.stub, geometry_for, params, args.jobs)
     db = rom.SolutionDatabase(
         params,
         np.array([s.field for s in snapshots]),
         np.array([s.objective for s in snapshots]),
     )
-    artifacts.save_solution_database(out, db)
-    _log(f"evaluate: wrote {db.count} snapshots to {out}")
+    artifacts.save_solution_database(args.output, db)
+    _log(f"evaluate: wrote {db.count} snapshots to {args.output}")
     return 0
 
 
@@ -196,19 +191,16 @@ def _solution_pod(fields: np.ndarray) -> pod.PodBasis:
 
 
 def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
-    full_dir = Path(args.full) if args.full else cfg.output_dir / "db_full"
-    reduced_dir = Path(args.reduced) if args.reduced else cfg.output_dir / "db_reduced"
     spectra, reports = {}, {}
-    for name, directory in (("full", full_dir), ("reduced", reduced_dir)):
+    for name, directory in (("full", args.full), ("reduced", args.reduced)):
         # Only the basis outlives the call: one database in memory at a time.
         basis = _solution_pod(artifacts.load_solution_database(directory).fields)
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
-    out = cfg.output_dir / "decay_comparison.csv"
     pairs = zip_longest(reports["full"][:, 1:], reports["reduced"][:, 1:], fillvalue=[None] * 3)
-    artifacts.save_csv(out, ["index", "sigma_full", "ratio_full", "cumulative_full",
-                             "sigma_reduced", "ratio_reduced", "cumulative_reduced"],
+    artifacts.save_csv(args.output, ["index", "sigma_full", "ratio_full", "cumulative_full",
+                                     "sigma_reduced", "ratio_reduced", "cumulative_reduced"],
                        ([i, *a, *b] for i, (a, b) in enumerate(pairs, start=1)))
 
     for mark in _ENERGY_MARKS:
@@ -216,13 +208,12 @@ def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
         full_n = rule.select(spectra["full"])
         reduced_n = rule.select(spectra["reduced"])
         print(f"energy {mark}: full={full_n} reduced={reduced_n}")
-    _log(f"wrote {out}")
+    _log(f"wrote {args.output}")
     return 0
 
 
 def cmd_build_rom(args, cfg: PipelineConfig) -> int:
-    db_dir = Path(args.db) if args.db else cfg.output_dir / "db_reduced"
-    db = artifacts.load_solution_database(db_dir)
+    db = artifacts.load_solution_database(args.db)
     model = rom.build_rom(
         db,
         cfg.solution_truncation,
@@ -231,15 +222,13 @@ def cmd_build_rom(args, cfg: PipelineConfig) -> int:
         metadata={"seed": cfg.sampling.seed},
     )
     _log_clamp("rom", cfg.solution_truncation, model.basis.rank)
-    out = cfg.output_dir / "rom"
-    artifacts.save_rom(out, model)
-    _log(f"rom: {model.basis.rank} modes from {db.count} snapshots; wrote {out}")
+    artifacts.save_rom(args.output, model)
+    _log(f"rom: {model.basis.rank} modes from {db.count} snapshots; wrote {args.output}")
     return 0
 
 
 def cmd_validate(args, cfg: PipelineConfig) -> int:
-    db_dir = Path(args.db) if args.db else cfg.output_dir / "db_reduced"
-    db = artifacts.load_solution_database(db_dir)
+    db = artifacts.load_solution_database(args.db)
     errors, summary = rom.loo_error(
         db, cfg.solution_truncation, kernel=cfg.rom.kernel, epsilon=cfg.rom.epsilon
     )
@@ -248,39 +237,33 @@ def cmd_validate(args, cfg: PipelineConfig) -> int:
         # database's, and at most one less than its own sample count.
         rank = _solution_pod(db.fields).rank
         _log_clamp("validate", cfg.solution_truncation, min(rank, db.count - 2))
-    out = cfg.output_dir / "rom"
-    artifacts.save_validation(
-        out / "validation.json", errors, summary, cfg.rom.kernel, cfg.rom.epsilon
-    )
-    _log(f"wrote {out / 'validation.json'}")
+    artifacts.save_validation(args.output, errors, summary, cfg.rom.kernel, cfg.rom.epsilon)
+    _log(f"wrote {args.output}")
     print(repr(summary["mean"]))
     print(repr(summary["max"]))
     return 0
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
-    rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
-    model = artifacts.load_rom(rom_dir)
+    model = artifacts.load_rom(args.rom)
     mu = _parse_mu(args.mu, model.coefficients.nodes.shape[1])
     if rom.extrapolates(model, mu)[0]:
         _log("predict: point outside the training range; extrapolating")
     value, objective = rom.predict(model, mu)
-    out = Path(args.field_out) if args.field_out else cfg.output_dir / "prediction.bin"
-    artifacts.save_vector(out, value)
-    _log(f"wrote {out}")
+    artifacts.save_vector(args.field_out, value)
+    _log(f"wrote {args.field_out}")
     print(repr(objective))
     return 0
 
 
 def cmd_optimize(args, cfg: PipelineConfig) -> int:
-    if args.objective == "stub" and args.rom is not None:
-        raise ShapeManifoldError("--rom is read by --objective rom only")
-    space_dir = Path(args.space) if args.space else cfg.output_dir / "manifold"
-    space = artifacts.load_reduced_space(space_dir)
+    space = artifacts.load_reduced_space(args.space)
 
     if args.objective == "rom":
-        rom_dir = Path(args.rom) if args.rom else cfg.output_dir / "rom"
-        model = artifacts.load_rom(rom_dir)
+        model = artifacts.load_rom(args.rom)
+        if model.coefficients.nodes.shape[1] != space.dim:
+            raise ShapeManifoldError(f"{args.rom}: fitted on {model.coefficients.nodes.shape[1]} "
+                                     f"parameters, but the reduced space has {space.dim}")
         objective = partial(rom.predict_objective, model)
     else:  # query the synthetic solver through the decode map directly
         def objective(mu):
@@ -294,9 +277,8 @@ def cmd_optimize(args, cfg: PipelineConfig) -> int:
         seed=cfg.optimizer_seed,
     )
     result = optimize.minimize(problem)
-    out = cfg.output_dir / "optimization_trace.csv"
-    artifacts.save_trace_csv(out, result.traces)
-    _log(f"wrote {out} ({result.evaluations} evaluations)")
+    artifacts.save_trace_csv(args.output, result.traces)
+    _log(f"wrote {args.output} ({result.evaluations} evaluations)")
     if args.objective == "rom":
         trials = np.array([x for trace in result.traces for x, _ in trace])
         outside = int(rom.extrapolates(model, trials).sum())
@@ -304,6 +286,47 @@ def cmd_optimize(args, cfg: PipelineConfig) -> int:
     print(",".join(repr(float(v)) for v in result.best_mu))
     print(repr(result.best_value))
     return 0
+
+
+# One row per stage, or per mode of a stage that ``mode``, a (selector
+# option, value) pair, picks. ``reads`` and ``writes`` map each artifact's
+# path option, or ``output`` for an output with no option, to its default
+# under the output directory. ``options`` are the row's other arguments, as
+# (flag, ``add_argument`` keywords); a stage takes the options of all its rows.
+Stage = namedtuple("Stage", "command mode func help reads writes options", defaults=((),))
+_PATH_HELP = {"--space": "reduced-space artifact directory", "--db": "solution database directory"}
+_EVALUATE = (("--sampling", {"choices": ("full", "reduced"), "required": True}),
+             ("--n", {"type": int, "default": None}),
+             ("--jobs", {"type": int, "default": 1, "help": "parallel solver evaluations"}))
+_OPTIMIZE = (("--objective", {"choices": ("rom", "stub"), "default": "rom", "help":
+                              "query the fitted surrogate or the synthetic solver directly"}),)
+STAGES = (
+    Stage("morph", None, cmd_morph, "deform the reference STL", {}, {"--stl-out": "morphed.stl"},
+          (("--mu", {"required": True, "help": "comma-separated design parameters"}),
+           ("--format", {"choices": ("binary", "ascii"), "default": "binary"}))),
+    Stage("build-manifold", None, cmd_build_manifold, "train the reduced shape space", {},
+          {"output": "manifold"}),
+    Stage("evaluate", ("--sampling", "full"), cmd_evaluate, "generate a solution database",
+          {}, {"output": "db_full"}, _EVALUATE),
+    Stage("evaluate", ("--sampling", "reduced"), cmd_evaluate, "generate a solution database",
+          {"--space": "manifold"}, {"output": "db_reduced"}, _EVALUATE),
+    Stage("compare-decay", None, cmd_compare_decay, "compare two databases' mode decay",
+          {"--full": "db_full", "--reduced": "db_reduced"}, {"output": "decay_comparison.csv"}),
+    Stage("build-rom", None, cmd_build_rom, "fit the surrogate", {"--db": "db_reduced"},
+          {"output": "rom"}),
+    Stage("validate", None, cmd_validate, "leave-one-out error of the surrogate",
+          {"--db": "db_reduced"}, {"output": "rom/validation.json"}),
+    Stage("predict", None, cmd_predict, "query the surrogate", {"--rom": "rom"},
+          {"--field-out": "prediction.bin"}, (("--mu", {"required": True}),)),
+    Stage("optimize", ("--objective", "rom"), cmd_optimize, "minimize the objective",
+          {"--rom": "rom", "--space": "manifold"}, {"output": "optimization_trace.csv"}, _OPTIMIZE),
+    Stage("optimize", ("--objective", "stub"), cmd_optimize, "minimize the objective",
+          {"--space": "manifold"}, {"output": "optimization_trace.csv"}, _OPTIMIZE),
+)
+
+
+def _dest(key: str) -> str:
+    return key.lstrip("-").replace("-", "_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,67 +348,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="FFD morphing, shape-manifold reduction, surrogate prediction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("morph", parents=[common], help="deform the reference STL")
-    p.add_argument("--mu", required=True, help="comma-separated design parameters")
-    p.add_argument("--format", choices=("binary", "ascii"), default="binary")
-    p.add_argument("--stl-out", default=None)
-    p.set_defaults(func=cmd_morph)
-
-    p = sub.add_parser(
-        "build-manifold", parents=[common], help="train the reduced shape space"
-    )
-    p.set_defaults(func=cmd_build_manifold)
-
-    p = sub.add_parser(
-        "evaluate", parents=[common], help="generate a solution database"
-    )
-    p.add_argument("--sampling", choices=("full", "reduced"), required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--space", default=None, help="reduced-space artifact directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel solver evaluations")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser(
-        "compare-decay", parents=[common], help="compare two databases' mode decay"
-    )
-    p.add_argument("--full", default=None)
-    p.add_argument("--reduced", default=None)
-    p.set_defaults(func=cmd_compare_decay)
-
-    p = sub.add_parser("build-rom", parents=[common], help="fit the surrogate")
-    p.add_argument("--db", default=None, help="solution database directory")
-    p.set_defaults(func=cmd_build_rom)
-
-    p = sub.add_parser(
-        "validate", parents=[common], help="leave-one-out error of the surrogate"
-    )
-    p.add_argument("--db", default=None, help="solution database directory")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("predict", parents=[common], help="query the surrogate")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--rom", default=None)
-    p.add_argument("--field-out", default=None)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("optimize", parents=[common], help="minimize the objective")
-    p.add_argument("--rom", default=None)
-    p.add_argument("--space", default=None)
-    p.add_argument(
-        "--objective",
-        choices=("rom", "stub"),
-        default="rom",
-        help="query the fitted surrogate or the synthetic solver directly",
-    )
-    p.set_defaults(func=cmd_optimize)
+    commands = {}
+    for stage in STAGES:
+        options = commands.setdefault(stage.command, (stage.help, {}))[1]
+        options.update(stage.options)
+        options.update((k, {"help": _PATH_HELP.get(k)}) for k in {**stage.reads, **stage.writes}
+                       if k.startswith("--"))
+    for command, (help_text, options) in commands.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _select(args, output_dir: Path) -> Stage:
+    """The row of :data:`STAGES` that ``args`` pick, with each of its paths
+    set on ``args``: a path option left out or empty takes its default under
+    ``output_dir``. A path option of another mode only is refused."""
+    rows = [s for s in STAGES if s.command == args.command]
+    stage = next(s for s in rows if s.mode is None or getattr(args, _dest(s.mode[0])) == s.mode[1])
+    paths = {**stage.reads, **stage.writes}
+    for key in (k for s in rows for k in {**s.reads, **s.writes} if k not in paths):
+        if getattr(args, _dest(key)) is not None:
+            modes = " or ".join(s.mode[1] for s in rows if key in {**s.reads, **s.writes})
+            raise ShapeManifoldError(f"{key} is read by {stage.mode[0]} {modes} only")
+    for key, default in paths.items():
+        value = getattr(args, _dest(key), None)
+        setattr(args, _dest(key), Path(value) if value else output_dir / default)
+    return stage
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, load_pipeline_config(args.config, args.out, args.seed))
+        cfg = load_pipeline_config(args.config, args.out, args.seed)
+        return _select(args, cfg.output_dir).func(args, cfg)
     except (ShapeManifoldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

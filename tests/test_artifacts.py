@@ -505,6 +505,32 @@ class TestDirectoryArtifacts:
             assert captured.err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_basis_of_partial_vertices_cli_exits_with_one_line(self, tmp_path, capsys):
+        # A 10-coordinate basis under a valid 3-vertex facets.bin was once
+        # blamed on space.json, by the reshape in ReducedSpace.
+        rng = np.random.default_rng(6)
+        basis = compute_pod(rng.standard_normal((9, 3)))
+        directory = tmp_path / "space"
+        save_reduced_space(directory, build_reduced_space(basis, ring_facets(basis),
+                                                          rng.uniform(-1, 1, (50, 3))))
+        path = directory / "geometry_basis.bin"
+        cut = compute_pod(rng.standard_normal((10, 3)))
+        assert (basis.rank, cut.rank) == (3, 3)
+        save_pod_basis(path, cut)
+        message = f"{path}: 10 coordinates, not 3 per vertex"
+        with pytest.raises(ArtifactError) as info:
+            load_reduced_space(directory)
+        assert str(info.value) == message
+        assert "space.json" not in message
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        for argv in (["evaluate", "--sampling", "reduced"], ["optimize", "--objective", "stub"]):
+            assert main([*argv, "--space", str(directory), "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "artifact, edit, reason",
         [

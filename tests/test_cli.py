@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -668,6 +669,27 @@ class TestUnreadOptions:
         assert not (root / "out").exists()
 
 
+class TestRomSpaceDimension:
+    def test_mismatch_fails_with_one_line_before_the_search(self, workspace, capsys):
+        # A rom of the five design parameters once failed inside the search
+        # with numpy's broadcast error, after the starts were drawn.
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "full") == 0
+        assert run(cfg, "build-rom", "--db", str(root / "out" / "db_full"),
+                   "--out", str(root / "o4")) == 0
+        capsys.readouterr()
+        assert run(cfg, "optimize", "--rom", str(root / "o4" / "rom")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {root / 'o4' / 'rom'}: fitted on 5 parameters, "
+            "but the reduced space has 3\n"
+        )
+        assert not (root / "out" / "optimization_trace.csv").exists()
+        assert not (root / "o4" / "optimization_trace.csv").exists()
+
+
 class TestManifoldCarriesItsMesh:
     """evaluate --sampling reduced and optimize --objective stub read the
     manifold only: its facets.bin holds the reference connectivity."""
@@ -739,3 +761,107 @@ class TestSeedOverride:
         a = (root / "a" / "db_full" / "index.csv").read_text()
         b = (root / "b" / "db_full" / "index.csv").read_text()
         assert a != b
+
+
+def _row_id(stage) -> str:
+    return "-".join([stage.command, *stage.mode[1:]]) if stage.mode else stage.command
+
+
+class TestStageTable:
+    """Walks cli.STAGES after a full chain. Every row writes what it
+    declares, needs each input it declares, and reads nothing else under the
+    output directory: each run works on its own copy of the chain's output."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("chain")
+        (root / "sphere.stl").write_bytes(write_stl(make_sphere(8, 10), "binary"))
+        cfg = root / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "reference_stl": "sphere.stl",
+            "output_dir": "out",
+            "sampling": {"n_train": 50, "n_full": 12, "n_reduced": 10},
+            "optimizer": {"starts": 2, "budget": 30},
+        }))
+        for argv in (["morph", "--mu", "0.1,0,0,0,0"], ["build-manifold"],
+                     ["evaluate", "--sampling", "full"], ["evaluate", "--sampling", "reduced"],
+                     ["compare-decay"], ["build-rom"], ["validate"], ["predict", "--mu", "0,0,0"],
+                     ["optimize"], ["optimize", "--objective", "stub"]):
+            assert run(cfg, *argv) == 0
+        files = sorted(p.relative_to(root / "out").as_posix()
+                       for p in (root / "out").rglob("*") if p.is_file())
+        return root, cfg, files
+
+    def run_stage(self, chain, stage, name, capsys, delete=None):
+        """Runs ``stage`` on a copy of the chain's output with ``delete`` (a
+        path relative to it) removed: the exit code, stdout, stderr with the
+        copy's path replaced, and the bytes of every file the stage wrote."""
+        root, cfg, _ = chain
+        out = root / "runs" / name
+        shutil.copytree(root / "out", out)
+        if delete is not None and (out / delete).is_dir():
+            shutil.rmtree(out / delete)
+        elif delete is not None:
+            (out / delete).unlink()
+
+        def stats():
+            return {p: (p.stat().st_ino, p.stat().st_mtime_ns)
+                    for p in out.rglob("*") if p.is_file()}
+
+        before = stats()
+        argv = [stage.command, *(stage.mode or ())]
+        if stage.command in ("morph", "predict"):
+            argv += ["--mu", "0.1,0,0,0,0" if stage.command == "morph" else "0.01,0,0"]
+        capsys.readouterr()
+        code = run(cfg, *argv, "--out", str(out))
+        captured = capsys.readouterr()
+        written = {p.relative_to(out).as_posix(): p.read_bytes()
+                   for p, stat in stats().items() if before.get(p) != stat}
+        return code, captured.out, captured.err.replace(str(out), "<out>"), written, out
+
+    @pytest.mark.parametrize("stage", cli.STAGES, ids=_row_id)
+    def test_declared_outputs_exist(self, chain, stage, capsys):
+        code, _, _, written, out = self.run_stage(chain, stage, _row_id(stage), capsys)
+        assert code == 0
+        for default in stage.writes.values():
+            assert (out / default).exists()
+            assert any(w == default or w.startswith(default + "/") for w in written), default
+
+    @pytest.mark.parametrize("stage", [s for s in cli.STAGES if s.reads], ids=_row_id)
+    def test_each_declared_input_is_needed(self, chain, stage, capsys):
+        for default in stage.reads.values():
+            code, stdout, err, written, out = self.run_stage(
+                chain, stage, f"{_row_id(stage)}-no-{default}", capsys, delete=default)
+            assert (code, stdout) == (1, "")
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert f"<out>/{default}" in lines[0]
+
+    @pytest.mark.parametrize("stage", cli.STAGES, ids=_row_id)
+    def test_undeclared_files_change_nothing(self, chain, stage, capsys):
+        _, _, files = chain
+        baseline = self.run_stage(chain, stage, f"{_row_id(stage)}-all", capsys)[:4]
+        for i, name in enumerate(files):
+            result = self.run_stage(chain, stage, f"{_row_id(stage)}-{i}", capsys, delete=name)
+            if result[:4] == baseline:
+                continue
+            # Only a file under a declared input may matter, and then the
+            # stage fails naming it.
+            assert any(name.startswith(d + "/") for d in stage.reads.values()), name
+            code, stdout, err, _, _ = result
+            assert (code, stdout) == (1, "")
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert f"<out>/{name}" in err
+
+    @pytest.mark.parametrize("stage", [s for s in cli.STAGES if s.mode], ids=_row_id)
+    def test_path_options_of_other_modes_are_refused(self, workspace, capsys, stage):
+        root, cfg = workspace
+        mine = {**stage.reads, **stage.writes}
+        others = [s for s in cli.STAGES if s.command == stage.command and s is not stage]
+        for key in {k for s in others for k in {**s.reads, **s.writes}} - mine.keys():
+            readers = [s.mode[1] for s in others if key in {**s.reads, **s.writes}]
+            assert run(cfg, stage.command, *stage.mode, key, "x") == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {key} is read by {stage.mode[0]} {readers[0]} only\n"
+        assert not (root / "out").exists()
