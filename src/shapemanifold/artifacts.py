@@ -194,7 +194,6 @@ def save_reduced_space(directory, space: ReducedSpace):
     doc = {
         "format": JSON_FORMATS["space"],
         "version": _VERSION,
-        "free_indices": list(space.free_indices),
         "dependencies": [
             None if s is None else asdict(s) for s in space.dependencies.status
         ],
@@ -210,9 +209,8 @@ def save_reduced_space(directory, space: ReducedSpace):
 
 
 def load_reduced_space(directory) -> ReducedSpace:
-    """A :func:`save_reduced_space` directory. The stored ``free_indices``
-    must agree with the dependencies; keys this version does not write are
-    ignored."""
+    """A :func:`save_reduced_space` directory. Keys this version does not
+    write, such as the ``free_indices`` of earlier versions, are ignored."""
     directory = Path(directory)
     path = directory / "space.json"
     doc = _load_json(path, JSON_FORMATS["space"])
@@ -239,13 +237,10 @@ def load_reduced_space(directory) -> ReducedSpace:
                 axes=_read(polygon["axes"], "tuple[int, ...]", "polygon.axes"),
                 vertices=_read(polygon["vertices"], "np.ndarray", "polygon.vertices"),
             )
-        deps = DependencyModel(status)
-        if _read(doc["free_indices"], "tuple[int, ...]", "free_indices") != deps.free_indices:
-            raise ValueError("free indices disagree with the dependency model")
         return ReducedSpace(
             basis=basis,
             facets=facets.reshape(-1, 3),
-            dependencies=deps,
+            dependencies=DependencyModel(status),
             polygon=polygon,
             bounding_box=_read(doc["bounding_box"], "np.ndarray", "bounding_box"),
         )
@@ -299,30 +294,30 @@ def load_solution_database(directory) -> SolutionDatabase:
 
 def _interp_to_dict(interp: Interpolator) -> dict:
     return {
-        "kernel": interp.kernel,
-        "epsilon": interp.epsilon,
         "weights": interp.weights.tolist(),
         "tail": None if interp.tail is None else interp.tail.tolist(),
     }
 
 
-def _interp_from_dict(data: dict, nodes: np.ndarray, name: str) -> Interpolator:
+def _interp_from_dict(data: dict, shared: tuple, name: str) -> Interpolator:
     return Interpolator(
-        kernel=_read(data["kernel"], "str", f"{name}.kernel"),
-        epsilon=_read(data["epsilon"], "float", f"{name}.epsilon"),
-        nodes=nodes,
+        *shared,
         weights=_read(data["weights"], "np.ndarray", f"{name}.weights"),
         tail=_read(data["tail"], "np.ndarray | None", f"{name}.tail"),
     )
 
 
 def save_rom(directory, model: RomModel):
-    """Directory artifact: solution_basis.bin plus interpolators.json."""
+    """Directory artifact: solution_basis.bin plus interpolators.json, which
+    states the kernel, epsilon and nodes of the two interpolants once, then
+    each one's weights and tail."""
     directory = Path(directory)
     save_pod_basis(directory / "solution_basis.bin", model.basis)
     doc = {
         "format": JSON_FORMATS["rom"],
         "version": _VERSION,
+        "kernel": model.coefficients.kernel,
+        "epsilon": model.coefficients.epsilon,
         "nodes": model.coefficients.nodes.tolist(),
         "coefficients": _interp_to_dict(model.coefficients),
         "objective": _interp_to_dict(model.objective),
@@ -338,11 +333,13 @@ def load_rom(directory) -> RomModel:
     doc = _load_json(path, JSON_FORMATS["rom"])
     basis = load_pod_basis(directory / "solution_basis.bin")
     with _fields_of(path):
-        nodes = _read(doc["nodes"], "np.ndarray", "nodes")
+        shared = (_read(doc["kernel"], "str", "kernel"),
+                  _read(doc["epsilon"], "float", "epsilon"),
+                  _read(doc["nodes"], "np.ndarray", "nodes"))
         return RomModel(
             basis=basis,
-            coefficients=_interp_from_dict(doc["coefficients"], nodes, "coefficients"),
-            objective=_interp_from_dict(doc["objective"], nodes, "objective"),
+            coefficients=_interp_from_dict(doc["coefficients"], shared, "coefficients"),
+            objective=_interp_from_dict(doc["objective"], shared, "objective"),
             objective_mean=_read(doc["objective_mean"], "float", "objective_mean"),
             metadata=_read(doc.get("metadata", {}), "dict", "metadata"),
         )

@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _select(args, output_dir: Path) -> Stage:
     """The row of :data:`STAGES` that ``args`` pick, with each of its paths
-    set on ``args``: a path option left out or empty takes its default under
-    ``output_dir``. A path option of another mode only is refused."""
+    set on ``args``: a path option left out takes its default under
+    ``output_dir``. An empty path, or a path option of another mode only, is
+    refused."""
     rows = [s for s in STAGES if s.command == args.command]
     stage = next(s for s in rows if s.mode is None or getattr(args, _dest(s.mode[0])) == s.mode[1])
     paths = {**stage.reads, **stage.writes}
@@ -374,7 +375,9 @@ def _select(args, output_dir: Path) -> Stage:
             raise ShapeManifoldError(f"{key} is read by {stage.mode[0]} {modes} only")
     for key, default in paths.items():
         value = getattr(args, _dest(key), None)
-        setattr(args, _dest(key), Path(value) if value else output_dir / default)
+        if value == "":
+            raise ShapeManifoldError(f"{key} is empty; give a path or leave the option out")
+        setattr(args, _dest(key), output_dir / default if value is None else Path(value))
     return stage
 
 

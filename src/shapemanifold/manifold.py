@@ -332,12 +332,8 @@ def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
         if best is None:
             break
         _, e, p = best
-        if e < (e + 1) % len(verts):
-            verts[e] = p
-            del verts[e + 1]
-        else:  # edge wraps around the end of the list
-            verts[e] = p
-            del verts[0]
+        verts[e] = p
+        del verts[(e + 1) % len(verts)]
     return np.array(verts)
 
 

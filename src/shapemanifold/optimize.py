@@ -45,9 +45,10 @@ class OptResult:
     traces: tuple
 
 
-def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, budget: int) -> int:
-    """Classic simplex descent; returns the number of evaluations of ``f``."""
-    count = 0
+def _nelder_mead(f, x0: np.ndarray, f0: float, steps: np.ndarray, budget: int) -> int:
+    """Classic simplex descent from ``x0``, whose value ``f0`` is given;
+    returns the number of evaluations, the one of ``x0`` included."""
+    count = 1
 
     def call(x):
         nonlocal count
@@ -59,7 +60,7 @@ def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, budget: int) -> int:
         vertex = x0.copy()
         vertex[i] += steps[i]
         simplex.append(vertex)
-    values = [call(x) for x in simplex]
+    values = [f0] + [call(x) for x in simplex[1:]]
 
     while count < budget:
         order = np.argsort(values, kind="stable")
@@ -105,7 +106,8 @@ def minimize(problem: OptProblem) -> OptResult:
     seed, so results are reproducible. Trial points outside the region
     are evaluated with a quadratic penalty added (the objective must
     tolerate mild excursions; surrogates do): the space's infeasibility,
-    which is zero exactly where ``space.contains`` holds. The reported
+    which is zero exactly where ``space.contains`` holds. Each start is
+    evaluated once, and is the first trial of its trace. The reported
     best value is the raw objective, minimized over feasible evaluations
     only.
     """
@@ -122,18 +124,18 @@ def minimize(problem: OptProblem) -> OptResult:
     trials: list[tuple[np.ndarray, float]] = []
     feasible: list[bool] = []
 
-    def penalized(x):
-        value = float(problem.objective(x))
+    def record(x, value):
         trials.append((x.copy(), value))
         excess = space.infeasibility(x)
         feasible.append(excess == 0.0)
         return value + weight * excess
 
+    def penalized(x):
+        return record(x, float(problem.objective(x)))
+
     traces = []
-    for x0 in starts:
-        count = _nelder_mead(
-            penalized, np.asarray(x0, dtype=float), steps, problem.budget
-        )
+    for x0, value in zip(starts, start_values):
+        count = _nelder_mead(penalized, x0, record(x0, value), steps, problem.budget)
         traces.append(tuple(trials[-count:]))
 
     best_mu: np.ndarray | None = None
@@ -150,6 +152,6 @@ def minimize(problem: OptProblem) -> OptResult:
     return OptResult(
         best_mu=best_mu,
         best_value=best_value,
-        evaluations=len(starts) + len(trials),
+        evaluations=len(trials),
         traces=tuple(traces),
     )

@@ -254,7 +254,8 @@ def build_rom(
     epsilon: float | None = None,
     metadata: dict | None = None,
 ) -> RomModel:
-    """Offline phase: reduce the fields and fit the coefficient maps."""
+    """Offline phase: reduce the fields and fit the coefficient maps. The
+    model keeps a copy of ``metadata``, and nothing else, as its metadata."""
     if db.count < 2:
         raise ValueError("need at least two snapshots to build a model")
     matrix, center = pod.assemble(db.fields)
@@ -264,15 +265,7 @@ def build_rom(
     coeff_interp, obj_interp = fit_interpolator(
         db.params, (coeffs, db.objectives - obj_mean), kernel, epsilon
     )
-    meta = {
-        "snapshot_count": db.count,
-        "mode_count": basis.rank,
-        "kernel": kernel,
-        "epsilon": coeff_interp.epsilon,
-    }
-    if metadata:
-        meta.update(metadata)
-    return RomModel(basis, coeff_interp, obj_interp, obj_mean, meta)
+    return RomModel(basis, coeff_interp, obj_interp, obj_mean, dict(metadata or {}))
 
 
 def extrapolates(model: RomModel, points) -> np.ndarray:

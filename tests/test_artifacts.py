@@ -34,7 +34,13 @@ from shapemanifold.manifold import (
 from shapemanifold.pod import PodBasis, TruncationRule, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
-from helpers import assert_binary_artifacts_round_trip, make_sphere, make_tetra, ring_facets
+from helpers import (
+    assert_binary_artifacts_round_trip,
+    assert_same_interpolator,
+    make_sphere,
+    make_tetra,
+    ring_facets,
+)
 
 
 def sample_basis(seed=0):
@@ -161,8 +167,7 @@ class TestDirectoryArtifacts:
         assert dep == space.dependencies.status[1]
         doc = json.loads((tmp_path / "space" / "space.json").read_text())
         assert list(doc["dependencies"][1]) == ["source", "slope", "intercept", "r2"]
-        assert list(doc) == ["format", "version", "free_indices", "dependencies",
-                             "polygon", "bounding_box"]
+        assert list(doc) == ["format", "version", "dependencies", "polygon", "bounding_box"]
 
     def test_space_with_the_dropped_key_loads_as_before(self, tmp_path):
         # Older files carry "polygon_uses_regressed", which nothing read. With
@@ -192,7 +197,9 @@ class TestDirectoryArtifacts:
             got, want = decode(again, mu), decode(old, mu)
             assert got.vertices.tobytes() == want.vertices.tobytes()
 
-    def test_free_indices_must_match_the_dependencies(self, tmp_path, capsys):
+    def test_space_with_stored_free_indices_loads_as_before(self, tmp_path):
+        # Earlier files also stored the free indices, the positions of the
+        # null dependencies; the key is ignored, and the space is the same.
         rng = np.random.default_rng(5)
         a0 = rng.uniform(-1, 1, 50)
         alpha = np.column_stack([a0, rng.uniform(-1, 1, 50), 2.0 * a0])
@@ -202,19 +209,18 @@ class TestDirectoryArtifacts:
         save_reduced_space(tmp_path / "space", space)
         path = tmp_path / "space" / "space.json"
         doc = json.loads(path.read_text())
-        doc["free_indices"] = [0, 2]
-        path.write_text(json.dumps(doc))
-        config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
-        argv = ["optimize", "--objective", "stub", "--space", str(tmp_path / "space"),
-                "--config", str(config)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: missing or malformed field "
-            "(ValueError('free indices disagree with the dependency model'))\n"
-        )
+        old = {"format": doc.pop("format"), "version": doc.pop("version"),
+               "free_indices": [0, 1], **doc}
+        path.write_text(json.dumps(old, indent=1))
+        again = load_reduced_space(tmp_path / "space")
+        assert again.dependencies == space.dependencies
+        assert again.free_indices == (0, 1)
+        assert again.polygon.axes == space.polygon.axes
+        for got, want in [(again.polygon.vertices, space.polygon.vertices),
+                          (again.bounding_box, space.bounding_box),
+                          (again.facets, space.facets), (again.basis.modes, space.basis.modes),
+                          (again.basis.center, space.basis.center)]:
+            assert got.tobytes() == want.tobytes()
 
     def test_database_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -358,7 +364,7 @@ class TestDirectoryArtifacts:
             rng.standard_normal((8, 25)),
             rng.standard_normal(8),
         )
-        model = build_rom(db, TruncationRule.energy(0.99))
+        model = build_rom(db, TruncationRule.energy(0.99), metadata={"seed": 4})
         save_rom(tmp_path / "rom", model)
         again = load_rom(tmp_path / "rom")
         probe = np.array([0.2, -0.3])
@@ -366,7 +372,24 @@ class TestDirectoryArtifacts:
         f2, o2 = predict(again, probe)
         np.testing.assert_array_equal(f1, f2)
         assert o1 == o2
-        assert again.metadata["mode_count"] == model.basis.rank
+        assert again.metadata == {"seed": 4}
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate"])
+    def test_rom_states_each_shared_fact_once(self, tmp_path, kernel):
+        model, path = self.saved_rom(tmp_path, kernel)
+        text = path.read_text()
+        for key in ("kernel", "epsilon", "nodes"):
+            assert text.count(f'"{key}"') == 1, key
+        doc = json.loads(text)
+        assert list(doc) == ["format", "version", "kernel", "epsilon", "nodes", "coefficients",
+                             "objective", "objective_mean", "metadata"]
+        assert (doc["kernel"], doc["epsilon"]) == (kernel, model.coefficients.epsilon)
+        for name in ("coefficients", "objective"):
+            assert list(doc[name]) == ["weights", "tail"]
+        assert doc["metadata"] == {}
+        again = load_rom(tmp_path / "rom")
+        assert_same_interpolator(again.coefficients, model.coefficients)
+        assert_same_interpolator(again.objective, model.objective)
 
     def saved_rom(self, tmp_path, kernel="gaussian"):
         rng = np.random.default_rng(6)
@@ -403,7 +426,7 @@ class TestDirectoryArtifacts:
             lambda doc: doc.pop("bounding_box"),
             lambda doc: doc.update(dependencies=3),
             lambda doc: doc["polygon"].pop("axes"),
-            lambda doc: doc.update(free_indices=None),
+            lambda doc: doc["polygon"].pop("vertices"),
         ],
     )
     def test_malformed_space_fields_name_the_file(self, tmp_path, edit):
@@ -421,25 +444,14 @@ class TestDirectoryArtifacts:
         with pytest.raises(ArtifactError, match="space.json"):
             load_reduced_space(tmp_path / "space")
 
-    @pytest.mark.parametrize(
-        "edit, reason",
-        [
-            (lambda doc: doc["objective"].update(kernel="linear-rbf"),
-             "the two interpolants differ in kernel or epsilon"),
-            (lambda doc: doc["objective"].update(epsilon=doc["objective"]["epsilon"] * 2),
-             "the two interpolants differ in kernel or epsilon"),
-            (lambda doc: doc["coefficients"].update(kernel="thin-plate"),
-             "an affine tail goes with the thin-plate kernel only"),
-        ],
-        ids=["kernel", "epsilon", "tail"],
-    )
-    def test_interpolants_of_different_systems_cli_exits_with_one_line(
-        self, tmp_path, capsys, edit, reason
-    ):
+    def test_interpolants_of_different_systems_cli_exits_with_one_line(self, tmp_path, capsys):
+        # The one kernel, epsilon and node set serve both interpolants; a
+        # thin-plate kernel over interpolants without tails is refused.
         _, path = self.saved_rom(tmp_path)
         doc = json.loads(path.read_text())
-        edit(doc)
+        doc["kernel"] = "thin-plate"
         path.write_text(json.dumps(doc))
+        reason = "an affine tail goes with the thin-plate kernel only"
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
         argv = ["predict", "--config", str(config), "--rom", str(tmp_path / "rom"),
@@ -534,19 +546,19 @@ class TestDirectoryArtifacts:
     @pytest.mark.parametrize(
         "artifact, edit, reason",
         [
-            ("space", lambda doc: doc.update(free_indices="0"),
-             "free_indices must be a list of integers, got '0'"),
+            ("space", lambda doc: doc.update(bounding_box="0"),
+             "bounding_box must be an array of numbers, got '0'"),
             ("rom", lambda doc: doc.update(objective_mean=True),
              "objective_mean must be a number, got True"),
-            ("rom", lambda doc: doc["coefficients"].update(epsilon="0.5"),
-             "coefficients.epsilon must be a number, got '0.5'"),
+            ("rom", lambda doc: doc.update(epsilon="0.5"),
+             "epsilon must be a number, got '0.5'"),
             ("rom", lambda doc: doc["objective"].update(
                 weights=[w[0] for w in doc["objective"]["weights"]]),
              "weights must be 9 x q for 9 nodes, got shape (9,)"),
             ("rom", lambda doc: doc.update(nodes=[n[0] for n in doc["nodes"]]),
              "nodes must be m x d, got shape (9,)"),
         ],
-        ids=["free_idx", "objective_mean_bool", "epsilon_string", "flat_weights",
+        ids=["bounding_box_string", "objective_mean_bool", "epsilon_string", "flat_weights",
              "flat_nodes"],
     )
     def test_hand_edited_json_cli_exits_with_one_line(self, tmp_path, capsys, artifact, edit,
@@ -576,6 +588,33 @@ class TestDirectoryArtifacts:
             assert captured.out == ""
             assert captured.err == (
                 f"error: {path}: missing or malformed field (ValueError({reason!r}))\n"
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_rom_of_the_earlier_layout_cli_exits_with_one_line(self, tmp_path, capsys):
+        # Earlier files stated the kernel and epsilon in each interpolant and
+        # again in the metadata, beside the snapshot and mode counts.
+        model, path = self.saved_rom(tmp_path)
+        doc = json.loads(path.read_text())
+        shared = {"kernel": doc.pop("kernel"), "epsilon": doc.pop("epsilon")}
+        for name in ("coefficients", "objective"):
+            doc[name] = {**shared, **doc[name]}
+        doc["metadata"] = {"snapshot_count": 9, "mode_count": model.basis.rank, **shared}
+        path.write_text(json.dumps(doc, indent=1))
+        rng = np.random.default_rng(5)
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        space = build_reduced_space(basis, ring_facets(basis), rng.uniform(-1, 1, (50, 2)))
+        save_reduced_space(tmp_path / "space", space)
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
+        common = ["--config", str(config), "--rom", str(tmp_path / "rom")]
+        for argv in (["predict", "--mu", "0.1,0.2", *common],
+                     ["optimize", "--space", str(tmp_path / "space"), *common]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}: missing or malformed field (KeyError('kernel'))\n"
             )
         assert not (tmp_path / "out").exists()
 

@@ -143,7 +143,7 @@ class TestBuildManifold:
         doc = json.loads((out / "space.json").read_text())
         # The shipped lattice has three intrinsic directions, none of them
         # mutually dependent under uniform sampling.
-        assert len(doc["free_indices"]) == 3
+        assert doc["dependencies"] == [None, None, None]
 
     def test_tiny_training_set_warns(self, workspace, capsys):
         # Two samples: dependency detection leaves every coefficient free,
@@ -792,10 +792,11 @@ class TestStageTable:
                        for p in (root / "out").rglob("*") if p.is_file())
         return root, cfg, files
 
-    def run_stage(self, chain, stage, name, capsys, delete=None):
-        """Runs ``stage`` on a copy of the chain's output with ``delete`` (a
-        path relative to it) removed: the exit code, stdout, stderr with the
-        copy's path replaced, and the bytes of every file the stage wrote."""
+    def run_stage(self, chain, stage, name, capsys, delete=None, extra=()):
+        """Runs ``stage``, with the arguments ``extra``, on a copy of the
+        chain's output with ``delete`` (a path relative to it) removed: the
+        exit code, stdout, stderr with the copy's path replaced, and the
+        bytes of every file the stage wrote."""
         root, cfg, _ = chain
         out = root / "runs" / name
         shutil.copytree(root / "out", out)
@@ -813,7 +814,7 @@ class TestStageTable:
         if stage.command in ("morph", "predict"):
             argv += ["--mu", "0.1,0,0,0,0" if stage.command == "morph" else "0.01,0,0"]
         capsys.readouterr()
-        code = run(cfg, *argv, "--out", str(out))
+        code = run(cfg, *argv, *extra, "--out", str(out))
         captured = capsys.readouterr()
         written = {p.relative_to(out).as_posix(): p.read_bytes()
                    for p, stat in stats().items() if before.get(p) != stat}
@@ -836,6 +837,18 @@ class TestStageTable:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             assert f"<out>/{default}" in lines[0]
+
+    @pytest.mark.parametrize("stage", [s for s in cli.STAGES
+                                       if any(k.startswith("--") for k in {**s.reads, **s.writes})],
+                             ids=_row_id)
+    def test_empty_path_option_is_refused(self, chain, stage, capsys):
+        # An empty path once took the option's default under the output directory.
+        for key in (k for k in {**stage.reads, **stage.writes} if k.startswith("--")):
+            code, stdout, err, written, out = self.run_stage(
+                chain, stage, f"{_row_id(stage)}-empty-{key.lstrip('-')}", capsys,
+                extra=(key, ""))
+            assert (code, stdout, written) == (1, "", {}), key
+            assert err == f"error: {key} is empty; give a path or leave the option out\n"
 
     @pytest.mark.parametrize("stage", cli.STAGES, ids=_row_id)
     def test_undeclared_files_change_nothing(self, chain, stage, capsys):

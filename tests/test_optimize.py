@@ -193,3 +193,18 @@ class TestMinimize:
         result = minimize(problem)
         assert result.evaluations <= 4 * 50 + 4 + 4 * 2
         assert counter["n"] == result.evaluations
+
+    def test_each_start_is_evaluated_once_as_its_first_trial(self):
+        space = square_space()
+        calls = []
+
+        def objective(x):
+            calls.append(np.array(x, dtype=float))
+            return float(np.sum((x - 0.3) ** 2))
+
+        result = minimize(OptProblem(objective, space, budget=30, starts=3, seed=9))
+        assert len(calls) == result.evaluations == sum(map(len, result.traces))
+        for start, trace in zip(calls[:3], result.traces):
+            x0, value = trace[0]
+            assert x0.tobytes() == start.tobytes() and value == np.sum((start - 0.3) ** 2)
+            assert sum(c.tobytes() == start.tobytes() for c in calls) == 1

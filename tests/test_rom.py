@@ -264,7 +264,7 @@ class TestSharedSystem:
                 coefficients, objective = separate_fits(db, model.basis, kernel, epsilon)
                 assert_same_interpolator(model.coefficients, coefficients)
                 assert_same_interpolator(model.objective, objective)
-                assert model.metadata["epsilon"] == coefficients.epsilon
+                assert model.metadata == {}
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_tuple_of_values_matches_separate_calls(self, kernel):
