@@ -12,13 +12,11 @@ from .errors import ShapeManifoldError
 from .ffd import (
     FfdConfig,
     MapEntry,
-    ParamMap,
     default_config,
     displacement_jacobian,
     morph,
 )
 from .manifold import (
-    DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
     build_geometry_pod,

@@ -21,12 +21,7 @@ import numpy as np
 
 from .config import _read, _section
 from .errors import ArtifactError, EmptyDatabase
-from .manifold import (
-    Dependency,
-    DependencyModel,
-    FeasiblePolygon,
-    ReducedSpace,
-)
+from .manifold import Dependency, FeasiblePolygon, ReducedSpace
 from .pod import PodBasis
 from .rom import Interpolator, RomModel, SolutionDatabase
 
@@ -194,9 +189,7 @@ def save_reduced_space(directory, space: ReducedSpace):
     doc = {
         "format": JSON_FORMATS["space"],
         "version": _VERSION,
-        "dependencies": [
-            None if s is None else asdict(s) for s in space.dependencies.status
-        ],
+        "dependencies": [None if s is None else asdict(s) for s in space.dependencies],
         "polygon": None
         if space.polygon is None
         else {
@@ -226,7 +219,7 @@ def load_reduced_space(directory) -> ReducedSpace:
     if cols != 3 or not np.all((facets == np.floor(facets)) & (facets >= 0) & (facets < count)):
         raise ArtifactError(f"{facets_path}: not rows of 3 integer vertex indices below {count}")
     with _fields_of(path):
-        status = tuple(
+        dependencies = tuple(
             None if entry is None else _section(Dependency, entry, f"dependencies[{i}]")
             for i, entry in enumerate(doc["dependencies"])
         )
@@ -240,7 +233,7 @@ def load_reduced_space(directory) -> ReducedSpace:
         return ReducedSpace(
             basis=basis,
             facets=facets.reshape(-1, 3),
-            dependencies=DependencyModel(status),
+            dependencies=dependencies,
             polygon=polygon,
             bounding_box=_read(doc["bounding_box"], "np.ndarray", "bounding_box"),
         )

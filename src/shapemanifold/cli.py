@@ -131,7 +131,7 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     _log(
         f"manifold: {space.dim} free parameters "
         f"({len(basis.singular_values)} modes, "
-        f"{sum(s is not None for s in space.dependencies.status)} dependent); "
+        f"{sum(s is not None for s in space.dependencies)} dependent); "
         f"wrote {args.output}"
     )
     return 0
@@ -384,6 +384,11 @@ def _select(args, output_dir: Path) -> Stage:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # Path("") is the current directory: an empty path is refused, not read as ".".
+        if args.config == "":
+            raise ShapeManifoldError("--config is empty; give a path")
+        if args.out == "":
+            raise ShapeManifoldError("--out is empty; give a path or leave the option out")
         cfg = load_pipeline_config(args.config, args.out, args.seed)
         return _select(args, cfg.output_dir).func(args, cfg)
     except (ShapeManifoldError, OSError, ValueError) as exc:

@@ -202,7 +202,8 @@ def _ffd_from_dict(data) -> ffd_mod.FfdConfig:
         _read(data["origin"], "np.ndarray", "ffd.origin"),
         _read(data["axes"], "np.ndarray", "ffd.axes"),
         _read(data["dims"], "tuple[int, int, int]", "ffd.dims"),
-        ffd_mod.ParamMap(entries, _read(params["dim"], "int", "ffd.parameters.dim")),
+        entries,
+        _read(params["dim"], "int", "ffd.parameters.dim"),
         _box(data["bounds"], "ffd.bounds"),
     )
 
@@ -237,7 +238,10 @@ def load_pipeline_config(
             reference_stl=base / _read(data["reference_stl"], "str", "reference_stl")
         )
         if "output_dir" in data:
-            cfg.output_dir = base / _read(data["output_dir"], "str", "output_dir")
+            output_dir = _read(data["output_dir"], "str", "output_dir")
+            if not output_dir:
+                raise ValueError("output_dir is empty; give a path or leave the key out")
+            cfg.output_dir = base / output_dir
         if data.get("weld_tolerance") is not None:
             cfg.weld_tolerance = _read(data["weld_tolerance"], "float", "weld_tolerance")
             _check(cfg.weld_tolerance >= 0, "weld_tolerance", "non-negative or null",

@@ -112,13 +112,23 @@ class MapEntry:
 
 
 @dataclass(frozen=True)
-class ParamMap:
-    """Linear map from design parameters to control-point displacements."""
+class FfdConfig:
+    """Lattice geometry, the linear map from design parameters to
+    control-point displacements (``entries``, whose contributions to the
+    same control point and axis add up), and the design-parameter box."""
 
+    origin: np.ndarray
+    axes: np.ndarray
+    dims: tuple[int, int, int]
     entries: tuple[MapEntry, ...]
     param_dim: int
+    bounds: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        origin, axes = _validate_frame(self.origin, self.axes)
+        dims = tuple(self.dims)
+        if len(dims) != 3 or any(d < 1 for d in dims):
+            raise ValueError("lattice degrees must be three integers >= 1")
         entries = tuple(self.entries)
         if self.param_dim < 1:
             raise ValueError("param_dim must be >= 1")
@@ -127,41 +137,19 @@ class ParamMap:
                 raise ValueError(f"parameter index {e.param} outside 0..{self.param_dim - 1}")
             if e.axis not in (0, 1, 2):
                 raise ValueError(f"axis must be 0, 1 or 2, got {e.axis}")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
-class FfdConfig:
-    """Lattice geometry, parameter map, and the design-parameter box."""
-
-    origin: np.ndarray
-    axes: np.ndarray
-    dims: tuple[int, int, int]
-    param_map: ParamMap
-    bounds: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        origin, axes = _validate_frame(self.origin, self.axes)
-        dims = tuple(self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError("lattice degrees must be three integers >= 1")
-        for e in self.param_map.entries:
             if any(not 0 <= e.point[a] <= dims[a] for a in range(3)):
                 raise ValueError(f"control point {e.point} outside lattice {dims}")
         bounds = self.bounds
         if bounds is None:
-            bounds = np.tile([-0.3, 0.3], (self.param_map.param_dim, 1))
-        bounds = np.asarray(bounds, dtype=float).reshape(self.param_map.param_dim, 2)
+            bounds = np.tile([-0.3, 0.3], (self.param_dim, 1))
+        bounds = np.asarray(bounds, dtype=float).reshape(self.param_dim, 2)
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ValueError("parameter bounds must satisfy lower < upper")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def param_dim(self) -> int:
-        return self.param_map.param_dim
 
 
 def check_params(config: FfdConfig, params) -> np.ndarray:
@@ -187,7 +175,7 @@ def _control_displacements(config: FfdConfig, mu: np.ndarray) -> np.ndarray:
     # same control point and axis add up.
     l, m, n = config.dims
     disp = np.zeros((l + 1, m + 1, n + 1, 3))
-    for e in config.param_map.entries:
+    for e in config.entries:
         i, j, k = e.point
         disp[i, j, k, e.axis] += e.weight * mu[e.param]
     return disp
@@ -252,6 +240,7 @@ def default_config(mesh: TriMesh) -> FfdConfig:
         origin=box[:, 0],
         axes=np.diag(extent),
         dims=(2, 2, 2),
-        param_map=ParamMap(entries, param_dim=5),
+        entries=entries,
+        param_dim=5,
     )
 

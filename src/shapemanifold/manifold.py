@@ -109,55 +109,14 @@ class Dependency:
     r2: float
 
 
-@dataclass(frozen=True)
-class DependencyModel:
-    """Per-coefficient status: free (None) or dependent on a free one.
-
-    ``free_indices`` and the plan :meth:`expand` follows (per coefficient:
-    the position of its free source, and the slope and intercept of a
-    dependent one) are derived once, at construction.
-    """
-
-    status: tuple
-    free_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _plan: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        status = tuple(self.status)
-        free = tuple(i for i, s in enumerate(status) if s is None)
-        for i, s in enumerate(status):
-            if s is not None and s.source not in free:
-                raise ValueError(
-                    f"coefficient {i} depends on {s.source}, which is not free"
-                )
-        pos = {idx: k for k, idx in enumerate(free)}
-        plan = tuple(
-            (pos[i], None, None) if s is None else (pos[s.source], s.slope, s.intercept)
-            for i, s in enumerate(status)
-        )
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "free_indices", free)
-        object.__setattr__(self, "_plan", plan)
-
-    def expand(self, free_values) -> np.ndarray:
-        """Full coefficient vector from the free coordinates."""
-        free_values = np.asarray(free_values, dtype=float).reshape(-1)
-        if free_values.size != len(self.free_indices):
-            raise ValueError(
-                f"expected {len(self.free_indices)} free values, "
-                f"got {free_values.size}"
-            )
-        # Python floats are IEEE doubles: each entry rounds as the float64
-        # expression ``slope * value + intercept`` does.
-        v = free_values.tolist()
-        return np.array(
-            [v[k] if a is None else a * v[k] + b for k, a, b in self._plan],
-            dtype=float,
-        )
+def _free(status) -> tuple[int, ...]:
+    """Positions of the free (``None``) entries of a dependency tuple."""
+    return tuple(i for i, s in enumerate(status) if s is None)
 
 
-def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> DependencyModel:
-    """Greedy scan for affine relations between coefficient columns.
+def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> tuple:
+    """Greedy scan for affine relations between coefficient columns: one
+    :class:`Dependency`, or ``None`` for a free coefficient, per column.
 
     Columns are visited in mode order. A column becomes dependent on the
     already-free column that fits it best, provided that fit reaches the
@@ -170,7 +129,7 @@ def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> DependencyMod
         raise ValueError("r2 threshold must be in (0, 1]")
     n_coeff = alpha.shape[1]
     if alpha.shape[0] < 3:
-        return DependencyModel((None,) * n_coeff)
+        return (None,) * n_coeff
     status: list = []
     free: list[int] = []
     for j in range(n_coeff):
@@ -185,7 +144,7 @@ def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> DependencyMod
         status.append(best)
         if best is None:
             free.append(j)
-    return DependencyModel(tuple(status))
+    return tuple(status)
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +321,47 @@ def fit_feasible_polygon(
 class ReducedSpace:
     """Free coefficient coordinates plus the constraints that bound them.
 
-    ``bounding_box`` is (d, 2) over the free coordinates of the training
-    set; the polygon (if any) constrains one coefficient pair, where a
-    dependent member of the pair is evaluated through its regression.
-    The basis has one mode per coefficient of the dependency model and is
-    centred on the reference mesh, whose (F, 3) ``facets`` every decoded
-    mesh shares. ``reference`` (that mesh) and ``box_low``/``box_high`` (the
-    box widened by its tolerance) are derived once, at construction.
+    ``dependencies`` holds one entry per coefficient: ``None`` for a free
+    one, or the :class:`Dependency` on a free coefficient of a dependent
+    one. ``bounding_box`` is (d, 2) over the free coordinates of the
+    training set; the polygon (if any) constrains one coefficient pair,
+    where a dependent member of the pair is evaluated through its
+    regression. The basis has one mode per coefficient and is centred on
+    the reference mesh, whose (F, 3) ``facets`` every decoded mesh shares.
+    ``free_indices``, the plan :meth:`expand` follows (per coefficient: the
+    position of its free source, and the slope and intercept of a
+    dependent one), ``reference`` (the mesh) and ``box_low``/``box_high``
+    (the box widened by its tolerance) are derived once, at construction.
     """
 
     basis: pod.PodBasis
     facets: np.ndarray
-    dependencies: DependencyModel
+    dependencies: tuple
     polygon: FeasiblePolygon | None
     bounding_box: np.ndarray
+    free_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
     reference: TriMesh = field(init=False, repr=False, compare=False)
     box_low: np.ndarray = field(init=False, repr=False, compare=False)
     box_high: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        status = tuple(self.dependencies)
+        free = _free(status)
+        for i, s in enumerate(status):
+            if s is not None and s.source not in free:
+                raise ValueError(
+                    f"coefficient {i} depends on {s.source}, which is not free"
+                )
+        pos = {idx: k for k, idx in enumerate(free)}
+        plan = tuple(
+            (pos[i], None, None) if s is None else (pos[s.source], s.slope, s.intercept)
+            for i, s in enumerate(status)
+        )
         box = np.asarray(self.bounding_box, dtype=float).reshape(-1, 2)
-        if box.shape[0] != self.dim:
+        if box.shape[0] != len(free):
             raise ValueError("bounding box rows must match the free coordinates")
-        n_coeff = len(self.dependencies.status)
+        n_coeff = len(status)
         if n_coeff != self.basis.rank:
             raise ValueError(
                 f"{n_coeff} coefficients in the dependency model, "
@@ -394,6 +371,9 @@ class ReducedSpace:
             raise ValueError(f"polygon axes {self.polygon.axes} beyond {n_coeff} coefficients")
         reference = TriMesh(self.basis.center.reshape(-1, 3), self.facets)
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+        object.__setattr__(self, "dependencies", status)
+        object.__setattr__(self, "free_indices", free)
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "facets", reference.facets)
         object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "bounding_box", box)
@@ -401,16 +381,21 @@ class ReducedSpace:
         object.__setattr__(self, "box_high", box[:, 1] + tol)
 
     @property
-    def free_indices(self) -> tuple[int, ...]:
-        return self.dependencies.free_indices
-
-    @property
     def dim(self) -> int:
         return len(self.free_indices)
 
     def expand(self, mu_red) -> np.ndarray:
         """Full coefficient vector for reduced coordinates."""
-        return self.dependencies.expand(mu_red)
+        free_values = np.asarray(mu_red, dtype=float).reshape(-1)
+        if free_values.size != self.dim:
+            raise ValueError(f"expected {self.dim} free values, got {free_values.size}")
+        # Python floats are IEEE doubles: each entry rounds as the float64
+        # expression ``slope * value + intercept`` does.
+        v = free_values.tolist()
+        return np.array(
+            [v[k] if a is None else a * v[k] + b for k, a, b in self._plan],
+            dtype=float,
+        )
 
     def pair_point(self, mu_red) -> np.ndarray | None:
         """Value of the polygon-constrained coefficient pair (None without
@@ -442,18 +427,18 @@ class ReducedSpace:
         return mu_red.size == self.dim and self.infeasibility(mu_red) == 0.0
 
 
-def _default_pair(deps: DependencyModel, n_coeff: int) -> tuple[int, int] | None:
+def _default_pair(deps: tuple) -> tuple[int, int] | None:
     # Mirror the usual reading of the training scatter: the first
     # regressed coefficient against the next free one; with no detected
     # dependencies, the second and third coefficients.
-    for j, s in enumerate(deps.status):
+    for j, s in enumerate(deps):
         if s is not None:
-            for f in deps.free_indices:
+            for f in _free(deps):
                 if f > j:
                     return (j, f)
-    if n_coeff >= 3:
+    if len(deps) >= 3:
         return (1, 2)
-    if n_coeff == 2:
+    if len(deps) == 2:
         return (0, 1)
     return None
 
@@ -481,14 +466,14 @@ def build_reduced_space(
     if pair is not None and any(not 0 <= i < alpha.shape[1] for i in pair):
         raise ValueError(f"pair {pair} outside the {alpha.shape[1]} coefficients")
     deps = detect_dependencies(alpha, r2_threshold)
-    free = deps.free_indices
+    free = _free(deps)
     if pair is None:
-        pair = _default_pair(deps, alpha.shape[1])
+        pair = _default_pair(deps)
     polygon = None
     if pair is not None:
         cols = []
         for idx in pair:
-            s = deps.status[idx]
+            s = deps[idx]
             if s is not None:
                 cols.append(s.slope * alpha[:, s.source] + s.intercept)
             else:

@@ -55,9 +55,6 @@ class FacetSoup:
             raise MalformedStl("non-finite vertex coordinate in STL data")
         object.__setattr__(self, "corners", corners)
 
-    def __len__(self) -> int:
-        return self.corners.shape[0]
-
 
 @dataclass(frozen=True)
 class TriMesh:

@@ -12,12 +12,12 @@ The leave-one-out oracle rebuilds every fold on the full-length fields,
 as ``rom.loo_error`` did before it moved the folds into the fields' span.
 The facet oracles take ``np.cross`` of gathered (F, 3) edge rows, as the
 mesh and solver did before they gathered one coordinate at a time. The
-feasibility oracles recompute, on every call, what the polygon, the
-reduced space and the dependency model now derive once at construction:
-polygon edges by ``np.roll``, the box tolerance, and the free-position map
-of a dict loop. The surrogate oracles fit the coefficient and objective
-interpolants with two separate ``fit_interpolator`` calls and evaluate
-each interpolant on its own kernel row.
+feasibility oracles recompute, on every call, what the polygon and the
+reduced space now derive once at construction: polygon edges by
+``np.roll``, the box tolerance, and the free-position map of a dict loop.
+The surrogate oracles fit the coefficient and objective interpolants with
+two separate ``fit_interpolator`` calls and evaluate each interpolant on
+its own kernel row.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
     MeshMorpher,
-    ParamMap,
     displacement_jacobian,
     morph,
 )
 from shapemanifold.manifold import (
     Dependency,
-    DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
     build_reduced_space,
@@ -229,7 +227,7 @@ def assert_space_contains_training_points(rng) -> None:
     space = build_reduced_space(
         basis, ring_facets(basis), alpha, max_vertices=max_vertices, pair=pair
     )
-    assert space.dependencies.status[2].source == 0
+    assert space.dependencies[2].source == 0
     assert space.polygon is not None and 2 in space.polygon.axes
     for row in alpha[:, list(space.free_indices)]:
         assert space.contains(row)
@@ -258,7 +256,7 @@ def control_grid(config, mu) -> np.ndarray:
     entry; entries referencing the same control point and axis add up."""
     l, m, n = config.dims
     disp = np.zeros((l + 1, m + 1, n + 1, 3))
-    for e in config.param_map.entries:
+    for e in config.entries:
         i, j, k = e.point
         disp[i, j, k, e.axis] += e.weight * mu[e.param]
     return disp
@@ -315,7 +313,7 @@ def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int 
     shift[: len(zeroed)] = points[zeroed, np.arange(len(zeroed))]
     origin, points = origin - shift, points - shift
     points[zeroed, np.arange(len(zeroed))] = -0.0
-    config = FfdConfig(origin, axes, degrees, ParamMap(tuple(entries), param_dim))
+    config = FfdConfig(origin, axes, degrees, tuple(entries), param_dim)
     return config, points, outside
 
 
@@ -578,16 +576,17 @@ def roll_distance_to_polygon(point, polygon: FeasiblePolygon) -> float:
     return float(np.sqrt(_row_dots(gap, gap)).min())
 
 
-def dict_loop_expand(deps: DependencyModel, free_values) -> np.ndarray:
-    """Full coefficient vector by a loop over the status, through a dict
-    from coefficient index to free position."""
+def dict_loop_expand(status, free_values) -> np.ndarray:
+    """Full coefficient vector by a loop over the status tuple (one
+    ``Dependency`` or ``None`` per coefficient), through a dict from
+    coefficient index to free position."""
     free_values = np.asarray(free_values, dtype=float).reshape(-1)
-    free = tuple(i for i, s in enumerate(deps.status) if s is None)
+    free = tuple(i for i, s in enumerate(status) if s is None)
     if free_values.size != len(free):
         raise ValueError(f"expected {len(free)} free values, got {free_values.size}")
-    full = np.zeros(len(deps.status))
+    full = np.zeros(len(status))
     pos = {idx: k for k, idx in enumerate(free)}
-    for i, s in enumerate(deps.status):
+    for i, s in enumerate(status):
         if s is None:
             full[i] = free_values[pos[i]]
         else:
@@ -673,9 +672,10 @@ def assert_distance_matches_roll_oracle(rng) -> None:
         )
 
 
-def random_dependency_model(rng, n_coeff: int) -> DependencyModel:
-    """Coefficient 0 free; each later one free or an affine function of an
-    earlier free one, with slopes and intercepts that may be zero."""
+def random_dependencies(rng, n_coeff: int) -> tuple:
+    """One ``Dependency`` or ``None`` per coefficient: coefficient 0 free;
+    each later one free or an affine function of an earlier free one, with
+    slopes and intercepts that may be zero."""
     status: list = [None]
     free = [0]
     for i in range(1, n_coeff):
@@ -688,37 +688,36 @@ def random_dependency_model(rng, n_coeff: int) -> DependencyModel:
                 slope, intercept = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
             status.append(Dependency(int(rng.choice(free)), float(slope),
                                      float(intercept), 1.0))
-    return DependencyModel(tuple(status))
+    return tuple(status)
 
 
 def assert_expand_matches_dict_loop(rng) -> None:
-    """``DependencyModel.expand`` gives the dict loop's vector bit for bit."""
-    deps = random_dependency_model(rng, int(rng.integers(1, 7)))
-    n_free = len(deps.free_indices)
+    """``ReducedSpace.expand`` gives the dict loop's vector bit for bit."""
+    space = random_reduced_space(rng)
     for _ in range(20):
-        values = rng.standard_normal(n_free) * 10.0 ** rng.uniform(-3, 3, n_free)
+        values = rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3, 3, space.dim)
         values = signed_zeros(rng, values)
-        got = deps.expand(values)
-        assert got.dtype == np.float64 and got.shape == (len(deps.status),)
-        assert bits(got) == bits(dict_loop_expand(deps, values))
+        got = space.expand(values)
+        assert got.dtype == np.float64 and got.shape == (len(space.dependencies),)
+        assert bits(got) == bits(dict_loop_expand(space.dependencies, values))
 
 
 def random_reduced_space(rng) -> ReducedSpace:
-    """A random dependency model and polygon, with a box over the free
+    """Random dependencies and polygon, with a box over the free
     coordinates that maps onto the polygon's range (through the regression
     where a polygon member is dependent), so that points fall on both sides
     of both constraints."""
     n = int(rng.integers(1, 6))
-    deps = random_dependency_model(rng, n)
+    deps = random_dependencies(rng, n)
     polygon = None
     if n >= 2 and rng.random() < 0.8:
         axes = tuple(int(a) for a in rng.choice(n, size=2, replace=False))
         polygon = FeasiblePolygon(axes, random_polygon(rng).vertices)
     ranges = []
-    for i in deps.free_indices:
+    for i in (k for k, s in enumerate(deps) if s is None):
         lo, hi = np.sort(rng.standard_normal(2) * 10.0 ** rng.uniform(-2, 2))
         for axis, a in enumerate(polygon.axes if polygon is not None else ()):
-            s = deps.status[a]
+            s = deps[a]
             v = polygon.vertices[:, axis]
             if a == i:
                 lo, hi = v.min(), v.max()
@@ -895,7 +894,7 @@ def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, 
     space = ReducedSpace(
         basis=pod.PodBasis(-np.eye(3 * state_dim)[:, :rank], sigma, vertices),
         facets=rng.integers(0, state_dim, (rows, 3)),
-        dependencies=DependencyModel((None,) * rank),
+        dependencies=(None,) * rank,
         polygon=None,
         bounding_box=np.zeros((rank, 2)),
     )

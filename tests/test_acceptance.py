@@ -19,7 +19,6 @@ from shapemanifold.cli import main
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
-    ParamMap,
     bernstein_row,
     default_config,
     displacement_jacobian,
@@ -134,21 +133,22 @@ def test_criterion_05_dependency_detection():
     rng = np.random.default_rng(505)
     a0 = rng.uniform(-1.5, 1.5, 1000)
     alpha = np.column_stack([a0, 2.0 * a0 + 0.1, rng.uniform(-1, 1, 1000)])
-    model = detect_dependencies(alpha, r2_threshold=0.99)
-    dep = model.status[1]
+    deps = detect_dependencies(alpha, r2_threshold=0.99)
+    dep = deps[1]
     ok = (
         dep is not None
         and dep.source == 0
         and abs(dep.slope - 2.0) < 1e-9
         and abs(dep.intercept - 0.1) < 1e-9
-        and model.free_indices == (0, 2)
+        and deps[0] is None
+        and deps[2] is None
     )
     report(
         5,
         "an affine coefficient relation is detected and folded away",
         ok,
         f"slope {dep.slope:.12f}, intercept {dep.intercept:.12f}, "
-        f"{len(model.free_indices)} free",
+        f"{deps.count(None)} free",
     )
 
 
@@ -198,7 +198,8 @@ def test_criterion_07_reduced_sampling_decays_faster(tmp_path):
         origin=box[:, 0],
         axes=np.diag(box[:, 1] - box[:, 0]),
         dims=(2, 2, 2),
-        param_map=ParamMap(entries, 5),
+        entries=entries,
+        param_dim=5,
     )
     stub = StubConfig()
     train = sample_ffd_params(600, cfg.bounds, seed=701)

@@ -163,8 +163,8 @@ class TestDirectoryArtifacts:
         assert again.polygon.axes == space.polygon.axes
         np.testing.assert_array_equal(again.polygon.vertices, space.polygon.vertices)
         np.testing.assert_array_equal(again.bounding_box, space.bounding_box)
-        dep = again.dependencies.status[1]
-        assert dep == space.dependencies.status[1]
+        dep = again.dependencies[1]
+        assert dep == space.dependencies[1]
         doc = json.loads((tmp_path / "space" / "space.json").read_text())
         assert list(doc["dependencies"][1]) == ["source", "slope", "intercept", "r2"]
         assert list(doc) == ["format", "version", "dependencies", "polygon", "bounding_box"]
@@ -180,7 +180,7 @@ class TestDirectoryArtifacts:
         )
         tetra = make_tetra()
         space = build_reduced_space(compute_pod(rng.standard_normal((12, 3))), tetra.facets, alpha)
-        assert space.dependencies.status[2].source == 0 and space.polygon.axes == (1, 2)
+        assert space.dependencies[2].source == 0 and space.polygon.axes == (1, 2)
         raw = fit_feasible_polygon(alpha[:, [1, 2]], max_vertices=4, axes=(1, 2))
         assert raw.vertices.tobytes() != space.polygon.vertices.tobytes()
         old = dataclasses.replace(space, polygon=raw)
@@ -442,6 +442,19 @@ class TestDirectoryArtifacts:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ArtifactError, match="space.json"):
+            load_reduced_space(tmp_path / "space")
+
+    def test_dependency_on_a_dependent_coefficient_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(5)
+        alpha = rng.uniform(-1, 1, (50, 2))
+        basis = compute_pod(rng.standard_normal((9, 2)))
+        save_reduced_space(tmp_path / "space", build_reduced_space(basis, ring_facets(basis), alpha))
+        path = tmp_path / "space" / "space.json"
+        doc = json.loads(path.read_text())
+        doc["dependencies"][0] = {"source": 0, "slope": 1, "intercept": 0, "r2": 1}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match=r"space\.json: .*coefficient 0 depends on 0, "
+                                                r"which is not free"):
             load_reduced_space(tmp_path / "space")
 
     def test_interpolants_of_different_systems_cli_exits_with_one_line(self, tmp_path, capsys):

@@ -741,6 +741,34 @@ class TestParserErrors:
         assert "--config" in capsys.readouterr().out
 
 
+class TestEmptyPaths:
+    """``Path("")`` is the current directory: an empty ``--out`` or
+    ``output_dir`` once wrote beside the config, and an empty ``--config``
+    failed with an OS error."""
+
+    @pytest.mark.parametrize("case", ["out", "config", "output_dir"])
+    def test_refused_with_one_line_writing_nothing(self, workspace, capsys, monkeypatch,
+                                                    case):
+        root, cfg = workspace
+        monkeypatch.chdir(root)
+        argv = ["morph", "--mu", "0,0,0,0,0", "--config", str(cfg)]
+        if case == "out":
+            argv += ["--out", ""]
+            line = "--out is empty; give a path or leave the option out"
+        elif case == "config":
+            argv[-1] = ""
+            line = "--config is empty; give a path"
+        else:
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": ""}))
+            line = (f"{cfg}: invalid configuration "
+                    "(output_dir is empty; give a path or leave the key out)")
+        before = sorted(root.rglob("*"))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+        assert sorted(root.rglob("*")) == before
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_sampling(self, workspace):
         root, cfg = workspace

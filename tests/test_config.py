@@ -213,6 +213,17 @@ BAD_VALUES = {
         {"rom": {"epsilon": -1.0}}, "rom.epsilon must be above 0 or null, got -1.0"
     ),
     "seed_negative": ({"sampling": {"seed": -1}}, "sampling.seed must be non-negative, got -1"),
+    # The FFD map rules: dim at least 1, param below dim, axis 0-2, point
+    # inside the lattice.
+    "ffd_dim_0": (
+        {"ffd": {**FFD, "parameters": {**FFD["parameters"], "dim": 0}}},
+        "param_dim must be >= 1",
+    ),
+    "ffd_entry_param_at_dim": ({"ffd": with_entry(param=1)}, "parameter index 1 outside 0..0"),
+    "ffd_entry_axis_3": ({"ffd": with_entry(axis=3)}, "axis must be 0, 1 or 2, got 3"),
+    "ffd_entry_point_outside": (
+        {"ffd": with_entry(point=[2, 1, 1])}, "control point (2, 1, 1) outside lattice (1, 1, 1)"
+    ),
     # One training geometry passed the load and failed after the weld.
     "n_train_1": ({"sampling": {"n_train": 1}}, "sampling.n_train must be at least 2, got 1"),
     "n_full_0": ({"sampling": {"n_full": 0}}, "sampling.n_full must be at least 1, got 0"),
@@ -282,7 +293,7 @@ class TestValueTypes:
         assert cfg.rom.epsilon == 2
         assert cfg.optimizer_seed == 7
         assert cfg.ffd.dims == (1, 1, 1)
-        assert cfg.ffd.param_map.entries == (MapEntry(0, (1, 1, 1), 0, 1),)
+        assert cfg.ffd.entries == (MapEntry(0, (1, 1, 1), 0, 1),)
         np.testing.assert_array_equal(cfg.ffd.bounds, [[-0.1, 0.1]])
         assert (cfg.stub.frequency, cfg.stub.amplitude) == ((3, 2, 1), 2)
         assert cfg.stub.target == (0, 0.5, 1)

@@ -10,7 +10,6 @@ from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
     MeshMorpher,
-    ParamMap,
     bernstein_row,
     check_params,
     default_config,
@@ -33,14 +32,14 @@ def every_point_config(weight, origin=np.zeros(3), axes=np.eye(3), degrees=(1, 1
     every axis."""
     points = np.ndindex(*(d + 1 for d in degrees))
     entries = tuple(MapEntry(0, p, a, weight) for p in points for a in range(3))
-    return FfdConfig(origin, axes, degrees, ParamMap(entries, 1), np.array([[-1.0, 1.0]]))
+    return FfdConfig(origin, axes, degrees, entries, 1, np.array([[-1.0, 1.0]]))
 
 
 def corner_config(origin=np.zeros(3), axes=np.eye(3)):
     """Degree-(1, 1, 1) lattice whose one parameter moves the (1, 1, 1)
     corner along the first axis with unit weight."""
     entries = (MapEntry(0, (1, 1, 1), 0, 1.0),)
-    return FfdConfig(origin, axes, (1, 1, 1), ParamMap(entries, 1), np.array([[-1.0, 1.0]]))
+    return FfdConfig(origin, axes, (1, 1, 1), entries, 1, np.array([[-1.0, 1.0]]))
 
 
 def local_coordinates(origin, axes, points) -> np.ndarray:
@@ -52,7 +51,7 @@ def local_coordinates(origin, axes, points) -> np.ndarray:
     entries = tuple(
         MapEntry(a, p, a, 1.0) for a in range(3) for p in np.ndindex(2, 2, 2) if p[a] == 1
     )
-    cfg = FfdConfig(origin, axes, (1, 1, 1), ParamMap(entries, 3))
+    cfg = FfdConfig(origin, axes, (1, 1, 1), entries, 3)
     jac = displacement_jacobian(cfg, points).reshape(-1, 3, 3)
     axes = np.asarray(axes, dtype=float)
     return np.einsum("nka,ak->na", jac, axes) / (axes**2).sum(axis=1)
@@ -172,7 +171,8 @@ class TestApplyParams:
             origin=np.zeros(3),
             axes=np.eye(3),
             dims=(2, 2, 2),
-            param_map=ParamMap(entries, param_dim=5),
+            entries=entries,
+            param_dim=5,
         )
         # Only the (1, 1, 1) control point moves, by (0, 0, 0.3); its
         # degree-2 weight is 8 s(1-s) t(1-t) u(1-u).
@@ -191,7 +191,8 @@ class TestApplyParams:
             origin=np.zeros(3),
             axes=np.eye(3),
             dims=(2, 2, 2),
-            param_map=ParamMap(entries, param_dim=1),
+            entries=entries,
+            param_dim=1,
             bounds=np.array([[-1.0, 1.0]]),
         )
         points = np.random.default_rng(5).random((10, 3))
@@ -301,11 +302,13 @@ class TestDisplacementJacobian:
 
     def test_disjoint_lattice_is_zero(self):
         mesh = make_tetra()
+        default = five_param_config(mesh)
         cfg = FfdConfig(
             origin=np.array([10.0, 10.0, 10.0]),
             axes=np.eye(3),
             dims=(2, 2, 2),
-            param_map=five_param_config(mesh).param_map,
+            entries=default.entries,
+            param_dim=default.param_dim,
         )
         assert np.all(displacement_jacobian(cfg, mesh.vertices) == 0.0)
 
@@ -336,7 +339,7 @@ class TestConfigSerialization:
         np.testing.assert_array_equal(again.origin, cfg.origin)
         np.testing.assert_array_equal(again.axes, cfg.axes)
         assert again.dims == cfg.dims
-        assert again.param_map == cfg.param_map
+        assert (again.entries, again.param_dim) == (cfg.entries, cfg.param_dim)
         np.testing.assert_array_equal(again.bounds, cfg.bounds)
 
     def test_entry_outside_lattice_rejected(self):
@@ -346,7 +349,8 @@ class TestConfigSerialization:
                 origin=np.zeros(3),
                 axes=np.eye(3),
                 dims=(2, 2, 2),
-                param_map=ParamMap(entries, param_dim=1),
+                entries=entries,
+                param_dim=1,
             )
 
 

@@ -13,14 +13,12 @@ from shapemanifold.errors import (
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
-    ParamMap,
     check_params,
     default_config,
     displacement_jacobian,
     morph,
 )
 from shapemanifold.manifold import (
-    DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
     build_geometry_pod,
@@ -89,7 +87,8 @@ class TestBuildGeometryPod:
             origin=mesh.bounding_box()[:, 0],
             axes=np.diag(np.ptp(mesh.vertices, axis=0)),
             dims=(2, 2, 2),
-            param_map=ParamMap(entries, param_dim=5),
+            entries=entries,
+            param_dim=5,
         )
         params = np.zeros((20, 5))
         params[:, 0] = np.linspace(-0.3, 0.3, 20)
@@ -155,7 +154,7 @@ def _rotated_config(mesh):
         (6, (1, 1, 1), 0, 0.3), (6, (2, 1, 2), 1, 0.15),
     ]
     entries = tuple(MapEntry(*row) for row in table)
-    return FfdConfig(origin, axes, (3, 2, 4), ParamMap(entries, param_dim=7))
+    return FfdConfig(origin, axes, (3, 2, 4), entries, 7)
 
 
 def _single_entry_case():
@@ -164,7 +163,8 @@ def _single_entry_case():
         origin=mesh.bounding_box()[:, 0],
         axes=np.diag(np.ptp(mesh.vertices, axis=0)),
         dims=(2, 2, 2),
-        param_map=ParamMap((MapEntry(0, (1, 1, 1), 0, 1.0),), param_dim=5),
+        entries=(MapEntry(0, (1, 1, 1), 0, 1.0),),
+        param_dim=5,
     )
     params = np.zeros((20, 5))
     params[:, 0] = np.linspace(-0.3, 0.3, 20)
@@ -259,7 +259,8 @@ class TestGeometryPodContract:
             origin=np.array([10.0, 10.0, 10.0]),
             axes=np.eye(3),
             dims=(2, 2, 2),
-            param_map=default.param_map,
+            entries=default.entries,
+            param_dim=default.param_dim,
         )
         params = sample_ffd_params(10, cfg.bounds, seed=7)
         with pytest.raises(DegenerateTrainingSet):
@@ -305,40 +306,36 @@ class TestDetectDependencies:
         rng = np.random.default_rng(0)
         a0 = rng.uniform(-1, 1, 300)
         alpha = np.column_stack([a0, 2.0 * a0, rng.uniform(-1, 1, 300)])
-        model = detect_dependencies(alpha, r2_threshold=0.99)
-        assert model.status[0] is None
-        dep = model.status[1]
+        deps = detect_dependencies(alpha, r2_threshold=0.99)
+        assert deps[0] is None
+        dep = deps[1]
         assert dep.source == 0
         assert dep.slope == pytest.approx(2.0, abs=1e-9)
         assert dep.intercept == pytest.approx(0.0, abs=1e-9)
         assert dep.r2 >= 1.0 - 1e-12
-        assert model.status[2] is None
-        assert model.free_indices == (0, 2)
+        assert deps[2] is None
 
     def test_independent_noise_all_free(self):
         rng = np.random.default_rng(1)
         alpha = rng.uniform(-1, 1, (500, 3))
-        model = detect_dependencies(alpha, r2_threshold=0.99)
-        assert model.free_indices == (0, 1, 2)
+        assert detect_dependencies(alpha, r2_threshold=0.99) == (None, None, None)
 
     def test_single_coefficient(self):
-        model = detect_dependencies(np.ones((5, 1)), r2_threshold=0.99)
-        assert model.free_indices == (0,)
+        assert detect_dependencies(np.ones((5, 1)), r2_threshold=0.99) == (None,)
 
     def test_expand(self):
         rng = np.random.default_rng(2)
         a0 = rng.uniform(-1, 1, 100)
         alpha = np.column_stack([a0, -0.5 * a0 + 0.25, rng.uniform(-1, 1, 100)])
-        model = detect_dependencies(alpha, r2_threshold=0.99)
-        full = model.expand([2.0, 7.0])
+        space = space_from_alpha(alpha)
+        assert space.free_indices == (0, 2)
+        full = space.expand([2.0, 7.0])
         np.testing.assert_allclose(full, [2.0, -0.75, 7.0], atol=1e-9)
 
     def test_few_samples_warns(self):
         # Two rows would fit any line exactly: every coefficient stays free.
         alpha = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 5.0]])
-        model = detect_dependencies(alpha, r2_threshold=0.99)
-        assert model.status == (None, None, None)
-        assert model.free_indices == (0, 1, 2)
+        assert detect_dependencies(alpha, r2_threshold=0.99) == (None, None, None)
 
 
 class TestFeasiblePolygon:
@@ -478,7 +475,7 @@ class TestBuildReducedSpace:
         alpha = paper_structured_alpha()
         space = space_from_alpha(alpha)
         a, b = space.polygon.axes
-        dep = space.dependencies.status[a]
+        dep = space.dependencies[a]
         for row in alpha:
             first = dep.slope * row[dep.source] + dep.intercept
             assert space.polygon.contains([first, row[b]])
@@ -562,7 +559,7 @@ class TestSampleReduced:
         space = ReducedSpace(
             basis=basis,
             facets=ring_facets(basis),
-            dependencies=DependencyModel((None, None)),
+            dependencies=(None, None),
             polygon=tiny,
             bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )
@@ -578,7 +575,7 @@ class TestSampleReduced:
             ReducedSpace(
                 basis=basis,
                 facets=ring_facets(basis),
-                dependencies=DependencyModel((None, None)),
+                dependencies=(None, None),
                 polygon=FeasiblePolygon((0, 2), square),
                 bounding_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
             )

@@ -53,12 +53,12 @@ class TestReadStl:
         data = one_facet_binary()
         assert len(data) == 134  # 80 + 4 + 50
         soup = read_stl(data)
-        assert len(soup) == 1
+        assert len(soup.corners) == 1
         np.testing.assert_allclose(soup.corners[0, 1], [1.0, 0.0, 0.0])
 
     def test_ascii_one_facet(self):
         soup = read_stl(ascii_stl_one_facet())
-        assert len(soup) == 1
+        assert len(soup.corners) == 1
         np.testing.assert_allclose(
             soup.corners[0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         )
@@ -75,7 +75,7 @@ class TestReadStl:
         data = one_facet_binary()
         data = b"solid" + data[5:]
         soup = read_stl(data)
-        assert len(soup) == 1
+        assert len(soup.corners) == 1
 
     def test_empty_bytes(self):
         with pytest.raises(MalformedStl):
@@ -112,7 +112,7 @@ class TestReadStl:
             b"ENDSOLID part\n"
         )
         soup = read_stl(text)
-        assert len(soup) == 1
+        assert len(soup.corners) == 1
         np.testing.assert_allclose(soup.corners[0, 0], [-0.15, 0.0, 0.0])
 
     def test_ascii_no_facets(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shapemanifold.manifold import (
-    DependencyModel,
     FeasiblePolygon,
     ReducedSpace,
     fit_feasible_polygon,
@@ -31,7 +30,7 @@ def square_space(lo=0.0, hi=1.0) -> ReducedSpace:
     return ReducedSpace(
         basis=basis,
         facets=ring_facets(basis),
-        dependencies=DependencyModel((None, None)),
+        dependencies=(None, None),
         polygon=unit_square_polygon(),
         bounding_box=np.array([[lo, hi], [lo, hi]], dtype=float),
     )
