@@ -137,17 +137,23 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _evaluate_samples(stub_cfg, geometry_for, params, jobs: int):
-    """Morph plus solver run per sample; order-preserving, threadable
-    (the heavy work is in GIL-releasing numpy kernels)."""
+def _evaluate_samples(stub_cfg, geometry_for, params, vertex_count: int, jobs: int):
+    """Morph plus solver run per sample, threadable (the heavy work is in
+    GIL-releasing numpy kernels). Each result is copied, in sample order, into
+    one (n, vertex_count) field matrix and one objective vector, which are
+    returned; no per-sample field outlives its copy."""
+    fields = np.empty((len(params), vertex_count))
+    objectives = np.empty(len(params))
 
     def run(mu):
         return solver.evaluate(geometry_for(mu), stub_cfg)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, params))
-    return [run(mu) for mu in params]
+    # The pool starts its threads on the first submit: none at --jobs 1.
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        snapshots = pool.map(run, params) if jobs > 1 else map(run, params)
+        for i, snapshot in enumerate(snapshots):
+            fields[i], objectives[i] = snapshot.field, snapshot.objective
+    return fields, objectives
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
@@ -164,6 +170,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         )
         _log(f"evaluate: {n} full-space samples")
         jac = ffd.displacement_jacobian(ffd_cfg, mesh.vertices)
+        vertex_count = mesh.vertex_count
 
         def geometry_for(mu):
             return ffd.morph(mesh, jac, mu)
@@ -172,29 +179,29 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         n = args.n or cfg.sampling.n_reduced
         params = manifold.sample_reduced(space, n, cfg.sampling.seed + 2)
         _log(f"evaluate: {n} reduced-space samples")
+        vertex_count = space.basis.state_dim // 3
         geometry_for = partial(manifold.decode, space)
-    snapshots = _evaluate_samples(cfg.stub, geometry_for, params, args.jobs)
-    db = rom.SolutionDatabase(
-        params,
-        np.array([s.field for s in snapshots]),
-        np.array([s.objective for s in snapshots]),
+    fields, objectives = _evaluate_samples(
+        cfg.stub, geometry_for, params, vertex_count, args.jobs
     )
+    db = rom.SolutionDatabase(params, fields, objectives)
     artifacts.save_solution_database(args.output, db)
     _log(f"evaluate: wrote {db.count} snapshots to {args.output}")
     return 0
 
 
-def _solution_pod(fields: np.ndarray) -> pod.PodBasis:
-    # Untruncated POD of mean-centered solution fields, one per row.
-    matrix, center = pod.assemble(fields)
+def _solution_pod(directory) -> pod.PodBasis:
+    # Untruncated POD of the database's mean-centered solution fields. Only
+    # the basis outlives the call, and the database is released once assemble
+    # has copied its fields: one snapshot matrix is alive while compute_pod runs.
+    matrix, center = pod.assemble(artifacts.load_solution_database(directory).fields)
     return pod.compute_pod(matrix, center=center)
 
 
 def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
     spectra, reports = {}, {}
     for name, directory in (("full", args.full), ("reduced", args.reduced)):
-        # Only the basis outlives the call: one database in memory at a time.
-        basis = _solution_pod(artifacts.load_solution_database(directory).fields)
+        basis = _solution_pod(directory)
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
@@ -235,7 +242,7 @@ def cmd_validate(args, cfg: PipelineConfig) -> int:
     if cfg.solution_truncation.fixed_count is not None:
         # A fold's centered snapshots have no higher rank than the whole
         # database's, and at most one less than its own sample count.
-        rank = _solution_pod(db.fields).rank
+        rank = pod.compute_pod(*pod.assemble(db.fields)).rank
         _log_clamp("validate", cfg.solution_truncation, min(rank, db.count - 2))
     artifacts.save_validation(args.output, errors, summary, cfg.rom.kernel, cfg.rom.epsilon)
     _log(f"wrote {args.output}")

@@ -234,9 +234,10 @@ def load_pipeline_config(
 
     try:
         _check_keys(data, _TOP_KEYS, "top-level")
-        cfg = PipelineConfig(
-            reference_stl=base / _read(data["reference_stl"], "str", "reference_stl")
-        )
+        reference_stl = _read(data["reference_stl"], "str", "reference_stl")
+        if not reference_stl:
+            raise ValueError("reference_stl is empty; give a path")
+        cfg = PipelineConfig(reference_stl=base / reference_stl)
         if "output_dir" in data:
             output_dir = _read(data["output_dir"], "str", "output_dir")
             if not output_dir:

@@ -116,16 +116,20 @@ def assemble(fields):
     """Mean-centered N x M snapshot matrix of fields given one per row.
 
     Each row is flattened. Returns the centered columns and the mean that
-    was subtracted.
+    was subtracted. The matrix is a new array, centered in place: ``fields``
+    is never written and never shares memory with it.
     """
     rows = np.asarray(fields, dtype=float)
     if len(rows) == 0:
         raise EmptyDatabase("no snapshots to assemble")
     # C order, as np.column_stack gives: BLAS rounds the snapshot products of
     # a transposed view differently, which moves bases by about 1e-15.
-    matrix = np.ascontiguousarray(rows.reshape(len(rows), -1).T)
+    # ndarray.copy is always a copy; ascontiguousarray returns a view of
+    # (1, N) and (N, 1) input, which the subtraction below would write.
+    matrix = rows.reshape(len(rows), -1).T.copy()
     center = matrix.mean(axis=1)
-    return matrix - center[:, None], center
+    matrix -= center[:, None]
+    return matrix, center
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:

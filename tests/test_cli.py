@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,6 +311,50 @@ class TestCompareDecay:
         assert "no samples" in capsys.readouterr().err
 
 
+class TestSnapshotMemory:
+    """Each stage holds one copy of its snapshot matrix. On a workspace where
+    the fields dominate (400 samples of 962 vertices, 3.1 MB per database),
+    the peak traced allocation stays under a multiple of one database's field
+    bytes. With a per-sample field list plus its stack, and a centered copy
+    beside the contiguous one, evaluate peaked at 2.26x and compare-decay at
+    3.06x; with one preallocated matrix, centered in place, 1.23x and 2.06x."""
+
+    @pytest.fixture(scope="class")
+    def databases(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("memory")
+        (root / "sphere.stl").write_bytes(write_stl(make_sphere(31, 32), "binary"))
+        n = 400
+        cfg = root / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "reference_stl": "sphere.stl",
+            "output_dir": "out",
+            "sampling": {"n_train": 40, "n_full": n, "n_reduced": n, "seed": 3},
+        }))
+        for argv in (["build-manifold"], ["evaluate", "--sampling", "full"],
+                     ["evaluate", "--sampling", "reduced"]):
+            assert run(cfg, *argv) == 0
+        field_bytes = load_solution_database(root / "out" / "db_full").fields.nbytes
+        assert field_bytes == n * 962 * 8
+        return cfg, field_bytes
+
+    @pytest.mark.parametrize(
+        "argv, multiple",
+        [(["evaluate", "--sampling", "full"], 1.5), (["compare-decay"], 2.5)],
+        ids=["evaluate-full", "compare-decay"],
+    )
+    def test_peak_traced_allocation(self, databases, argv, multiple):
+        cfg, field_bytes = databases
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(cfg, *argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < multiple * field_bytes, f"{peak / field_bytes:.2f}x the field bytes"
+
+
 class TestRomCommands:
     def prepare(self, cfg):
         assert run(cfg, "build-manifold") == 0
@@ -598,23 +643,15 @@ class TestOptimizerRecovery:
 class TestJobsFlag:
     def test_parallel_evaluate_matches_serial(self, workspace):
         root, cfg = workspace
-        assert run(cfg, "evaluate", "--sampling", "full", "--out", str(root / "s")) == 0
-        assert (
-            run(
-                cfg,
-                "evaluate",
-                "--sampling",
-                "full",
-                "--out",
-                str(root / "p"),
-                "--jobs",
-                "4",
-            )
-            == 0
-        )
-        serial = (root / "s" / "db_full" / "index.csv").read_text()
-        parallel = (root / "p" / "db_full" / "index.csv").read_text()
-        assert serial == parallel
+        assert run(cfg, "build-manifold") == 0
+        space = ["--space", str(root / "out" / "manifold")]
+        for sampling, paths in (("full", []), ("reduced", space)):
+            for out, jobs in (("s", "1"), ("p", "4")):
+                argv = ["evaluate", "--sampling", sampling, "--out", str(root / out), *paths]
+                assert run(cfg, *argv, "--jobs", jobs) == 0
+            for name in ("index.csv", "fields.bin"):
+                serial = (root / "s" / f"db_{sampling}" / name).read_bytes()
+                assert serial == (root / "p" / f"db_{sampling}" / name).read_bytes()
 
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -743,10 +780,10 @@ class TestParserErrors:
 
 class TestEmptyPaths:
     """``Path("")`` is the current directory: an empty ``--out`` or
-    ``output_dir`` once wrote beside the config, and an empty ``--config``
-    failed with an OS error."""
+    ``output_dir`` once wrote beside the config, and an empty ``--config`` or
+    ``reference_stl`` failed with an OS error."""
 
-    @pytest.mark.parametrize("case", ["out", "config", "output_dir"])
+    @pytest.mark.parametrize("case", ["out", "config", "output_dir", "reference_stl"])
     def test_refused_with_one_line_writing_nothing(self, workspace, capsys, monkeypatch,
                                                     case):
         root, cfg = workspace
@@ -758,10 +795,13 @@ class TestEmptyPaths:
         elif case == "config":
             argv[-1] = ""
             line = "--config is empty; give a path"
-        else:
+        elif case == "output_dir":
             cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": ""}))
             line = (f"{cfg}: invalid configuration "
                     "(output_dir is empty; give a path or leave the key out)")
+        else:
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "reference_stl": ""}))
+            line = f"{cfg}: invalid configuration (reference_stl is empty; give a path)"
         before = sorted(root.rglob("*"))
         assert main(argv) == 1
         captured = capsys.readouterr()

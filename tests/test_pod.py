@@ -64,6 +64,23 @@ class TestAssemble:
         with pytest.raises(EmptyDatabase):
             assemble(np.zeros((0, 6)))
 
+    @pytest.mark.parametrize(
+        "shape, order", [((6,), "C"), ((6, 1), "C"), ((1, 9), "C"), ((6, 9), "F")],
+        ids=["M", "Mx1", "1xN", "MxN-fortran"],
+    )
+    def test_input_is_neither_written_nor_aliased(self, shape, order):
+        # A transposed (1, N), (N, 1) or Fortran-ordered array is already C
+        # contiguous, so a matrix taken without a copy would be centered in
+        # the caller's memory.
+        fields = np.asarray(np.random.default_rng(5).standard_normal(shape), order=order)
+        before = fields.tobytes(order="A")
+        matrix, center = assemble(fields)
+        assert fields.tobytes(order="A") == before
+        assert not np.shares_memory(matrix, fields)
+        assert matrix.flags.c_contiguous
+        rows = fields.reshape(len(fields), -1)
+        assert matrix.tobytes() == (rows.T - center[:, None]).tobytes()
+
 
 class TestComputePod:
     def test_diagonal_case(self):
