@@ -8,10 +8,17 @@ done once, on the reference geometry; deformed geometries are obtained by
 transforming the welded vertex list, never by re-welding.
 
 The weld is array code: one stable sort finds the distinct corners, and
-sorted cell ranks find the few points that share a cell of width ``tol``,
-or a neighbouring one, with another point. Only those go through the
-greedy first-match rule one by one, so that loop's cost follows the number
-of near-duplicates, not of corners.
+a cheap exact test finds the candidates that may share a cell of width
+``tol``, or a neighbouring one, with another point. Two integer cells are
+at most one step apart on every axis exactly when, for one shift ``s`` in
+{0, 1}**3, ``(c + s) >> 1`` agrees on all three axes (the shift that makes
+the lower cell even on each axis). So a crowded point's shifted cell
+triple repeats under one of the 8 shifts; a point whose triples are all
+unique has no neighbour. A crowded point's neighbours are crowded too, so
+the cell ranks, the crowded test and the greedy first-match rule give the
+same owners when they see the candidates only. The greedy rule visits the
+crowded points one by one, so the weld's cost follows the number of
+near-duplicates, not of corners, and a mesh without any skips the ranks.
 """
 
 from __future__ import annotations
@@ -215,8 +222,12 @@ def read_stl(data: bytes) -> FacetSoup:
 
 def default_weld_tolerance(soup: FacetSoup) -> float:
     """Scale-relative default: 1e-8 times the bounding-box diagonal."""
-    pts = soup.corners.reshape(-1, 3)
-    diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    # Reduce over whole facet rows, nine coordinates wide, and fold the
+    # three corners afterwards: the same bounds, in fewer and wider passes.
+    rows = soup.corners.reshape(-1, 9)
+    high = rows.max(axis=0).reshape(3, 3).max(axis=0)
+    low = rows.min(axis=0).reshape(3, 3).min(axis=0)
+    diag = float(np.linalg.norm(high - low))
     return 1e-8 * diag
 
 
@@ -230,6 +241,7 @@ def _first_occurrences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = folded[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    del folded, ordered  # the numbering needs neither copy of the points
     heads = order[starts]  # the sort is stable: the earliest row of each run
     by_first = np.argsort(heads)
     number = np.empty(len(heads), dtype=np.int64)
@@ -273,6 +285,54 @@ def _neighbour_cells(cells: np.ndarray) -> np.ndarray:
 
 # Offset (0, 0, 0) among the 27 rows of ``_neighbour_cells``.
 _SELF = 13
+# Odd multiplier of the cell-triple hash (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _candidates(cells: np.ndarray) -> np.ndarray:
+    # Mask of the points whose (n, 3) int64 cell is within one step, on
+    # every axis, of another point's: a superset of the crowded points of
+    # ``_neighbour_cells``, whose int64 sums wrap. Cells are read as uint64:
+    # steps across the int64 wrap become plain steps, and 2**64 is even, so
+    # the shift of 1 still pairs 2**64 - 1 with 0. Each shifted triple is
+    # hashed to one uint64; equal triples hash equal, so a collision can
+    # only add a candidate.
+    one = np.uint64(1)
+    halves = [(axis >> one, (axis + one) >> one) for axis in cells.view(np.uint64).T]
+    mask = np.zeros(len(cells), dtype=bool)
+    for x in halves[0]:
+        for y in halves[1]:
+            xy = (x * _MIX + y) * _MIX
+            for z in halves[2]:
+                key = xy + z
+                ordered = np.sort(key)
+                repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+                if repeated.size:
+                    mask |= _find(repeated, key) >= 0
+    return mask
+
+
+def _greedy_owners(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
+    # The first-match rule on distinct ``points`` with int64 ``cells``:
+    # entry i is the point that registered point i's vertex. Points with no
+    # other point in their 27 cells own themselves without a visit.
+    table = _neighbour_cells(cells)
+    own = table[_SELF]
+    crowded = (np.bincount(own)[own] > 1) | ((table >= 0).sum(axis=0) > 1)
+    owner = np.arange(len(points))
+    registered: dict[int, list[int]] = {}
+    for i in np.flatnonzero(crowded).tolist():
+        p = points[i]
+        for cell in table[:, i].tolist():
+            found = registered.get(cell)
+            if found:
+                near = np.abs(points[found] - p).max(axis=1) <= tol
+                if near.any():
+                    owner[i] = found[int(near.argmax())]
+                    break
+        else:
+            registered.setdefault(int(own[i]), []).append(i)
+    return owner
 
 
 def weld(soup: FacetSoup, tol: float) -> TriMesh:
@@ -292,6 +352,14 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     are visited in first-occurrence order: each takes the first registered
     vertex within ``tol``, probing the cells in a fixed offset order and
     each cell in registration order, or else registers as a new vertex.
+
+    Only candidates for that visit are ranked. Cells ``a`` and ``b`` are
+    at most one step apart on an axis exactly when ``(a + s) >> 1 ==
+    (b + s) >> 1`` for the shift ``s`` in {0, 1} that makes the lower one
+    even, so a point is a candidate when its cell triple, shifted by one
+    of the 8 shifts in {0, 1}**3 and halved, occurs twice. The neighbours
+    of a crowded point are crowded themselves, so ranking and visiting
+    the candidates alone gives every point the same owner.
     """
     if not tol >= 0.0:
         raise ValueError("weld tolerance must be >= 0")
@@ -299,24 +367,11 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     heads, labels = _first_occurrences(corners)
     points = corners[heads]
     if tol > 0.0:
-        cells = _neighbour_cells(np.floor(points / tol).astype(np.int64))
-        own = cells[_SELF]
-        crowded = (np.bincount(own)[own] > 1) | ((cells >= 0).sum(axis=0) > 1)
-        # Greedy rule for the crowded points only; ``owner`` maps each
-        # distinct point to the point that registered its vertex.
+        cells = np.floor(points / tol).astype(np.int64)
         owner = np.arange(len(points))
-        registered: dict[int, list[int]] = {}
-        for i in np.flatnonzero(crowded).tolist():
-            p = points[i]
-            for cell in cells[:, i].tolist():
-                found = registered.get(cell)
-                if found:
-                    near = np.abs(points[found] - p).max(axis=1) <= tol
-                    if near.any():
-                        owner[i] = found[int(near.argmax())]
-                        break
-            else:
-                registered.setdefault(int(own[i]), []).append(i)
+        near = np.flatnonzero(_candidates(cells))
+        if near.size:
+            owner[near] = near[_greedy_owners(points[near], cells[near], tol)]
         new = owner == np.arange(len(points))
         labels = (np.cumsum(new) - 1)[owner][labels]
         points = points[new]

@@ -21,7 +21,8 @@ from .errors import DuplicateParams, SingularSystem
 _KERNELS = ("gaussian", "thin-plate", "linear-rbf")
 _COND_LIMIT = 1e14
 _RESIDUAL_RTOL = 1e-8
-# Elements of one row block of the duplicate-parameter scan.
+# Elements of one row block of the duplicate-parameter scan and of the
+# pairwise distance temporaries.
 _SCAN_BUDGET = 1 << 17
 
 
@@ -74,8 +75,14 @@ class SolutionDatabase:
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    # One block of rows of ``a`` at a time, so the k x m x d differences
+    # stay within the budget; each entry is rounded as in one broadcast.
+    out = np.empty((a.shape[0], b.shape[0]))
+    block = max(1, _SCAN_BUDGET // max(1, b.size))
+    for start in range(0, a.shape[0], block):
+        diff = a[start:start + block, None, :] - b[None, :, :]
+        out[start:start + block] = np.sqrt((diff**2).sum(axis=2))
+    return out
 
 
 def _kernel_matrix(kernel: str, r: np.ndarray, epsilon: float) -> np.ndarray:

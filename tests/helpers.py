@@ -420,6 +420,19 @@ def soup_of(corners) -> FacetSoup:
     return FacetSoup(np.asarray(corners, dtype=float))
 
 
+def crowded_cells(cells) -> np.ndarray:
+    """Mask of the points whose int64 cell lies within one step of another
+    point's on every axis, pair by pair: the points ``mesh.weld`` visits.
+    Steps are int64 array sums ``c + d``, which wrap at 2**63 as the
+    weld's own cell sums do."""
+    cells = np.asarray(cells, dtype=np.int64)
+    near = np.ones((len(cells), len(cells)), dtype=bool)
+    for a in cells.T:
+        near &= (a[None] == a[:, None]) | (a[None] == a[:, None] + 1) | (a[None] == a[:, None] - 1)
+    np.fill_diagonal(near, False)
+    return near.any(axis=1)
+
+
 def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
     """Require ``weld`` to give the loop oracle's mesh bit for bit."""
     got, want = weld(soup, tol), loop_weld(soup, tol)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from shapemanifold.mesh import (
 from helpers import (
     ascii_stl_one_facet,
     assert_weld_matches_loop,
+    bits,
+    crowded_cells,
     make_sphere,
     make_tetra,
     np_cross_facet_normals,
@@ -172,6 +175,49 @@ class TestWeld:
         expected = 1e-8 * np.linalg.norm([1.0, 1.0, 0.0])
         assert default_weld_tolerance(soup) == pytest.approx(expected)
 
+    def test_default_tolerance_matches_the_corner_formula_bitwise(self):
+        # Bounds over (F, 9) facet rows folded to 3 columns equal those of
+        # the (F * 3, 3) corners, on soups full of signed zeros as well.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 6)), 3, 3)
+            corners = rng.choice([-2.5, -0.0, 0.0, 0.25, 3.0], size=shape)
+            corners += rng.normal(size=shape) * (rng.random(shape) < 0.2)
+            soup = soup_of(corners)
+            pts = soup.corners.reshape(-1, 3)
+            old = 1e-8 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+            assert bits(default_weld_tolerance(soup)) == bits(old)
+        assert bits(default_weld_tolerance(soup_of(np.full((2, 3, 3), -0.0)))) == bits(0.0)
+
+    def test_traced_peak_stays_under_four_times_the_corners(self):
+        sphere = make_sphere(101, 101)
+        soup = soup_of(sphere.vertices[sphere.facets])
+        tol = default_weld_tolerance(soup)
+        weld(soup, tol)
+        tracemalloc.start()
+        try:
+            weld(soup, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * soup.corners.nbytes
+
+
+class TestCandidates:
+    """The 8-shift test that picks the points the greedy rule may visit."""
+
+    def test_reference_sphere_has_none(self):
+        sphere = make_sphere(101, 101)
+        tol = default_weld_tolerance(soup_of(sphere.vertices[sphere.facets]))
+        cells = np.floor(sphere.vertices / tol).astype(np.int64)
+        assert not mesh_module._candidates(cells).any()
+
+    def test_neighbours_across_the_int64_wrap(self):
+        top, bottom = 2**63 - 1, -(2**63)
+        cells = np.array([[top, 0, 5], [bottom, -1, 5], [7, 7, 7], [9, 7, 7]])
+        assert crowded_cells(cells).tolist() == [True, True, False, False]
+        assert mesh_module._candidates(cells)[:2].all()
+
 
 WELD_TOLERANCES = [0.0, 1e-6, 1.5e-6, 3e-6]
 
@@ -242,6 +288,18 @@ class TestWeldMatchesLoop:
     @pytest.mark.parametrize("tol", WELD_TOLERANCES)
     def test_one_facet_soup(self, tol):
         assert_weld_matches_loop(read_stl(ascii_stl_one_facet()), tol)
+
+    def test_jittered_sphere_where_every_point_is_crowded(self):
+        # Each corner moves by up to tol / 4, so no two corners coincide and
+        # every one goes through the rank tables and the greedy rule.
+        sphere, tol = make_sphere(8, 10), 1e-3
+        rng = np.random.default_rng(8)
+        corners = sphere.vertices[sphere.facets]
+        soup = soup_of(corners + rng.uniform(-tol / 4, tol / 4, corners.shape))
+        cells = np.floor(soup.corners.reshape(-1, 3) / tol).astype(np.int64)
+        assert crowded_cells(cells).all()
+        mesh = assert_weld_matches_loop(soup, tol)
+        assert mesh.vertex_count == sphere.vertex_count
 
     @pytest.mark.parametrize("tol", [0.0, None])
     def test_reference_sphere_stl(self, tol):

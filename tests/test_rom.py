@@ -136,6 +136,32 @@ class TestSolutionDatabase:
 
 
 class TestFitInterpolator:
+    @pytest.mark.parametrize("d", [3, 9])
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 17])
+    def test_pairwise_distances_in_row_blocks_match_one_broadcast(self, monkeypatch,
+                                                                  d, budget):
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(37, d)), rng.normal(size=(23, d))
+        diff = a[:, None, :] - b[None, :, :]
+        want = np.sqrt((diff**2).sum(axis=2))
+        monkeypatch.setattr(rom, "_SCAN_BUDGET", budget)
+        assert bits(rom._pairwise_distances(a, b)) == bits(want)
+        assert bits(rom._pairwise_distances(a[5:6], b)) == bits(want[5:6])
+
+    def test_fit_memory_is_a_few_kernel_matrices(self):
+        # 400 x 3 nodes: one broadcast held two 400 x 400 x 3 differences.
+        rng = np.random.default_rng(0)
+        nodes = rng.uniform(-1, 1, (400, 3))
+        values = rng.standard_normal((400, 2))
+        fit_interpolator(nodes, values)
+        tracemalloc.start()
+        try:
+            fit_interpolator(nodes, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 400 * 400 * 8
+
     def test_single_node_constant(self):
         interp = fit_interpolator(np.array([[0.5]]), np.array([3.0]), "gaussian")
         # The single gaussian weight is value / phi(0) = value.
