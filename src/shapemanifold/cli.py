@@ -190,18 +190,17 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _solution_pod(directory) -> pod.PodBasis:
-    # Untruncated POD of the database's mean-centered solution fields. Only
-    # the basis outlives the call, and the database is released once assemble
-    # has copied its fields: one snapshot matrix is alive while compute_pod runs.
-    matrix, center = pod.assemble(artifacts.load_solution_database(directory).fields)
-    return pod.compute_pod(matrix, center=center)
+def _snapshots(directory):
+    # A database's parameters, pod.assemble of its fields, and its objectives.
+    # The database is released on return: one snapshot matrix outlives it.
+    db = artifacts.load_solution_database(directory)
+    return db.params, pod.assemble(db.fields), db.objectives
 
 
 def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
     spectra, reports = {}, {}
     for name, directory in (("full", args.full), ("reduced", args.reduced)):
-        basis = _solution_pod(directory)
+        basis = pod.compute_pod(*_snapshots(directory)[1])  # untruncated
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
@@ -220,17 +219,12 @@ def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_build_rom(args, cfg: PipelineConfig) -> int:
-    db = artifacts.load_solution_database(args.db)
-    model = rom.build_rom(
-        db,
-        cfg.solution_truncation,
-        kernel=cfg.rom.kernel,
-        epsilon=cfg.rom.epsilon,
-        metadata={"seed": cfg.sampling.seed},
-    )
+    model = rom.build_rom(*_snapshots(args.db), cfg.solution_truncation, kernel=cfg.rom.kernel,
+                          epsilon=cfg.rom.epsilon, metadata={"seed": cfg.sampling.seed})
     _log_clamp("rom", cfg.solution_truncation, model.basis.rank)
     artifacts.save_rom(args.output, model)
-    _log(f"rom: {model.basis.rank} modes from {db.count} snapshots; wrote {args.output}")
+    count = len(model.coefficients.nodes)
+    _log(f"rom: {model.basis.rank} modes from {count} snapshots; wrote {args.output}")
     return 0
 
 

@@ -359,7 +359,8 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     even, so a point is a candidate when its cell triple, shifted by one
     of the 8 shifts in {0, 1}**3 and halved, occurs twice. The neighbours
     of a crowded point are crowded themselves, so ranking and visiting
-    the candidates alone gives every point the same owner.
+    the candidates alone gives every point the same owner. A coordinate of
+    size ``2**62 * tol`` or more raises ``ValueError``: cells must fit int64.
     """
     if not tol >= 0.0:
         raise ValueError("weld tolerance must be >= 0")
@@ -367,6 +368,10 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     heads, labels = _first_occurrences(corners)
     points = corners[heads]
     if tol > 0.0:
+        size = float(np.abs(points).max())
+        if size >= 2.0**62 * tol:  # exact or inf: no division, no overflow
+            raise ValueError(f"weld tolerance {tol!r} is too small for coordinates of "
+                             f"size {size!r}: cell numbers would overflow int64")
         cells = np.floor(points / tol).astype(np.int64)
         owner = np.arange(len(points))
         near = np.flatnonzero(_candidates(cells))

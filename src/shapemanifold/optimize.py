@@ -107,9 +107,10 @@ def minimize(problem: OptProblem) -> OptResult:
     are evaluated with a quadratic penalty added (the objective must
     tolerate mild excursions; surrogates do): the space's infeasibility,
     which is zero exactly where ``space.contains`` holds. Each start is
-    evaluated once, and is the first trial of its trace. The reported
-    best value is the raw objective, minimized over feasible evaluations
-    only.
+    evaluated once, and is the first, feasible trial of its trace. The
+    reported best value is the raw objective, minimized over feasible
+    evaluations only; among equal values the first such trial in trace
+    order wins.
     """
     space = problem.space
     starts = sample_reduced(space, problem.starts, problem.seed)
@@ -140,9 +141,6 @@ def minimize(problem: OptProblem) -> OptResult:
 
     best_mu: np.ndarray | None = None
     best_value = np.inf
-    for x, value in zip(starts, start_values):
-        if value < best_value:
-            best_mu, best_value = x.copy(), value
     for (x, value), ok in zip(trials, feasible):
         if ok and value < best_value:
             best_mu, best_value = x.copy(), value

@@ -67,12 +67,6 @@ class SolutionDatabase:
     def count(self) -> int:
         return self.params.shape[0]
 
-    def without(self, index: int) -> "SolutionDatabase":
-        keep = [i for i in range(self.count) if i != index]
-        return SolutionDatabase(
-            self.params[keep], self.fields[keep], self.objectives[keep]
-        )
-
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # One block of rows of ``a`` at a time, so the k x m x d differences
@@ -157,10 +151,10 @@ class Interpolator:
 
 def fit_interpolator(
     nodes: np.ndarray,
-    values,
+    values: tuple,
     kernel: str = "gaussian",
     epsilon: float | None = None,
-) -> Interpolator | tuple[Interpolator, ...]:
+) -> tuple[Interpolator, ...]:
     """Solve the dense RBF system for scattered data.
 
     The thin-plate kernel is augmented with an affine tail and the usual
@@ -169,15 +163,14 @@ def fit_interpolator(
     1e-8 (relative) raises ``SingularSystem``, which usually means the
     shape parameter should change.
 
-    ``values`` is one array of value rows, or a tuple of such arrays: then
-    the system is built and gated once and solved once per array, and a
-    tuple of interpolants sharing nodes, kernel and epsilon comes back.
-    Each is bitwise the interpolant of its own call; one solve with all
-    the columns side by side would round differently.
+    ``values`` is a tuple of arrays of value rows. The system is built and
+    gated once and solved once per array, and one interpolant per array
+    comes back, all sharing nodes, kernel and epsilon. Each is bitwise the
+    interpolant of a tuple of that array alone; one solve with all the
+    columns side by side would round differently.
     """
-    blocks = values if isinstance(values, tuple) else (values,)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    blocks = [np.asarray(v, dtype=float) for v in blocks]
+    blocks = [np.asarray(v, dtype=float) for v in values]
     blocks = [v[:, None] if v.ndim == 1 else v for v in blocks]
     m = nodes.shape[0]
     if m < 1 or any(v.shape[0] != m for v in blocks):
@@ -185,11 +178,13 @@ def fit_interpolator(
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}")
     dist = _pairwise_distances(nodes, nodes)
-    off_diag = dist + np.diag(np.full(m, np.inf))
-    if m > 1 and off_diag.min() == 0.0:
+    np.fill_diagonal(dist, np.inf)  # a node's distance to itself is exactly sqrt(0)
+    nearest = dist.min(axis=1)
+    np.fill_diagonal(dist, 0.0)
+    if m > 1 and nearest.min() == 0.0:
         raise ValueError("interpolation nodes must be distinct")
     if epsilon is None:  # inverse mean nearest-neighbour distance
-        mean_nn = float(off_diag.min(axis=1).mean()) if m > 1 else 0.0
+        mean_nn = float(nearest.mean()) if m > 1 else 0.0
         epsilon = 1.0 / mean_nn if mean_nn > 0.0 else 1.0
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -225,7 +220,7 @@ def fit_interpolator(
             )
         tail = solution[m:] if n_tail else None
         fitted.append(Interpolator(kernel, epsilon, nodes, solution[:m], tail))
-    return tuple(fitted) if isinstance(values, tuple) else fitted[0]
+    return tuple(fitted)
 
 
 @dataclass(frozen=True)
@@ -255,22 +250,25 @@ class RomModel:
 
 
 def build_rom(
-    db: SolutionDatabase,
+    params: np.ndarray,
+    snapshots: tuple[np.ndarray, np.ndarray],
+    objectives: np.ndarray,
     rule: pod.TruncationRule,
     kernel: str = "gaussian",
     epsilon: float | None = None,
     metadata: dict | None = None,
 ) -> RomModel:
-    """Offline phase: reduce the fields and fit the coefficient maps. The
-    model keeps a copy of ``metadata``, and nothing else, as its metadata."""
-    if db.count < 2:
+    """Offline phase: reduce the snapshots (the centred matrix and its centre,
+    as :func:`pod.assemble` returns them) and fit the coefficient maps over
+    ``params``. The model keeps a copy of ``metadata``, and nothing else."""
+    matrix, center = snapshots
+    if matrix.shape[1] < 2:
         raise ValueError("need at least two snapshots to build a model")
-    matrix, center = pod.assemble(db.fields)
     basis = pod.truncate(pod.compute_pod(matrix, center=center), rule)
     coeffs = (basis.modes.T @ matrix).T  # training coefficients, one row per sample
-    obj_mean = float(db.objectives.mean())
+    obj_mean = float(objectives.mean())
     coeff_interp, obj_interp = fit_interpolator(
-        db.params, (coeffs, db.objectives - obj_mean), kernel, epsilon
+        params, (coeffs, objectives - obj_mean), kernel, epsilon
     )
     return RomModel(basis, coeff_interp, obj_interp, obj_mean, dict(metadata or {}))
 
@@ -329,17 +327,20 @@ def loo_error(
     which the interpolated prediction does not see; and prediction errors
     keep their norms. The coordinates are taken as ``fields @ Q`` rather
     than from the triangular factor, so identical fields map to identical
-    rows.
+    rows. Each fold is a slice of these arrays: the database was checked
+    once, when it was built.
     """
     if db.count < 3:
         raise ValueError("leave-one-out needs at least three samples")
     q, _ = np.linalg.qr(db.fields.T)
-    small = SolutionDatabase(db.params, db.fields @ q, db.objectives)
-    errors = np.empty(small.count)
-    for i in range(small.count):
-        model = build_rom(small.without(i), rule, kernel, epsilon)
-        predicted, _ = predict(model, small.params[i])
-        truth = small.fields[i]
+    coords = db.fields @ q
+    errors = np.empty(db.count)
+    for i in range(db.count):
+        keep = np.arange(db.count) != i
+        model = build_rom(db.params[keep], pod.assemble(coords[keep]),
+                          db.objectives[keep], rule, kernel, epsilon)
+        predicted, _ = predict(model, db.params[i])
+        truth = coords[i]
         denom = np.linalg.norm(truth)
         diff = np.linalg.norm(predicted - truth)
         errors[i] = diff / denom if denom > 0.0 else diff

@@ -8,8 +8,9 @@ grid once instead of going through the displacement Jacobian, and the
 geometry-POD oracle morphs every sample that way and decomposes the
 snapshot matrix instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
-The leave-one-out oracle rebuilds every fold on the full-length fields,
-as ``rom.loo_error`` did before it moved the folds into the fields' span.
+The leave-one-out oracle rebuilds every fold as a database of the kept
+full-length fields, as ``rom.loo_error`` did before it moved the folds
+into the fields' span and sliced them from arrays.
 The facet oracles take ``np.cross`` of gathered (F, 3) edge rows, as the
 mesh and solver did before they gathered one coordinate at a time. The
 feasibility oracles recompute, on every call, what the polygon and the
@@ -453,14 +454,21 @@ def written_normals(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=record, count=count, offset=84)["normal"].astype(float)
 
 
+def rom_of(db: rom.SolutionDatabase, *args, **kwargs) -> rom.RomModel:
+    """``rom.build_rom`` on a database's arrays, as ``build-rom`` calls it."""
+    return rom.build_rom(db.params, pod.assemble(db.fields), db.objectives, *args, **kwargs)
+
+
 def loop_loo_error(db: rom.SolutionDatabase, rule, kernel="gaussian", epsilon=None):
-    """Leave-one-out by rebuilding each fold on the full-length fields;
-    ``rom.loo_error`` must match it to round-off."""
+    """Leave-one-out by rebuilding each fold as a database of the kept
+    full-length rows; ``rom.loo_error`` must match it to round-off."""
     if db.count < 3:
         raise ValueError("leave-one-out needs at least three samples")
     errors = np.empty(db.count)
     for i in range(db.count):
-        model = rom.build_rom(db.without(i), rule, kernel, epsilon)
+        keep = [j for j in range(db.count) if j != i]
+        fold = rom.SolutionDatabase(db.params[keep], db.fields[keep], db.objectives[keep])
+        model = rom_of(fold, rule, kernel, epsilon)
         predicted, _ = rom.predict(model, db.params[i])
         truth = db.fields[i]
         denom = np.linalg.norm(truth)
@@ -816,9 +824,14 @@ def separate_fits(db: rom.SolutionDatabase, basis: pod.PodBasis, kernel, epsilon
     coeffs = (basis.modes.T @ matrix).T
     mean = float(db.objectives.mean())
     return (
-        rom.fit_interpolator(db.params, coeffs, kernel, epsilon),
-        rom.fit_interpolator(db.params, db.objectives - mean, kernel, epsilon),
+        fit_one(db.params, coeffs, kernel, epsilon),
+        fit_one(db.params, db.objectives - mean, kernel, epsilon),
     )
+
+
+def fit_one(nodes, values, kernel="gaussian", epsilon=None) -> rom.Interpolator:
+    """The interpolant of one array of value rows (or one value per node)."""
+    return rom.fit_interpolator(nodes, (values,), kernel, epsilon)[0]
 
 
 def assert_same_interpolator(got: rom.Interpolator, want: rom.Interpolator) -> None:

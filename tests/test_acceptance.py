@@ -249,7 +249,8 @@ def _pipeline_database(n_samples=20, seed=808):
 
 def test_criterion_08_podi_node_reproduction():
     _, _, db = _pipeline_database()
-    model = build_rom(db, pod.TruncationRule.energy(0.9999))
+    model = build_rom(db.params, pod.assemble(db.fields), db.objectives,
+                      pod.TruncationRule.energy(0.9999))
     modes, center = model.basis.modes, model.basis.center
     worst_field = -np.inf
     worst_obj = 0.0

@@ -31,7 +31,7 @@ from shapemanifold.manifold import (
     fit_feasible_polygon,
     sample_reduced,
 )
-from shapemanifold.pod import PodBasis, TruncationRule, compute_pod, decay_report
+from shapemanifold.pod import PodBasis, TruncationRule, assemble, compute_pod, decay_report
 from shapemanifold.rom import SolutionDatabase, build_rom, predict
 
 from helpers import (
@@ -364,7 +364,8 @@ class TestDirectoryArtifacts:
             rng.standard_normal((8, 25)),
             rng.standard_normal(8),
         )
-        model = build_rom(db, TruncationRule.energy(0.99), metadata={"seed": 4})
+        model = build_rom(db.params, assemble(db.fields), db.objectives,
+                          TruncationRule.energy(0.99), metadata={"seed": 4})
         save_rom(tmp_path / "rom", model)
         again = load_rom(tmp_path / "rom")
         probe = np.array([0.2, -0.3])
@@ -398,7 +399,8 @@ class TestDirectoryArtifacts:
             rng.standard_normal((9, 20)),
             rng.standard_normal(9),
         )
-        model = build_rom(db, TruncationRule.energy(0.99), kernel=kernel)
+        model = build_rom(db.params, assemble(db.fields), db.objectives,
+                          TruncationRule.energy(0.99), kernel=kernel)
         save_rom(tmp_path / "rom", model)
         return model, tmp_path / "rom" / "interpolators.json"
 

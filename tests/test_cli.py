@@ -125,6 +125,20 @@ class TestMorph:
         assert err[-1].startswith("error:") and "not finite" in err[-1]
         assert not (root / "out" / "morphed.stl").exists()
 
+    @pytest.mark.parametrize("tol", [1e-320, 5e-324])
+    def test_tiny_weld_tolerance_exits_with_one_line(self, workspace, capsys, tol):
+        root, cfg = workspace
+        (root / "sphere.stl").write_bytes(write_stl(make_sphere(8, 10), "binary"))
+        config = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**config, "weld_tolerance": tol}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(cfg, "morph", "--mu", "0,0,0,0,0")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: weld tolerance {tol!r} ")
+        assert not (root / "out").exists()
+
     def test_ascii_output(self, workspace):
         root, cfg = workspace
         assert run(cfg, "morph", "--mu", "0.1,0,0,0,0", "--format", "ascii") == 0
@@ -317,7 +331,9 @@ class TestSnapshotMemory:
     the peak traced allocation stays under a multiple of one database's field
     bytes. With a per-sample field list plus its stack, and a centered copy
     beside the contiguous one, evaluate peaked at 2.26x and compare-decay at
-    3.06x; with one preallocated matrix, centered in place, 1.23x and 2.06x."""
+    3.06x; with one preallocated matrix, centered in place, 1.23x and 2.06x.
+    build-rom peaked at 3.71x while it kept the loaded database beside the
+    centred copy, and at 2.29x once the database is released after assemble."""
 
     @pytest.fixture(scope="class")
     def databases(self, tmp_path_factory):
@@ -339,8 +355,9 @@ class TestSnapshotMemory:
 
     @pytest.mark.parametrize(
         "argv, multiple",
-        [(["evaluate", "--sampling", "full"], 1.5), (["compare-decay"], 2.5)],
-        ids=["evaluate-full", "compare-decay"],
+        [(["evaluate", "--sampling", "full"], 1.5), (["compare-decay"], 2.5),
+         (["build-rom"], 2.5)],
+        ids=["evaluate-full", "compare-decay", "build-rom"],
     )
     def test_peak_traced_allocation(self, databases, argv, multiple):
         cfg, field_bytes = databases

@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +310,36 @@ class TestWeldMatchesLoop:
             tol = default_weld_tolerance(soup)
         mesh = assert_weld_matches_loop(soup, tol)
         assert mesh.vertex_count == 10102
+
+
+class TestTinyTolerance:
+    """A tolerance for which some coordinate reaches ``2**62 * tol`` is
+    refused before any cell is computed, so nothing overflows."""
+
+    @pytest.mark.parametrize("tol", [1e-320, 5e-324])
+    def test_refused_without_a_warning(self, tol):
+        sphere = make_sphere(8, 10)
+        soup = soup_of(sphere.vertices[sphere.facets])
+        message = rf"^weld tolerance {re.escape(repr(tol))} .* of size 1\.0: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                weld(soup, tol)
+
+    def test_just_inside_the_limit_welds_as_the_loop(self):
+        # Cells reach 2**62 - 1 at +-size; the points near zero sit a few
+        # tolerances apart, so the greedy rule runs there.
+        size = 3.0
+        limit = size / 2.0**62
+        inside = np.nextafter(limit, np.inf)
+        near = [[0.0, 0.0, 0.0], [inside, 0.0, 0.0], [0.0, 2.5 * inside, -inside]]
+        soup = soup_of([near, [[size, 0.0, -size], [-size, size, 0.0], [0.0, 0.0, size]]])
+        with pytest.raises(ValueError, match="too small"):
+            weld(soup, limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = assert_weld_matches_loop(soup, inside)
+        assert mesh.vertex_count == 5
 
 
 class TestWriteStl:

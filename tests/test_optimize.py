@@ -207,3 +207,18 @@ class TestMinimize:
             x0, value = trace[0]
             assert x0.tobytes() == start.tobytes() and value == np.sum((start - 0.3) ** 2)
             assert sum(c.tobytes() == start.tobytes() for c in calls) == 1
+
+    def test_first_feasible_trial_in_trace_order_wins_a_tie(self):
+        # On the plateau x[0] <= 0.5 every value is exactly 0.5. The second
+        # start is already on it, and the first trace reaches it later: that
+        # earlier trial in trace order is the one reported.
+        space = square_space()
+        result = minimize(OptProblem(lambda x: max(float(x[0]), 0.5), space,
+                                     budget=40, starts=3, seed=0))
+        starts = [trace[0] for trace in result.traces]
+        assert starts[0][1] > 0.5 and starts[1][1] == 0.5
+        first = next(x for trace in result.traces for x, value in trace
+                     if value == 0.5 and space.contains(x))
+        assert result.best_value == 0.5
+        assert result.best_mu.tobytes() == first.tobytes()
+        assert any(x is first for x, _ in result.traces[0][1:])
