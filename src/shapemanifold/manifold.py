@@ -151,13 +151,24 @@ def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> tuple:
 # Convex feasible region in one coefficient plane.
 
 
+# Scalar work per point and per trial runs on Python floats: elementwise
+# ``+ - *`` and ``max`` on them round as numpy's float64 ufuncs do. Dot
+# products and norms go through BLAS, which may fuse multiply-adds, so they
+# stay in numpy (``_row_dots``).
+
+
 def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _turn(a: tuple, b: tuple, c: tuple) -> float:
+    """``_cross2(b - a, c - a)`` of three ``(x, y)`` float tuples."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Stacked matmuls round each row like a scalar 2-vector dot product,
-    # which elementwise sums do not.
+    # Stacked matmuls round each row like ``np.dot`` of two vectors (a BLAS
+    # dot), which elementwise sums do not.
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
@@ -178,15 +189,15 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     def build(seq):
         chain = []
         for p in seq:
-            while len(chain) >= 2 and _cross2(
-                chain[-1] - chain[-2], p - chain[-2]
-            ) <= 0.0:
+            # A NaN turn is not ``<= 0.0``, so it keeps the last point.
+            while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0.0:
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = build(pts)
-    upper = build(pts[::-1])
+    seq = list(map(tuple, pts.tolist()))
+    lower = build(seq)
+    upper = build(seq[::-1])
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise CollinearPoints("points are collinear")
@@ -202,13 +213,16 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
 class FeasiblePolygon:
     """Convex admissible region in the plane of one coefficient pair.
 
-    ``edges`` (vertex k to vertex k + 1) and the containment tolerance
-    ``tol`` are derived once, at construction.
+    ``edges`` (vertex k to vertex k + 1), ``_rows`` (one ``(vx, vy, ex,
+    ey)`` tuple of Python floats per vertex and its edge, what containment
+    reads) and the containment tolerance ``tol`` are derived once, at
+    construction.
     """
 
     axes: tuple[int, int]
     vertices: np.ndarray
     edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
     tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,27 +243,35 @@ class FeasiblePolygon:
         object.__setattr__(self, "axes", tuple(int(a) for a in axes))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "edges", e1)
+        object.__setattr__(self, "_rows", tuple(map(tuple, np.hstack([v, e1]).tolist())))
         object.__setattr__(self, "tol", 1e-9 * max(1.0, float(np.abs(v).max())))
 
     def contains(self, point) -> bool:
         """Boundary-inclusive: every edge sees the point on its left, up to
         ``-tol``."""
-        p = np.asarray(point, dtype=float).reshape(2)
-        v, e = self.vertices, self.edges
-        cross = e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])
-        return bool(np.all(cross >= -self.tol))
+        return self._inside(*np.asarray(point, dtype=float).reshape(2).tolist())
+
+    def _inside(self, x: float, y: float) -> bool:
+        # A NaN cross product is not ``>= -tol``: the point is outside.
+        floor = -self.tol
+        for vx, vy, ex, ey in self._rows:
+            if not ex * (y - vy) - ey * (x - vx) >= floor:
+                return False
+        return True
 
     def distance(self, point) -> float:
         """Euclidean distance to the polygon; zero wherever :meth:`contains`
-        holds."""
+        holds. Non-finite or huge coordinates give inf or NaN, without a
+        floating-point warning."""
         p = np.asarray(point, dtype=float).reshape(2)
-        if self.contains(p):
+        if self._inside(*p.tolist()):
             return 0.0
         a, ab = self.vertices, self.edges
-        # Strict convexity of the polygon rules out zero-length edges.
-        t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
-        gap = p - (a + t[:, None] * ab)
-        return float(np.sqrt(_row_dots(gap, gap)).min())
+        with np.errstate(all="ignore"):
+            # Strict convexity of the polygon rules out zero-length edges.
+            t = np.clip(_row_dots(p - a, ab) / _row_dots(ab, ab), 0.0, 1.0)
+            gap = p - (a + t[:, None] * ab)
+            return float(np.sqrt(_row_dots(gap, gap)).min())
 
 
 def _line_intersection(a, b, c, d):
@@ -330,8 +352,9 @@ class ReducedSpace:
     the reference mesh, whose (F, 3) ``facets`` every decoded mesh shares.
     ``free_indices``, the plan :meth:`expand` follows (per coefficient: the
     position of its free source, and the slope and intercept of a
-    dependent one), ``reference`` (the mesh) and ``box_low``/``box_high``
-    (the box widened by its tolerance) are derived once, at construction.
+    dependent one), ``reference`` (the mesh) and ``_low``/``_high`` (the
+    box widened by its tolerance, as tuples of Python floats) are derived
+    once, at construction.
     """
 
     basis: pod.PodBasis
@@ -342,8 +365,8 @@ class ReducedSpace:
     free_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _plan: tuple = field(init=False, repr=False, compare=False)
     reference: TriMesh = field(init=False, repr=False, compare=False)
-    box_low: np.ndarray = field(init=False, repr=False, compare=False)
-    box_high: np.ndarray = field(init=False, repr=False, compare=False)
+    _low: tuple = field(init=False, repr=False, compare=False)
+    _high: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         status = tuple(self.dependencies)
@@ -377,8 +400,8 @@ class ReducedSpace:
         object.__setattr__(self, "facets", reference.facets)
         object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "bounding_box", box)
-        object.__setattr__(self, "box_low", box[:, 0] - tol)
-        object.__setattr__(self, "box_high", box[:, 1] + tol)
+        object.__setattr__(self, "_low", tuple((box[:, 0] - tol).tolist()))
+        object.__setattr__(self, "_high", tuple((box[:, 1] + tol).tolist()))
 
     @property
     def dim(self) -> int:
@@ -389,42 +412,52 @@ class ReducedSpace:
         free_values = np.asarray(mu_red, dtype=float).reshape(-1)
         if free_values.size != self.dim:
             raise ValueError(f"expected {self.dim} free values, got {free_values.size}")
-        # Python floats are IEEE doubles: each entry rounds as the float64
-        # expression ``slope * value + intercept`` does.
-        v = free_values.tolist()
-        return np.array(
-            [v[k] if a is None else a * v[k] + b for k, a, b in self._plan],
-            dtype=float,
-        )
+        return np.array(self._values(free_values.tolist()), dtype=float)
 
-    def pair_point(self, mu_red) -> np.ndarray | None:
-        """Value of the polygon-constrained coefficient pair (None without
-        a polygon); dependent members go through their regression."""
-        if self.polygon is None:
-            return None
-        full = self.expand(mu_red)
-        a, b = self.polygon.axes
-        return np.array([full[a], full[b]])
+    def _values(self, v: list) -> list:
+        # Each entry rounds as the float64 ``slope * value + intercept``.
+        return [v[k] if a is None else a * v[k] + b for k, a, b in self._plan]
 
     def infeasibility(self, mu_red) -> float:
         """Squared distance to the feasible set: the squared excess of the
         free coordinates over the widened box plus the squared polygon
-        distance of the constrained pair."""
+        distance of the constrained pair (dependent members through their
+        regression). An excess whose square overflows gives inf, without a
+        floating-point warning."""
         x = np.asarray(mu_red, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"expected {self.dim} reduced coordinates, got {x.size}")
-        below = np.maximum(self.box_low - x, 0.0)
-        above = np.maximum(x - self.box_high, 0.0)
-        total = float((below**2).sum() + (above**2).sum())
-        pair = self.pair_point(x)
-        if pair is not None:
-            total += self.polygon.distance(pair) ** 2
+        v = x.tolist()
+        # ``max`` with the difference first keeps a NaN, as ``np.maximum``
+        # does; ``b * b`` overflows to inf where ``b ** 2`` would raise.
+        below = [max(lo - t, 0.0) for lo, t in zip(self._low, v)]
+        above = [max(t - hi, 0.0) for t, hi in zip(v, self._high)]
+        total = _sum_squares(below) + _sum_squares(above)
+        if self.polygon is not None:
+            full = self._values(v)
+            a, b = self.polygon.axes
+            if not self.polygon._inside(full[a], full[b]):
+                # A distance is the root of a float, so its square cannot
+                # overflow; ``**`` rounds as ``pow``, which ``d * d`` may not.
+                total += self.polygon.distance((full[a], full[b])) ** 2
         return total
 
     def contains(self, mu_red) -> bool:
         """Feasibility test: the right length and zero infeasibility."""
         mu_red = np.asarray(mu_red, dtype=float).reshape(-1)
         return mu_red.size == self.dim and self.infeasibility(mu_red) == 0.0
+
+
+def _sum_squares(terms: list) -> float:
+    """``(np.asarray(terms) ** 2).sum()`` in its order: left to right below
+    8 terms, numpy's own pairwise sum from 8 on."""
+    if len(terms) >= 8:
+        with np.errstate(over="ignore"):
+            return float(np.square(terms).sum())
+    total = 0.0
+    for t in terms:
+        total += t * t
+    return total
 
 
 def _default_pair(deps: tuple) -> tuple[int, int] | None:

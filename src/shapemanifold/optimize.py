@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleRegion
-from .manifold import ReducedSpace, sample_reduced
+from .manifold import ReducedSpace, _row_dots, sample_reduced
 
 _DIAMETER_TOL = 1e-6
 _SPREAD_TOL = 1e-10
@@ -47,7 +47,11 @@ class OptResult:
 
 def _nelder_mead(f, x0: np.ndarray, f0: float, steps: np.ndarray, budget: int) -> int:
     """Classic simplex descent from ``x0``, whose value ``f0`` is given;
-    returns the number of evaluations, the one of ``x0`` included."""
+    returns the number of evaluations, the one of ``x0`` included.
+
+    The d + 1 vertices are the rows of one (d + 1, d) array, sorted by value
+    at each step in the order of ``np.argsort(kind="stable")``: ties keep
+    their places and NaN values go last."""
     count = 1
 
     def call(x):
@@ -55,22 +59,23 @@ def _nelder_mead(f, x0: np.ndarray, f0: float, steps: np.ndarray, budget: int) -
         count += 1
         return f(x)
 
-    simplex = [x0.copy()]
-    for i in range(x0.size):
-        vertex = x0.copy()
-        vertex[i] += steps[i]
-        simplex.append(vertex)
+    d = x0.size
+    simplex = np.tile(x0, (d + 1, 1))
+    simplex[range(1, d + 1), range(d)] += steps
     values = [f0] + [call(x) for x in simplex[1:]]
 
     while count < budget:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
+        order = sorted(range(d + 1), key=lambda i: (values[i] != values[i], values[i]))
+        simplex = simplex[order]
         values = [values[i] for i in order]
         best, worst = simplex[0], simplex[-1]
-        diameter = max(float(np.linalg.norm(x - best)) for x in simplex[1:])
+        # Each row's norm as ``np.linalg.norm`` rounds it: the root of a
+        # BLAS dot of the row with itself.
+        offsets = simplex[1:] - best
+        diameter = max(np.sqrt(_row_dots(offsets, offsets)).tolist())
         if diameter < _DIAMETER_TOL or values[-1] - values[0] < _SPREAD_TOL:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / d  # ``np.mean``'s order
         reflected = centroid + (centroid - worst)
         fr = call(reflected)
         if fr < values[0]:
@@ -91,9 +96,9 @@ def _nelder_mead(f, x0: np.ndarray, f0: float, steps: np.ndarray, budget: int) -
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = contracted, fc
             else:  # shrink toward the best vertex
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = call(simplex[i])
+                for i in range(1, d + 1):
+                    vertex = best + 0.5 * (simplex[i] - best)
+                    simplex[i], values[i] = vertex, call(vertex)
                     if count >= budget:
                         break
     return count

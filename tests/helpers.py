@@ -18,17 +18,23 @@ reduced space now derive once at construction: polygon edges by
 ``np.roll``, the box tolerance, and the free-position map of a dict loop.
 The surrogate oracles fit the coefficient and objective interpolants with
 two separate ``fit_interpolator`` calls and evaluate each interpolant on
-its own kernel row.
+its own kernel row. The float-path oracles are the numpy forms that the
+Python-float code replaced: the penalty as whole-vector ``np.maximum`` and
+``** 2`` sums, Nelder-Mead on a list of vertex arrays with ``np.argsort``,
+``np.mean`` and one ``np.linalg.norm`` per vertex, and the monotone chain
+on numpy scalars.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 
 from shapemanifold import artifacts, pod, rom
+from shapemanifold.errors import CollinearPoints
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
@@ -37,14 +43,17 @@ from shapemanifold.ffd import (
     morph,
 )
 from shapemanifold.manifold import (
+    _THIN_RTOL,
     Dependency,
     FeasiblePolygon,
     ReducedSpace,
+    _convex_hull,
     build_reduced_space,
     decode,
     fit_feasible_polygon,
 )
 from shapemanifold.mesh import FacetSoup, TriMesh, flatten, unflatten, weld
+from shapemanifold.optimize import _DIAMETER_TOL, _SPREAD_TOL, _nelder_mead
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +210,81 @@ def random_cloud(rng, n_points: int) -> np.ndarray:
     scale = 10.0 ** rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-1.5, 1.5, 2)
     offset = 10.0 ** rng.uniform(-2.0, 2.0) * rng.uniform(-1.0, 1.0, 2)
     return (rng.standard_normal((n_points, 2)) * scale) @ rotation + offset
+
+
+def _cross2(a, b) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def numpy_scalar_convex_hull(points: np.ndarray) -> np.ndarray:
+    """``manifold._convex_hull`` with the monotone chain on rows of the
+    sorted array, so every turn is numpy-scalar arithmetic."""
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] < 3:
+        raise CollinearPoints("need at least 3 distinct points")
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross2(
+                chain[-1] - chain[-2], p - chain[-2]
+            ) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise CollinearPoints("points are collinear")
+    hull = np.array(hull)
+    x, y = hull.T
+    twice_area = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    if twice_area <= _THIN_RTOL * np.ptp(hull, axis=0).max() * np.abs(hull).max():
+        raise CollinearPoints("points are collinear up to round-off")
+    return hull
+
+
+def hull_cloud(rng) -> np.ndarray:
+    """A planar cloud for the hull: a random cloud, one with repeated
+    points, an exactly collinear run (with or without extra points), a run
+    collinear to within about 1e-12, a cloud with signed zeros, or three
+    points."""
+    kind = int(rng.integers(6))
+    n = int(rng.integers(3, 60))
+    if kind == 0:
+        return random_cloud(rng, n)
+    if kind == 1:
+        cloud = random_cloud(rng, n)
+        return cloud[rng.integers(0, n, 2 * n)]
+    if kind in (2, 3):
+        # Dyadic steps along a dyadic direction: every turn is exactly zero.
+        t = rng.integers(-64, 64, n) / 8.0
+        d = rng.integers(-4, 5, 2) / 4.0
+        line = np.outer(t, d) + rng.integers(-8, 8, 2) / 2.0
+        if kind == 2:
+            return line
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        off = scale * (1.0 + rng.standard_normal((n, 2)) * 1e-12)
+        return line * off
+    if kind == 4:
+        return signed_zeros(rng, random_cloud(rng, n) * rng.choice([0.0, 1.0], (n, 1)))
+    return random_cloud(rng, 3)
+
+
+def assert_hull_matches_numpy_scalar_chain(rng) -> None:
+    """``manifold._convex_hull`` gives the numpy-scalar chain's vertices bit
+    for bit, or both raise ``CollinearPoints`` with the same message."""
+    cloud = hull_cloud(rng)
+    outcomes = []
+    for hull in (numpy_scalar_convex_hull, _convex_hull):
+        try:
+            vertices = hull(cloud)
+            outcomes.append((vertices.shape, bits(vertices)))
+        except CollinearPoints as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
 
 
 def assert_polygon_contains_cloud(cloud: np.ndarray, max_vertices) -> None:
@@ -723,12 +807,13 @@ def assert_expand_matches_dict_loop(rng) -> None:
         assert bits(got) == bits(dict_loop_expand(space.dependencies, values))
 
 
-def random_reduced_space(rng) -> ReducedSpace:
-    """Random dependencies and polygon, with a box over the free
-    coordinates that maps onto the polygon's range (through the regression
-    where a polygon member is dependent), so that points fall on both sides
-    of both constraints."""
-    n = int(rng.integers(1, 6))
+def random_reduced_space(rng, n_coeff: int | None = None) -> ReducedSpace:
+    """Random dependencies and polygon over ``n_coeff`` coefficients (1 to
+    5 by default, at most 12), with a box over the free coordinates that
+    maps onto the polygon's range (through the regression where a polygon
+    member is dependent), so that points fall on both sides of both
+    constraints."""
+    n = int(rng.integers(1, 6)) if n_coeff is None else n_coeff
     deps = random_dependencies(rng, n)
     polygon = None
     if n >= 2 and rng.random() < 0.8:
@@ -771,6 +856,66 @@ def space_probe_points(rng, space: ReducedSpace) -> list:
     return points + [signed_zeros(rng, p) for p in points[:30]]
 
 
+_EXTREMES = (np.nan, np.inf, -np.inf, 1e200, -1e200, 1e160, -1.5e154, 1e-200, -0.0)
+
+
+def extreme_probe_points(rng, space: ReducedSpace) -> list:
+    """Probe points of ``space`` with one or more entries replaced by NaN,
+    an infinity, or a finite value whose square overflows or underflows."""
+    points = []
+    for p in space_probe_points(rng, space)[:20]:
+        hit = rng.random(p.size) < 0.4
+        hit[rng.integers(p.size)] = True
+        q = np.array(p, dtype=float)
+        q[hit] = rng.choice(_EXTREMES, int(hit.sum()))
+        points.append(q)
+    return points
+
+
+def pair_point(space: ReducedSpace, mu_red) -> np.ndarray | None:
+    """Value of the polygon-constrained coefficient pair (None without a
+    polygon), from ``space.expand``: dependent members through their
+    regression."""
+    if space.polygon is None:
+        return None
+    full = space.expand(mu_red)
+    a, b = space.polygon.axes
+    return np.array([full[a], full[b]])
+
+
+def numpy_infeasibility(space: ReducedSpace, mu_red) -> float:
+    """``ReducedSpace.infeasibility`` by whole-vector numpy formulas: the box
+    widened by its per-call tolerance, ``np.maximum`` excesses summed as
+    ``(excess**2).sum()``, and the pair's squared distance by the
+    ``np.roll`` oracle on the dict loop's pair."""
+    x = np.asarray(mu_red, dtype=float).reshape(-1)
+    box = space.bounding_box
+    tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
+    below = np.maximum((box[:, 0] - tol) - x, 0.0)
+    above = np.maximum(x - (box[:, 1] + tol), 0.0)
+    total = float((below**2).sum() + (above**2).sum())
+    if space.polygon is not None:
+        full = dict_loop_expand(space.dependencies, x)
+        a, b = space.polygon.axes
+        total += roll_distance_to_polygon([full[a], full[b]], space.polygon) ** 2
+    return total
+
+
+def assert_infeasibility_matches_numpy_formula(rng, n_coeff: int | None = None) -> None:
+    """``ReducedSpace.infeasibility`` gives the numpy formula's value bit for
+    bit on the probe points and on points with NaN, infinite and overflowing
+    entries, and raises no error and no warning where the formula's squares
+    overflow."""
+    space = random_reduced_space(rng, n_coeff)
+    for p in space_probe_points(rng, space) + extreme_probe_points(rng, space):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = space.infeasibility(p)
+        with np.errstate(all="ignore"):
+            want = numpy_infeasibility(space, p)
+        assert type(got) is float and bits(got) == bits(want)
+
+
 def assert_space_contains_matches_per_call_box(rng) -> None:
     """``ReducedSpace.contains`` agrees with the per-call-tolerance oracle
     on the probe points and on a point of the wrong length."""
@@ -811,6 +956,114 @@ def assert_decode_matches_inline_reconstruction(rng) -> int:
         assert np.array_equal(got.facets, want.facets)
         checked += 1
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Optimizer oracle: the simplex as a list of vertex arrays.
+
+
+def list_nelder_mead(f, x0: np.ndarray, f0: float, steps: np.ndarray, budget: int) -> int:
+    """``optimize._nelder_mead`` on a list of vertex arrays, reordered by
+    ``np.argsort(kind="stable")``, with the centroid by ``np.mean`` and the
+    diameter from one ``np.linalg.norm`` per vertex."""
+    count = 1
+
+    def call(x):
+        nonlocal count
+        count += 1
+        return f(x)
+
+    simplex = [x0.copy()]
+    for i in range(x0.size):
+        vertex = x0.copy()
+        vertex[i] += steps[i]
+        simplex.append(vertex)
+    values = [f0] + [call(x) for x in simplex[1:]]
+
+    while count < budget:
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        diameter = max(float(np.linalg.norm(x - best)) for x in simplex[1:])
+        if diameter < _DIAMETER_TOL or values[-1] - values[0] < _SPREAD_TOL:
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + (centroid - worst)
+        fr = call(reflected)
+        if fr < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            fe = call(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+        else:
+            if fr < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid - 0.5 * (centroid - worst)
+            fc = call(contracted)
+            if fc < min(fr, values[-1]):
+                simplex[-1], values[-1] = contracted, fc
+            else:  # shrink toward the best vertex
+                for i in range(1, len(simplex)):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    values[i] = call(simplex[i])
+                    if count >= budget:
+                        break
+    return count
+
+
+def random_objective(rng, d: int):
+    """A deterministic objective on d-vectors, one of four kinds: a
+    quadratic; a quadratic rounded onto plateaus, so values tie exactly; a
+    signed zero whose sign follows one coordinate, above a plateau floor;
+    or a quadratic that is inf or NaN on part of the space."""
+    kind = int(rng.integers(4))
+    center = rng.standard_normal(d)
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, d)
+
+    def quadratic(x):
+        return float(((x - center) ** 2 * weights).sum())
+
+    if kind == 0:
+        return quadratic
+    if kind == 1:
+        step = 10.0 ** rng.uniform(-2.0, 1.0)
+        return lambda x: math.floor(quadratic(x) / step) * step
+    if kind == 2:
+        floor = rng.choice([0.0, 0.5])
+        return lambda x: max(quadratic(x) - 1.0, floor) if x[0] > 0.3 else (
+            -0.0 if x[-1] < center[-1] else 0.0)
+    bad = rng.choice([np.inf, -np.inf, np.nan])
+    edge = rng.uniform(-1.0, 1.0)
+    return lambda x: float(bad) if x[0] > edge else quadratic(x)
+
+
+def assert_nelder_mead_matches_list_oracle(rng) -> None:
+    """``optimize._nelder_mead`` makes the list oracle's evaluations: the
+    same count, and every trial point and value bit for bit."""
+    d = int(rng.integers(1, 6))
+    objective = random_objective(rng, d)
+    x0 = signed_zeros(rng, rng.standard_normal(d))
+    steps = 10.0 ** rng.uniform(-3.0, 0.0, d) * rng.choice([-1.0, 1.0], d)
+    budget = int(rng.integers(d + 2, 301))
+    runs = []
+    for search in (list_nelder_mead, _nelder_mead):
+        trials = []
+
+        def f(x):
+            value = objective(x)
+            trials.append((bits(x), bits(value)))
+            return value
+
+        count = search(f, x0.copy(), objective(x0), steps.copy(), budget)
+        runs.append((count, trials))
+    assert runs[0][0] == runs[1][0] == len(runs[0][1]) + 1
+    assert runs[0][1] == runs[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 (polygon edges and tolerance, the widened box, the expand plan) give the
 per-call formulas' results bit for bit, boundary points and signed zeros
 included; the space's infeasibility, the optimizer's penalty, is zero
-exactly where the per-call feasibility test holds; and ``decode`` maps
+exactly where the per-call feasibility test holds, and equals the whole-vector
+numpy formula bit for bit, NaN, infinite and overflowing entries included
+(with up to 10 coefficients, so that numpy's pairwise sum from 8 terms on is
+reached); and ``decode`` maps
 infeasible points like the inline reconstruction. The fixed-seed twins in
 ``test_manifold.py`` and ``test_optimize.py`` run the same checks without
 hypothesis.
@@ -19,6 +22,7 @@ from helpers import (  # noqa: E402
     assert_decode_matches_inline_reconstruction,
     assert_distance_matches_roll_oracle,
     assert_expand_matches_dict_loop,
+    assert_infeasibility_matches_numpy_formula,
     assert_penalty_zero_exactly_where_feasible,
     assert_space_contains_matches_per_call_box,
 )
@@ -49,6 +53,12 @@ def test_reduced_space_contains_matches_per_call_box(seed):
 @seeds
 def test_penalty_zero_exactly_where_feasible(seed):
     assert_penalty_zero_exactly_where_feasible(np.random.default_rng(seed))
+
+
+@settings
+@hypothesis.given(st.integers(0, 2**32 - 1), st.none() | st.integers(1, 10))
+def test_infeasibility_matches_numpy_formula(seed, n_coeff):
+    assert_infeasibility_matches_numpy_formula(np.random.default_rng(seed), n_coeff)
 
 
 @settings

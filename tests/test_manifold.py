@@ -36,6 +36,8 @@ from helpers import (
     assert_contains_matches_roll_oracle,
     assert_decode_matches_inline_reconstruction,
     assert_expand_matches_dict_loop,
+    assert_hull_matches_numpy_scalar_chain,
+    assert_infeasibility_matches_numpy_formula,
     assert_polygon_contains_cloud,
     assert_space_contains_matches_per_call_box,
     assert_space_contains_training_points,
@@ -43,6 +45,7 @@ from helpers import (
     make_sphere,
     ols_oracle,
     oracle_displacement,
+    pair_point,
     random_cloud,
     ray_cast_inside,
     ring_facets,
@@ -412,6 +415,19 @@ class TestFeasiblePolygon:
         assert poly.edges.tobytes() == (np.roll(v, -1, axis=0) - v).tobytes()
         assert poly.tol == 2e-9
 
+    def test_float_rows_are_derived_at_construction(self):
+        v = np.array([[-0.0, -2.0], [2.0, -0.0], [-0.0, 2.0], [-2.0, -0.0]])
+        poly = FeasiblePolygon((1, 0), v)
+        e = np.roll(v, -1, axis=0) - v
+        assert [type(x) for row in poly._rows for x in row] == [float] * 16
+        assert np.array(poly._rows).tobytes() == np.column_stack([v, e]).tobytes()
+
+    def test_hull_matches_numpy_scalar_chain(self):
+        # Fixed-seed twin of test_polygon_properties.py.
+        rng = np.random.default_rng(915)
+        for _ in range(120):
+            assert_hull_matches_numpy_scalar_chain(rng)
+
 
 def paper_structured_alpha(m=800, seed=5):
     # First coefficient free, second affine in it, third independent:
@@ -441,12 +457,18 @@ class TestReducedSpaceContains:
         for _ in range(60):
             assert_space_contains_matches_per_call_box(rng)
 
+    def test_infeasibility_matches_numpy_formula(self):
+        # Fixed-seed twin of test_feasibility_properties.py.
+        rng = np.random.default_rng(914)
+        for n_coeff in [None] * 60 + list(range(6, 11)) * 4:
+            assert_infeasibility_matches_numpy_formula(rng, n_coeff)
+
     def test_widened_box_is_derived_at_construction(self):
         space = space_from_alpha(paper_structured_alpha())
         box = space.bounding_box
         tol = 1e-9 * np.maximum(1.0, np.abs(box).max(axis=1))
-        assert space.box_low.tobytes() == (box[:, 0] - tol).tobytes()
-        assert space.box_high.tobytes() == (box[:, 1] + tol).tobytes()
+        assert np.array(space._low).tobytes() == (box[:, 0] - tol).tobytes()
+        assert np.array(space._high).tobytes() == (box[:, 1] + tol).tobytes()
 
 
 class TestBuildReducedSpace:
@@ -537,7 +559,7 @@ class TestSampleReduced:
         samples = sample_reduced(space, 80, seed=1)
         assert samples.shape == (80, 2)
         for row in samples:
-            pair = space.pair_point(row)
+            pair = pair_point(space, row)
             assert space.polygon.contains(pair)
 
     def test_determinism(self):

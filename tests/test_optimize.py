@@ -11,6 +11,7 @@ from shapemanifold.pod import PodBasis
 
 from helpers import (
     assert_distance_matches_roll_oracle,
+    assert_nelder_mead_matches_list_oracle,
     assert_penalty_zero_exactly_where_feasible,
     random_cloud,
     ring_facets,
@@ -94,6 +95,14 @@ class TestInfeasibility:
         rng = np.random.default_rng(913)
         for _ in range(60):
             assert_penalty_zero_exactly_where_feasible(rng)
+
+
+class TestNelderMead:
+    def test_matches_list_oracle(self):
+        # Fixed-seed twin of test_optimize_properties.py.
+        rng = np.random.default_rng(916)
+        for _ in range(80):
+            assert_nelder_mead_matches_list_oracle(rng)
 
 
 class TestMinimize:
