@@ -182,7 +182,10 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Strict convex hull, counter-clockwise (monotone chain); collinear
     points, exactly or up to round-off (see ``_THIN_RTOL``), raise
     ``CollinearPoints``."""
-    pts = np.unique(points, axis=0)  # sorts lexicographically
+    # Sorts lexicographically. With ``return_counts`` numpy 2 skips its
+    # ``np.ma.is_masked`` check, whose first call imports ``numpy.ma`` (about
+    # 15 ms); the rows come from the same sort either way.
+    pts = np.unique(points, axis=0, return_counts=True)[0]
     if pts.shape[0] < 3:
         raise CollinearPoints("need at least 3 distinct points")
 
