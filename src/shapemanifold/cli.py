@@ -53,7 +53,8 @@ def _load_reference(cfg: PipelineConfig) -> TriMesh:
 
 
 def _log_clamp(stage: str, rule: pod.TruncationRule, available: int):
-    # A fixed mode count above the snapshots' rank keeps every mode.
+    # A fixed mode count above the snapshots' rank keeps every mode; each
+    # stage passes the mode count of the basis it truncated.
     if rule.fixed_count is not None and rule.fixed_count > available:
         _log(
             f"{stage}: truncation asks for {rule.fixed_count} modes, only "
@@ -111,6 +112,7 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
     basis, alpha = manifold.build_geometry_pod(
         mesh, ffd_cfg, params, cfg.geometry_truncation
     )
+    _log_clamp("manifold", cfg.geometry_truncation, basis.rank)
     _log(f"manifold: kept {basis.rank} geometry modes")
     space = manifold.build_reduced_space(
         basis,
@@ -233,11 +235,7 @@ def cmd_validate(args, cfg: PipelineConfig) -> int:
     errors, summary = rom.loo_error(
         db, cfg.solution_truncation, kernel=cfg.rom.kernel, epsilon=cfg.rom.epsilon
     )
-    if cfg.solution_truncation.fixed_count is not None:
-        # A fold's centered snapshots have no higher rank than the whole
-        # database's, and at most one less than its own sample count.
-        rank = pod.compute_pod(*pod.assemble(db.fields)).rank
-        _log_clamp("validate", cfg.solution_truncation, min(rank, db.count - 2))
+    _log_clamp("validate", cfg.solution_truncation, summary["fewest_modes"])
     artifacts.save_validation(args.output, errors, summary, cfg.rom.kernel, cfg.rom.epsilon)
     _log(f"wrote {args.output}")
     print(repr(summary["mean"]))

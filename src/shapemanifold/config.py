@@ -144,7 +144,6 @@ def _list(item, length=None):
 _KINDS = {
     "int": (_of(int), "an integer"),
     "float": (_number, "a number"),
-    "bool": (_of(bool), "true or false"),
     "str": (_of(str), "a string"),
     "dict": (_of(dict), "a JSON object"),
     "None": (_of(type(None)), "null"),

@@ -151,18 +151,15 @@ def detect_dependencies(alpha: np.ndarray, r2_threshold: float) -> tuple:
 # Convex feasible region in one coefficient plane.
 
 
-# Scalar work per point and per trial runs on Python floats: elementwise
-# ``+ - *`` and ``max`` on them round as numpy's float64 ufuncs do. Dot
-# products and norms go through BLAS, which may fuse multiply-adds, so they
-# stay in numpy (``_row_dots``).
-
-
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+# Scalar work per point, per trial and per collapse runs on Python floats:
+# elementwise ``+ - *`` and ``max`` on them round as numpy's float64 ufuncs
+# do. Dot products and norms whose values are used go through BLAS, which
+# may fuse multiply-adds, so they stay in numpy (``_row_dots``).
 
 
 def _turn(a: tuple, b: tuple, c: tuple) -> float:
-    """``_cross2(b - a, c - a)`` of three ``(x, y)`` float tuples."""
+    """The 2-D cross product of ``b - a`` and ``c - a``, three ``(x, y)``
+    float tuples."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -249,13 +246,10 @@ class FeasiblePolygon:
         object.__setattr__(self, "_rows", tuple(map(tuple, np.hstack([v, e1]).tolist())))
         object.__setattr__(self, "tol", 1e-9 * max(1.0, float(np.abs(v).max())))
 
-    def contains(self, point) -> bool:
-        """Boundary-inclusive: every edge sees the point on its left, up to
-        ``-tol``."""
-        return self._inside(*np.asarray(point, dtype=float).reshape(2).tolist())
-
     def _inside(self, x: float, y: float) -> bool:
-        # A NaN cross product is not ``>= -tol``: the point is outside.
+        # Boundary-inclusive: every edge sees the point on its left, up to
+        # ``-tol``. A NaN cross product is not ``>= -tol``: the point is
+        # outside.
         floor = -self.tol
         for vx, vy, ex, ey in self._rows:
             if not ex * (y - vy) - ey * (x - vx) >= floor:
@@ -263,7 +257,7 @@ class FeasiblePolygon:
         return True
 
     def distance(self, point) -> float:
-        """Euclidean distance to the polygon; zero wherever :meth:`contains`
+        """Euclidean distance to the polygon; zero wherever ``_inside``
         holds. Non-finite or huge coordinates give inf or NaN, without a
         floating-point warning."""
         p = np.asarray(point, dtype=float).reshape(2)
@@ -277,15 +271,15 @@ class FeasiblePolygon:
             return float(np.sqrt(_row_dots(gap, gap)).min())
 
 
-def _line_intersection(a, b, c, d):
+def _line_intersection(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple | None:
     # Intersection of the lines through (a, b) and (c, d); None if parallel.
-    r = b - a
-    s = d - c
-    denom = _cross2(r, s)
+    rx, ry = b[0] - a[0], b[1] - a[1]
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    denom = rx * sy - ry * sx
     if denom == 0.0:
         return None
-    t = _cross2(c - a, s) / denom
-    return a + t * r
+    t = ((c[0] - a[0]) * sy - (c[1] - a[1]) * sx) / denom
+    return (a[0] + t * rx, a[1] + t * ry)
 
 
 def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
@@ -294,9 +288,9 @@ def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
     collapse each round. The polygon only ever grows, so containment of
     the original hull (and of every training point) is preserved. When no
     collapse is possible the result keeps more than ``max_vertices``
-    vertices.
+    vertices. The vertices are ``(x, y)`` float tuples.
     """
-    verts = [np.asarray(v, dtype=float) for v in hull]
+    verts = list(map(tuple, hull.tolist()))
     while len(verts) > max_vertices:
         k = len(verts)
         best = None  # (added_area, edge_index, new_point)
@@ -307,10 +301,12 @@ def _collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
             if p is None:
                 continue
             # The intersection must lie beyond both edge endpoints,
-            # otherwise the collapse would cut into the polygon.
-            if np.dot(p - b, b - a) < 0.0 or np.dot(p - d, d - c) < 0.0:
+            # otherwise the collapse would cut into the polygon. Only the
+            # signs of these two-term dots are read.
+            if ((p[0] - b[0]) * (b[0] - a[0]) + (p[1] - b[1]) * (b[1] - a[1]) < 0.0
+                    or (p[0] - d[0]) * (d[0] - c[0]) + (p[1] - d[1]) * (d[1] - c[1]) < 0.0):
                 continue
-            added = 0.5 * abs(_cross2(p - verts[e], verts[(e + 1) % k] - verts[e]))
+            added = 0.5 * abs(_turn(b, p, d))
             if best is None or added < best[0]:
                 best = (added, e, p)
         if best is None:

@@ -315,7 +315,9 @@ def loo_error(
 
     For each sample the model is rebuilt without it and asked to predict
     it back; reported errors are relative L2 (absolute where the truth is
-    zero). Returns the per-sample errors and a mean/max summary.
+    zero). Returns the per-sample errors and a summary of their ``mean``
+    and ``max``, plus ``fewest_modes``, the smallest mode count a fold's
+    truncated basis kept.
 
     Every fold's snapshots lie in the span of the m database fields, so
     the folds run on the fields' coordinates in one orthonormal basis Q
@@ -335,13 +337,16 @@ def loo_error(
     q, _ = np.linalg.qr(db.fields.T)
     coords = db.fields @ q
     errors = np.empty(db.count)
+    fewest = db.count
     for i in range(db.count):
         keep = np.arange(db.count) != i
         model = build_rom(db.params[keep], pod.assemble(coords[keep]),
                           db.objectives[keep], rule, kernel, epsilon)
+        fewest = min(fewest, model.basis.rank)
         predicted, _ = predict(model, db.params[i])
         truth = coords[i]
         denom = np.linalg.norm(truth)
         diff = np.linalg.norm(predicted - truth)
         errors[i] = diff / denom if denom > 0.0 else diff
-    return errors, {"mean": float(errors.mean()), "max": float(errors.max())}
+    return errors, {"mean": float(errors.mean()), "max": float(errors.max()),
+                    "fewest_modes": fewest}

@@ -21,8 +21,9 @@ two separate ``fit_interpolator`` calls and evaluate each interpolant on
 its own kernel row. The float-path oracles are the numpy forms that the
 Python-float code replaced: the penalty as whole-vector ``np.maximum`` and
 ``** 2`` sums, Nelder-Mead on a list of vertex arrays with ``np.argsort``,
-``np.mean`` and one ``np.linalg.norm`` per vertex, and the monotone chain
-on numpy scalars.
+``np.mean`` and one ``np.linalg.norm`` per vertex, the monotone chain
+on numpy scalars, and the polygon collapse on numpy rows with ``np.dot``
+for its endpoint sign tests.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from shapemanifold.manifold import (
     Dependency,
     FeasiblePolygon,
     ReducedSpace,
+    _collapse_to,
     _convex_hull,
     build_reduced_space,
     decode,
@@ -287,12 +289,102 @@ def assert_hull_matches_numpy_scalar_chain(rng) -> None:
     assert outcomes[0] == outcomes[1]
 
 
+def numpy_line_intersection(a, b, c, d):
+    """``manifold._line_intersection`` on numpy rows."""
+    r = b - a
+    s = d - c
+    denom = _cross2(r, s)
+    if denom == 0.0:
+        return None
+    t = _cross2(c - a, s) / denom
+    return a + t * r
+
+
+def numpy_collapse_to(hull: np.ndarray, max_vertices: int) -> np.ndarray:
+    """``manifold._collapse_to`` on numpy rows, with ``np.dot`` for the two
+    endpoint sign tests."""
+    verts = [np.asarray(v, dtype=float) for v in hull]
+    while len(verts) > max_vertices:
+        k = len(verts)
+        best = None
+        for e in range(k):
+            a, b = verts[(e - 1) % k], verts[e]
+            c, d = verts[(e + 2) % k], verts[(e + 1) % k]
+            p = numpy_line_intersection(a, b, c, d)
+            if p is None:
+                continue
+            if np.dot(p - b, b - a) < 0.0 or np.dot(p - d, d - c) < 0.0:
+                continue
+            added = 0.5 * abs(_cross2(p - verts[e], verts[(e + 1) % k] - verts[e]))
+            if best is None or added < best[0]:
+                best = (added, e, p)
+        if best is None:
+            break
+        _, e, p = best
+        verts[e] = p
+        del verts[(e + 1) % len(verts)]
+    return np.array(verts)
+
+
+def collapse_cloud(rng) -> np.ndarray:
+    """A planar cloud of 3 to 400 points for the collapse: a random normal
+    cloud, a uniform one scaled per axis, a noisy ellipse, small integers
+    (exact arithmetic), or the corners of a random polygon with points on
+    its edges moved off them by about 1e-15 to 1e-9 (hull vertices whose
+    turns, and whose collapses' endpoint dots, are nearly zero). All but
+    the integers are at a random scale and offset."""
+    kind = int(rng.integers(5))
+    n = int(rng.integers(3, 401))
+    if kind == 0:
+        return random_cloud(rng, n)
+    if kind == 3:
+        return rng.integers(-20, 21, (n, 2)).astype(float)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    offset = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(-1.0, 1.0, 2)
+    if kind == 1:
+        cloud = rng.uniform(-1.0, 1.0, (n, 2))
+    elif kind == 2:
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        cloud = np.column_stack([np.cos(theta), np.sin(theta)])
+        cloud += 10.0 ** rng.uniform(-3.0, -1.0) * rng.standard_normal((n, 2))
+    else:
+        theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 9))))
+        corners = np.column_stack([np.cos(theta), np.sin(theta)])
+        edge = rng.integers(0, len(corners), n)
+        t = rng.random((n, 1))
+        cloud = corners[edge] + t * (np.roll(corners, -1, axis=0)[edge] - corners[edge])
+        cloud += 10.0 ** rng.uniform(-15.0, -9.0) * rng.standard_normal((n, 2))
+        cloud = np.vstack([corners, cloud])
+    return cloud * scale + offset
+
+
+def assert_collapse_matches_numpy_rows(rng) -> None:
+    """``manifold._collapse_to`` on float tuples gives the numpy-row
+    collapse's vertices bit for bit, to 3, 4 and 6 vertices."""
+    try:
+        hull = _convex_hull(collapse_cloud(rng))
+    except CollinearPoints:
+        return
+    for target in (3, 4, 6):
+        got = _collapse_to(hull, target)
+        with np.errstate(all="ignore"):
+            want = numpy_collapse_to(hull, target)
+        assert (got.shape, bits(got)) == (want.shape, bits(want))
+
+
+def polygon_contains(polygon: FeasiblePolygon, point) -> bool:
+    """Boundary-inclusive containment of one point: every edge of
+    ``polygon`` sees it on its left, up to ``-polygon.tol``."""
+    return polygon._inside(*np.asarray(point, dtype=float).reshape(2).tolist())
+
+
 def assert_polygon_contains_cloud(cloud: np.ndarray, max_vertices) -> None:
     """The feasible polygon fitted to ``cloud`` contains every point of it:
-    ``contains`` accepts each one and its distance to the polygon is 0."""
+    ``polygon_contains`` accepts each one and its distance to the polygon
+    is 0."""
     polygon = fit_feasible_polygon(cloud, max_vertices)
     for point in cloud:
-        assert polygon.contains(point)
+        assert polygon_contains(polygon, point)
         assert polygon.distance(point) == 0.0
 
 
@@ -545,20 +637,24 @@ def rom_of(db: rom.SolutionDatabase, *args, **kwargs) -> rom.RomModel:
 
 def loop_loo_error(db: rom.SolutionDatabase, rule, kernel="gaussian", epsilon=None):
     """Leave-one-out by rebuilding each fold as a database of the kept
-    full-length rows; ``rom.loo_error`` must match it to round-off."""
+    full-length rows; ``rom.loo_error`` must match it to round-off, and its
+    fewest modes exactly."""
     if db.count < 3:
         raise ValueError("leave-one-out needs at least three samples")
     errors = np.empty(db.count)
+    ranks = []
     for i in range(db.count):
         keep = [j for j in range(db.count) if j != i]
         fold = rom.SolutionDatabase(db.params[keep], db.fields[keep], db.objectives[keep])
         model = rom_of(fold, rule, kernel, epsilon)
+        ranks.append(model.basis.rank)
         predicted, _ = rom.predict(model, db.params[i])
         truth = db.fields[i]
         denom = np.linalg.norm(truth)
         diff = np.linalg.norm(predicted - truth)
         errors[i] = diff / denom if denom > 0.0 else diff
-    return errors, {"mean": float(errors.mean()), "max": float(errors.max())}
+    return errors, {"mean": float(errors.mean()), "max": float(errors.max()),
+                    "fewest_modes": min(ranks)}
 
 
 def random_loo_database(rng, m: int, n: int, d: int) -> rom.SolutionDatabase:
@@ -761,10 +857,10 @@ def probe_points(rng, vertices: np.ndarray, count: int) -> np.ndarray:
 
 
 def assert_contains_matches_roll_oracle(rng) -> None:
-    """``FeasiblePolygon.contains`` gives the ``np.roll`` formula's answer."""
+    """``polygon_contains`` gives the ``np.roll`` formula's answer."""
     polygon = random_polygon(rng)
     for p in probe_points(rng, polygon.vertices, 40):
-        assert polygon.contains(p) is roll_point_in_polygon(p, polygon.vertices)
+        assert polygon_contains(polygon, p) is roll_point_in_polygon(p, polygon.vertices)
 
 
 def assert_distance_matches_roll_oracle(rng) -> None:

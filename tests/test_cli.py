@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from shapemanifold import cli, rom
-from shapemanifold.artifacts import load_rom, load_solution_database
+from shapemanifold import cli, pod, rom
+from shapemanifold.artifacts import load_rom, load_solution_database, save_solution_database
 from shapemanifold.cli import main
 from shapemanifold.ffd import default_config, displacement_jacobian, morph
 from shapemanifold.mesh import TriMesh, default_weld_tolerance, read_stl, weld, write_stl
@@ -230,6 +230,20 @@ class TestBuildManifold:
         assert err[-2:] == ["manifold: kept 3 geometry modes",
                             "error: pair (0, 4) outside the 3 coefficients"]
         assert not (root / "out").exists()
+
+    def test_fixed_count_above_rank_is_logged(self, workspace, capsys):
+        # The built-in lattice gives three coefficients, so ten are clamped.
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["truncation"]["geometry"] = {"fixed": 10}
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, "build-manifold") == 0
+        err = capsys.readouterr().err.splitlines()
+        clamp = "manifold: truncation asks for 10 modes, only 3 available; the count is clamped"
+        assert err.count(clamp) == 1
+        assert err[err.index(clamp) + 1] == "manifold: kept 3 geometry modes"
 
     def test_degenerate_param_map_fails_cleanly(self, workspace, capsys):
         root, cfg = workspace
@@ -600,6 +614,45 @@ class TestFixedTruncationClamp:
         assert load_rom(out).basis.rank == 3
         assert build == [f"rom: 3 modes from 5 snapshots; wrote {out}"]
         assert validate == [f"wrote {out / 'validation.json'}"]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_validate_reports_the_fold_that_kept_fewest_modes(self, workspace, capsys, count):
+        # Four fields on one line and a fifth off it: the database has rank
+        # 2, but the fold that leaves out the fifth field keeps one mode.
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["truncation"]["solution"] = {"fixed": count}
+        cfg.write_text(json.dumps(config))
+        step = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.0])
+        fields = 1.0 + np.vstack([k * step for k in range(4)] + [[0.0, 1.0, 0.0, 0.0, 2.0, 0.0]])
+        params = np.linspace(0.0, 1.0, 5)[:, None]
+        save_solution_database(root / "line", rom.SolutionDatabase(params, fields, params[:, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, "validate", "--db", str(root / "line")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"validate: truncation asks for {count} modes, only 1 available; "
+            "the count is clamped",
+            f"wrote {root / 'out' / 'rom' / 'validation.json'}",
+        ]
+
+    def test_validate_decomposes_only_its_folds(self, workspace, capsys, monkeypatch):
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["truncation"]["solution"] = {"fixed": 40}
+        cfg.write_text(json.dumps(config))
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "reduced") == 0
+        calls = []
+        compute_pod = pod.compute_pod
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return compute_pod(*args, **kwargs)
+
+        monkeypatch.setattr(pod, "compute_pod", counted)
+        assert run(cfg, "validate") == 0
+        assert len(calls) == load_solution_database(root / "out" / "db_reduced").count
 
 
 class TestOptimizerRecovery:

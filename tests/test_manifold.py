@@ -33,6 +33,7 @@ from shapemanifold.manifold import (
 from shapemanifold.pod import TruncationRule
 
 from helpers import (
+    assert_collapse_matches_numpy_rows,
     assert_contains_matches_roll_oracle,
     assert_decode_matches_inline_reconstruction,
     assert_expand_matches_dict_loop,
@@ -46,6 +47,7 @@ from helpers import (
     ols_oracle,
     oracle_displacement,
     pair_point,
+    polygon_contains,
     random_cloud,
     ray_cast_inside,
     ring_facets,
@@ -364,7 +366,7 @@ class TestFeasiblePolygon:
         assert len(poly.vertices) == 4
         assert shoelace_area(poly.vertices) >= shoelace_area(full.vertices)
         for p in hexagon:
-            assert poly.contains(p)
+            assert polygon_contains(poly, p)
             assert ray_cast_inside(p, poly.vertices)
 
     def test_parallelogram_cannot_become_a_triangle(self):
@@ -394,7 +396,7 @@ class TestFeasiblePolygon:
         poly = fit_feasible_polygon(cloud, max_vertices=5)
         probes = rng.uniform(-3, 3, (300, 2))
         for p in probes:
-            assert poly.contains(p) == ray_cast_inside(p, poly.vertices)
+            assert polygon_contains(poly, p) == ray_cast_inside(p, poly.vertices)
 
     @pytest.mark.parametrize("max_vertices", [None, 3, 4, 5, 6])
     def test_contains_every_training_point(self, max_vertices):
@@ -427,6 +429,12 @@ class TestFeasiblePolygon:
         rng = np.random.default_rng(915)
         for _ in range(120):
             assert_hull_matches_numpy_scalar_chain(rng)
+
+    def test_collapse_matches_numpy_rows(self):
+        # Fixed-seed twin of test_polygon_properties.py.
+        rng = np.random.default_rng(923)
+        for _ in range(60):
+            assert_collapse_matches_numpy_rows(rng)
 
 
 def paper_structured_alpha(m=800, seed=5):
@@ -500,7 +508,7 @@ class TestBuildReducedSpace:
         dep = space.dependencies[a]
         for row in alpha:
             first = dep.slope * row[dep.source] + dep.intercept
-            assert space.polygon.contains([first, row[b]])
+            assert polygon_contains(space.polygon, [first, row[b]])
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_round_off_collinear_pair_drops_the_polygon(self, seed):
@@ -560,7 +568,7 @@ class TestSampleReduced:
         assert samples.shape == (80, 2)
         for row in samples:
             pair = pair_point(space, row)
-            assert space.polygon.contains(pair)
+            assert polygon_contains(space.polygon, pair)
 
     def test_determinism(self):
         space = space_from_alpha(paper_structured_alpha())

@@ -536,11 +536,12 @@ class TestLooError:
         ):
             truncation = LOO_RULES.get(rule, TruncationRule.fixed(db.count))
             errors, summary = loo_error(db, truncation, kernel)
-            expected, _ = loop_loo_error(db, truncation, kernel)
+            expected, oracle = loop_loo_error(db, truncation, kernel)
             # Each error is relative to its truth's norm, so the absolute
             # bound is a relative bound on the predicted fields' difference.
             np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=1e-10)
-            assert summary == {"mean": float(errors.mean()), "max": float(errors.max())}
+            assert summary == {"mean": float(errors.mean()), "max": float(errors.max()),
+                               "fewest_modes": oracle["fewest_modes"]}
 
     @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
     def test_permutation_invariant(self, kernel):
