@@ -246,9 +246,16 @@ def cmd_validate(args, cfg: PipelineConfig) -> int:
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     model = artifacts.load_rom(args.rom)
     mu = _parse_mu(args.mu, model.coefficients.nodes.shape[1])
+    # Far enough from the nodes, the squared distances or the kernel
+    # overflow: no prediction there, and nothing written.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value, objective = rom.predict(model, mu)
+    except FloatingPointError:
+        raise ShapeManifoldError(f"--mu {args.mu}: the surrogate overflows this far "
+                                 "from the training nodes") from None
     if rom.extrapolates(model, mu)[0]:
         _log("predict: point outside the training range; extrapolating")
-    value, objective = rom.predict(model, mu)
     artifacts.save_vector(args.field_out, value)
     _log(f"wrote {args.field_out}")
     print(repr(objective))

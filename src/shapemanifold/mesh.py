@@ -12,13 +12,11 @@ a cheap exact test finds the candidates that may share a cell of width
 ``tol``, or a neighbouring one, with another point. Two integer cells are
 at most one step apart on every axis exactly when, for one shift ``s`` in
 {0, 1}**3, ``(c + s) >> 1`` agrees on all three axes (the shift that makes
-the lower cell even on each axis). So a crowded point's shifted cell
-triple repeats under one of the 8 shifts; a point whose triples are all
-unique has no neighbour. A crowded point's neighbours are crowded too, so
-the cell ranks, the crowded test and the greedy first-match rule give the
-same owners when they see the candidates only. The greedy rule visits the
-crowded points one by one, so the weld's cost follows the number of
-near-duplicates, not of corners, and a mesh without any skips the ranks.
+the lower cell even on each axis). Each point gets one key per shift, the
+hash of that halved triple: a point that shares no key with another point
+has no neighbour. The greedy first-match rule visits the candidates one by one
+and finds its neighbours under the same keys, so the weld's cost follows
+the number of near-duplicates, not of corners.
 """
 
 from __future__ import annotations
@@ -257,81 +255,72 @@ def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(table[pos] == keys, pos, -1)
 
 
-def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # Join per-offset ranks of leading axes (k, n) with those of one more
-    # axis (3, n) into ranks of the occupied (k * 3, n) tuples, keeping
-    # -1 for tuples no point occupies. Keys stay below n**2, inside int64
-    # for up to 3e9 points.
-    size = right.max() + 1
-    valid = (left[:, None] >= 0) & (right[None] >= 0)
-    keys = np.where(valid, left[:, None] * size + right[None], -1)
-    keys = keys.reshape(-1, left.shape[1])
-    return _find(np.unique(keys[len(keys) // 2]), keys)
-
-
-def _neighbour_cells(cells: np.ndarray) -> np.ndarray:
-    # Entry (o, i) is the rank, among the occupied cells, of the cell
-    # ``cells[i]`` shifted by the o-th offset in {-1, 0, 1}**3 (x slowest,
-    # z fastest), or -1 if no point lies in it. Each axis is ranked on its
-    # own and the axes are joined one at a time, so no key depends on the
-    # coordinate range. Shifted coordinates wrap as int64 arithmetic does,
-    # like the scalar cell sums of the one-by-one rule.
-    ranks = []
-    for axis in cells.T:
-        values = np.unique(axis)
-        ranks.append(np.stack([_find(values, axis + d) for d in (-1, 0, 1)]))
-    return _combine(_combine(ranks[0], ranks[1]), ranks[2])
-
-
-# Offset (0, 0, 0) among the 27 rows of ``_neighbour_cells``.
-_SELF = 13
 # Odd multiplier of the cell-triple hash (2**64 over the golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _candidates(cells: np.ndarray) -> np.ndarray:
-    # Mask of the points whose (n, 3) int64 cell is within one step, on
-    # every axis, of another point's: a superset of the crowded points of
-    # ``_neighbour_cells``, whose int64 sums wrap. Cells are read as uint64:
-    # steps across the int64 wrap become plain steps, and 2**64 is even, so
-    # the shift of 1 still pairs 2**64 - 1 with 0. Each shifted triple is
-    # hashed to one uint64; equal triples hash equal, so a collision can
-    # only add a candidate.
+def _block_keys(cells: np.ndarray) -> list[np.ndarray]:
+    # For each of the 8 shifts s in {0, 1}**3, one uint64 key per point of
+    # the (n, 3) int64 ``cells``: the hash of the halved triple
+    # ``(c + s) >> 1``. Two cells are at most one step apart on every axis
+    # exactly when one shift gives them the same triple. Cells are read as
+    # uint64, and 2**64 is even, so the shift of 1 still pairs -1 with 0.
+    # Equal triples hash equal; a collision can only pair cells that are
+    # further apart.
     one = np.uint64(1)
     halves = [(axis >> one, (axis + one) >> one) for axis in cells.view(np.uint64).T]
-    mask = np.zeros(len(cells), dtype=bool)
+    keys = []
     for x in halves[0]:
         for y in halves[1]:
             xy = (x * _MIX + y) * _MIX
             for z in halves[2]:
-                key = xy + z
-                ordered = np.sort(key)
-                repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-                if repeated.size:
-                    mask |= _find(repeated, key) >= 0
+                keys.append(xy + z)
+    return keys
+
+
+def _candidates(cells: np.ndarray) -> np.ndarray:
+    # Mask of the points that share a block key with another point: a
+    # superset of the points whose cell is within one step of another's.
+    mask = np.zeros(len(cells), dtype=bool)
+    for key in _block_keys(cells):
+        ordered = np.sort(key)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            mask |= _find(repeated, key) >= 0
     return mask
 
 
 def _greedy_owners(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
     # The first-match rule on distinct ``points`` with int64 ``cells``:
-    # entry i is the point that registered point i's vertex. Points with no
-    # other point in their 27 cells own themselves without a visit.
-    table = _neighbour_cells(cells)
-    own = table[_SELF]
-    crowded = (np.bincount(own)[own] > 1) | ((table >= 0).sum(axis=0) > 1)
+    # entry i is the point that registered point i's vertex. A new vertex
+    # registers under its distinct block keys, so a later point finds every
+    # vertex of its 27 cells under its own 8 keys. A key under one shift can
+    # equal a key under another, and hashes can collide, so the keys also
+    # bring vertices further away. Of those within one step and within
+    # ``tol``, it takes the one the probe order meets first: the least
+    # offset, x slowest, then the earliest registered.
+    keys = np.column_stack(_block_keys(cells)).tolist()
+    coords, steps = points.tolist(), cells.tolist()
     owner = np.arange(len(points))
-    registered: dict[int, list[int]] = {}
-    for i in np.flatnonzero(crowded).tolist():
-        p = points[i]
-        for cell in table[:, i].tolist():
-            found = registered.get(cell)
-            if found:
-                near = np.abs(points[found] - p).max(axis=1) <= tol
-                if near.any():
-                    owner[i] = found[int(near.argmax())]
-                    break
+    registry: dict[int, list[int]] = {}
+    for i, ((px, py, pz), (cx, cy, cz), own) in enumerate(zip(coords, steps, keys)):
+        own = set(own)
+        best = None
+        for key in own:
+            for j in registry.get(key, ()):
+                dx, dy, dz = steps[j][0] - cx, steps[j][1] - cy, steps[j][2] - cz
+                qx, qy, qz = coords[j]
+                if (-1 <= dx <= 1 and -1 <= dy <= 1 and -1 <= dz <= 1
+                        and abs(qx - px) <= tol and abs(qy - py) <= tol
+                        and abs(qz - pz) <= tol):
+                    probe = ((dx + 1) * 9 + (dy + 1) * 3 + dz + 1, j)
+                    if best is None or probe < best:
+                        best = probe
+        if best is None:
+            for key in own:
+                registry.setdefault(key, []).append(i)
         else:
-            registered.setdefault(int(own[i]), []).append(i)
+            owner[i] = best[1]
     return owner
 
 
@@ -353,13 +342,14 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     vertex within ``tol``, probing the cells in a fixed offset order and
     each cell in registration order, or else registers as a new vertex.
 
-    Only candidates for that visit are ranked. Cells ``a`` and ``b`` are
-    at most one step apart on an axis exactly when ``(a + s) >> 1 ==
-    (b + s) >> 1`` for the shift ``s`` in {0, 1} that makes the lower one
-    even, so a point is a candidate when its cell triple, shifted by one
-    of the 8 shifts in {0, 1}**3 and halved, occurs twice. The neighbours
-    of a crowded point are crowded themselves, so ranking and visiting
-    the candidates alone gives every point the same owner. A coordinate of
+    Only candidates are visited. Cells ``a`` and ``b`` are at most one
+    step apart on an axis exactly when ``(a + s) >> 1 == (b + s) >> 1`` for
+    the shift ``s`` in {0, 1} that makes the lower one even, so a point is
+    a candidate when its cell triple, shifted by one of the 8 shifts in
+    {0, 1}**3 and halved, occurs twice; a visited point finds the vertices
+    registered around it under the hashes of its 8 halved triples. The
+    neighbours of a candidate are candidates themselves, so visiting the
+    candidates alone gives every point the same owner. A coordinate of
     size ``2**62 * tol`` or more raises ``ValueError``: cells must fit int64.
     """
     if not tol >= 0.0:

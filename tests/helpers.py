@@ -599,9 +599,10 @@ def soup_of(corners) -> FacetSoup:
 
 def crowded_cells(cells) -> np.ndarray:
     """Mask of the points whose int64 cell lies within one step of another
-    point's on every axis, pair by pair: the points ``mesh.weld`` visits.
-    Steps are int64 array sums ``c + d``, which wrap at 2**63 as the
-    weld's own cell sums do."""
+    point's on every axis, pair by pair: the points ``mesh.weld`` must
+    visit. Steps are int64 array sums ``c + d``, which wrap at 2**63, so
+    cells at the two ends of the range count as neighbours; the weld's
+    uint64 block keys pair them too."""
     cells = np.asarray(cells, dtype=np.int64)
     near = np.ones((len(cells), len(cells)), dtype=bool)
     for a in cells.T:

@@ -472,6 +472,28 @@ class TestRomCommands:
         assert captured.err.startswith("error:") and "not finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "thin-plate", "linear-rbf"])
+    def test_predict_refuses_a_point_where_the_surrogate_overflows(self, workspace, capsys,
+                                                                   kernel):
+        # The squared distance to every node overflows at 1e200; the
+        # refusal comes before the extrapolation note and writes nothing.
+        root, cfg = workspace
+        config = json.loads(cfg.read_text())
+        config["rom"] = {"kernel": kernel}
+        cfg.write_text(json.dumps(config))
+        self.prepare(cfg)
+        assert run(cfg, "predict", "--mu", "0,0,0") == 0
+        written = (root / "out" / "prediction.bin").read_bytes()
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, "predict", "--mu", "1e200,0,0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --mu 1e200,0,0: the surrogate overflows this far "
+                                "from the training nodes\n")
+        assert (root / "out" / "prediction.bin").read_bytes() == written
+
     def test_non_finite_objective_fails_with_one_line(self, workspace, capsys):
         root, cfg = workspace
         assert run(cfg, "evaluate", "--sampling", "full") == 0

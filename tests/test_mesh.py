@@ -293,7 +293,7 @@ class TestWeldMatchesLoop:
 
     def test_jittered_sphere_where_every_point_is_crowded(self):
         # Each corner moves by up to tol / 4, so no two corners coincide and
-        # every one goes through the rank tables and the greedy rule.
+        # every one goes through the greedy rule.
         sphere, tol = make_sphere(8, 10), 1e-3
         rng = np.random.default_rng(8)
         corners = sphere.vertices[sphere.facets]
@@ -302,6 +302,49 @@ class TestWeldMatchesLoop:
         assert crowded_cells(cells).all()
         mesh = assert_weld_matches_loop(soup, tol)
         assert mesh.vertex_count == sphere.vertex_count
+
+    def test_probe_order_picks_the_lower_offset(self):
+        # q1 registers first in the +x cell and q2 next in the -x cell (they
+        # are 1.52 apart); p lies within tol of both and takes q2, whose
+        # offset the probe order meets first.
+        q1, q2, p = [1.02, 0.5, 0.5], [-0.5, 0.5, 0.5], [0.05, 0.5, 0.5]
+        mesh = assert_weld_matches_loop(soup_of([[q1, q2, p]]), 1.0)
+        assert mesh.vertex_count == 2
+        assert mesh.facets.tolist() == [[0, 1, 1]]
+
+    def test_points_within_tol_two_cells_apart_stay_apart(self):
+        # -5e-324 lies in cell -1 and 1.0 in cell 1, yet their difference
+        # rounds to tol. Key 0 of the second point's shift 1 is key 0 of the
+        # first's shift 0, and the point at 0.0 makes both candidates: the
+        # weld meets the pair and must refuse it, as the loop never probes
+        # two cells away. The last point then takes the second, at offset -1.
+        tiny = np.nextafter(0.0, -1.0)
+        tri = [[0.5, 0.5, 1.0], [0.5, 0.5, tiny], [0.5, 0.5, 0.0]]
+        mesh = assert_weld_matches_loop(soup_of([tri]), 1.0)
+        assert mesh.facets.tolist() == [[0, 1, 1]]
+
+    def test_key_collisions_change_nothing(self, monkeypatch):
+        # With a multiplier of 1 a block key is the sum of the halved cell
+        # coordinates, so cells far apart share keys everywhere: the
+        # candidates take in points with no neighbour, and the greedy rule
+        # meets registered points outside its 27 cells.
+        monkeypatch.setattr(mesh_module, "_MIX", np.uint64(1))
+        sphere, tol = make_sphere(8, 10), 1e-3
+        corners = sphere.vertices[sphere.facets]
+        jitter = np.random.default_rng(8).uniform(-tol / 4, tol / 4, corners.shape)
+        mesh = assert_weld_matches_loop(soup_of(corners + jitter), tol)
+        assert mesh.vertex_count == sphere.vertex_count
+        # Cells two steps apart whose halved coordinates all sum to 1.
+        far = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
+        cells = np.array(far, dtype=np.int64)
+        assert mesh_module._candidates(cells).all() and not crowded_cells(cells).any()
+        near = [[2.5, 0.0, 0.0], [0.5, 2.0, 0.0], [1.0, 1.0, 1.0]]
+        assert assert_weld_matches_loop(soup_of([far, near]), 1.0).vertex_count == 3
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            soup = planted_soup(rng)
+            for tol in WELD_TOLERANCES:
+                assert_weld_matches_loop(soup, tol)
 
     @pytest.mark.parametrize("tol", [0.0, None])
     def test_reference_sphere_stl(self, tol):
