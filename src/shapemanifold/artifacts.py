@@ -5,7 +5,10 @@ version, and little-endian 64-bit floats; anything plottable goes to CSV.
 Readers reject unknown magic strings and versions instead of misreading.
 Every file is written atomically through :func:`write_atomic`, so an
 interrupted run leaves either the previous file or the new one, never a
-partial artifact.
+partial artifact. Each directory artifact writes last the file that its
+loader reads first, and deletes that file before it rewrites the rest: an
+interrupted rewrite leaves a directory the loader refuses, never new
+payload beside an old index.
 """
 
 from __future__ import annotations
@@ -184,6 +187,7 @@ def save_reduced_space(directory, space: ReducedSpace):
     """Directory artifact: space.json, geometry_basis.bin and facets.bin, a
     matrix artifact of the reference facets' vertex indices."""
     directory = Path(directory)
+    (directory / "space.json").unlink(missing_ok=True)  # written last
     save_pod_basis(directory / "geometry_basis.bin", space.basis)
     _save_binary(directory / "facets.bin", _MAGIC_MATRIX, space.facets.shape, space.facets)
     doc = {
@@ -243,10 +247,11 @@ def save_solution_database(directory, db: SolutionDatabase):
     """Directory artifact: index.csv plus fields.bin, a matrix artifact with
     one field per row in sample order."""
     directory = Path(directory)
+    (directory / "index.csv").unlink(missing_ok=True)  # written last
     _save_binary(directory / "fields.bin", _MAGIC_MATRIX, db.fields.shape, db.fields)
     header = ["sample_id", *(f"mu{i}" for i in range(db.params.shape[1])), "objective"]
     rows = ([i, *db.params[i], db.objectives[i]] for i in range(db.count))
-    save_csv(directory / "index.csv", header, rows)  # last: marks the database complete
+    save_csv(directory / "index.csv", header, rows)
 
 
 def load_solution_database(directory) -> SolutionDatabase:
@@ -305,6 +310,7 @@ def save_rom(directory, model: RomModel):
     states the kernel, epsilon and nodes of the two interpolants once, then
     each one's weights and tail."""
     directory = Path(directory)
+    (directory / "interpolators.json").unlink(missing_ok=True)  # written last
     save_pod_basis(directory / "solution_basis.bin", model.basis)
     doc = {
         "format": JSON_FORMATS["rom"],

@@ -89,8 +89,16 @@ def cmd_morph(args, cfg: PipelineConfig) -> int:
     mu = _parse_mu(args.mu, ffd_cfg.param_dim)
     if ffd.check_params(ffd_cfg, mu)[0]:
         _log("morph: parameter vector outside the configured bounds; morphing it anyway")
-    morphed = ffd.morph(mesh, ffd.displacement_jacobian(ffd_cfg, mesh.vertices), mu)
-    artifacts.write_atomic(args.stl_out, [write_stl(morphed, args.format)])
+    # Far enough out, the morphed coordinates, their facet normals or (in
+    # a binary STL) their float32 casts overflow: no STL, and nothing written.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            morphed = ffd.morph(mesh, ffd.displacement_jacobian(ffd_cfg, mesh.vertices), mu)
+            data = write_stl(morphed, args.format)
+    except FloatingPointError:
+        raise ShapeManifoldError(f"--mu {args.mu}: the morphed mesh overflows "
+                                 f"in the {args.format} STL") from None
+    artifacts.write_atomic(args.stl_out, [data])
     _log(f"wrote {args.stl_out}")
     return 0
 

@@ -11,10 +11,11 @@ points the Bernstein tensor product reproduces the local coordinates
 exactly (linear precision), so the deformation reduces to adding the
 blended control-point displacements. Those displacements are linear in
 the design parameters, so the morph of a fixed point set is one matrix:
-:func:`displacement_jacobian` builds the (3 n_points, p) Jacobian ``J``
-once, and :func:`morph` moves the reference by ``J mu``. Every consumer
-of a parameter vector morphs through :func:`morph`, so all of them see
-the same geometry, and the zero morph is an exact identity.
+:func:`displacement_jacobian` lays each parameter's map entries on its
+own control grid and blends the grids into the (3 n_points, p) Jacobian
+``J`` once, and :func:`morph` moves the reference by ``J mu``. Every
+consumer of a parameter vector morphs through :func:`morph`, so all of
+them see the same geometry, and the zero morph is an exact identity.
 """
 
 from __future__ import annotations
@@ -66,24 +67,22 @@ def _validate_frame(origin, axes):
 
 
 class MeshMorpher:
-    """Precomputed blend weights of a fixed point set against a lattice frame.
+    """Precomputed blend weights of a fixed point set against the lattice
+    frame of an :class:`FfdConfig`, which has validated that frame.
 
     Building the weights costs one Bernstein evaluation per point; after
     that, each control-grid displacement array is a single small matrix
-    product. :func:`displacement_jacobian` blends one unit grid per design
-    parameter through it to build ``J``.
+    product. :func:`displacement_jacobian` blends one control grid per
+    design parameter through it to build ``J``.
     """
 
-    def __init__(self, points: np.ndarray, origin, axes, dims):
-        origin, axes = _validate_frame(origin, axes)
-        self.origin = origin
-        self.axes = axes
-        self.dims = tuple(dims)
+    def __init__(self, points: np.ndarray, config: FfdConfig):
+        self.axes = config.axes
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        inv = np.linalg.inv(axes.T)
-        stu = (pts - origin) @ inv.T
+        inv = np.linalg.inv(config.axes.T)
+        stu = (pts - config.origin) @ inv.T
         self.inside = np.all((stu >= 0.0) & (stu <= 1.0), axis=1)
-        l, m, n = self.dims
+        l, m, n = config.dims
         local = stu[self.inside]
         bx = bernstein_row(l, local[:, 0])
         by = bernstein_row(m, local[:, 1])
@@ -170,17 +169,6 @@ def check_params(config: FfdConfig, params) -> np.ndarray:
     return ((params < low) | (params > high)).any(axis=1)
 
 
-def _control_displacements(config: FfdConfig, mu: np.ndarray) -> np.ndarray:
-    # Lay the map entries on the control grid; entries referencing the
-    # same control point and axis add up.
-    l, m, n = config.dims
-    disp = np.zeros((l + 1, m + 1, n + 1, 3))
-    for e in config.entries:
-        i, j, k = e.point
-        disp[i, j, k, e.axis] += e.weight * mu[e.param]
-    return disp
-
-
 def displacement_jacobian(config: FfdConfig, points) -> np.ndarray:
     """Displacement of a point set per unit of each design parameter.
 
@@ -190,10 +178,15 @@ def displacement_jacobian(config: FfdConfig, points) -> np.ndarray:
     ``flatten(points) + J @ mu`` (see :func:`morph`). Returns a
     (3 n_points, p) array.
     """
-    morpher = MeshMorpher(points, config.origin, config.axes, config.dims)
+    morpher = MeshMorpher(points, config)
+    # One control grid per parameter, laid in entry order: entries naming
+    # the same parameter, control point and axis add up.
+    l, m, n = config.dims
+    grids = np.zeros((config.param_dim, l + 1, m + 1, n + 1, 3))
+    for e in config.entries:
+        grids[(e.param, *e.point, e.axis)] += e.weight
     jac = np.empty((3 * morpher.point_count, config.param_dim))
-    for j, unit in enumerate(np.eye(config.param_dim)):
-        grid = _control_displacements(config, unit)
+    for j, grid in enumerate(grids):
         jac[:, j] = morpher.displacement(grid).reshape(-1)
     return jac
 

@@ -188,6 +188,15 @@ def fit_interpolator(
         epsilon = 1.0 / mean_nn if mean_nn > 0.0 else 1.0
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    if kernel == "gaussian":
+        # The square grows with r, so the widest node distance decides.
+        r = dist.max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = (epsilon * r) ** 2
+        if not np.isfinite(square):
+            raise ValueError(f"epsilon {epsilon!r}: (epsilon * r) ** 2 overflows at the node "
+                             f"distance r = {float(r)!r}; the gaussian kernel needs a smaller "
+                             "epsilon")
 
     system = _kernel_matrix(kernel, dist, epsilon)
     n_tail = 0

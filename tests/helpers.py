@@ -4,9 +4,12 @@ The oracles deliberately avoid the code paths they are used to check:
 the SVD oracle is a one-sided Jacobi iteration, point-in-polygon is ray
 casting, the least-squares oracle uses the raw-sum formulas, the FFD
 oracle lays each parameter vector on the control grid and blends that
-grid once instead of going through the displacement Jacobian, and the
-geometry-POD oracle morphs every sample that way and decomposes the
-snapshot matrix instead of using the closed form. The weld oracle is the
+grid once instead of going through the displacement Jacobian, the
+Jacobian oracle lays the grid of every unit vector through all map
+entries, as ``displacement_jacobian`` did before it laid each
+parameter's entries once, and the geometry-POD oracle morphs every
+sample through the FFD oracle and decomposes the snapshot matrix
+instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 The leave-one-out oracle rebuilds every fold as a database of the kept
 full-length fields, as ``rom.loo_error`` did before it moved the folds
@@ -443,8 +446,20 @@ def oracle_displacement(points, config, mu) -> np.ndarray:
     """FFD displacement of a point set, (n_points, 3): the control grid of
     ``mu`` blended in one ``MeshMorpher.displacement`` call, with no
     displacement Jacobian involved."""
-    morpher = MeshMorpher(points, config.origin, config.axes, config.dims)
+    morpher = MeshMorpher(points, config)
     return morpher.displacement(control_grid(config, np.asarray(mu, dtype=float)))
+
+
+def unit_loop_jacobian(config, points) -> np.ndarray:
+    """The displacement Jacobian as it was built before each parameter's
+    grid was laid once: the control grid of every unit vector, each laid
+    through all map entries and blended on its own. ``displacement_jacobian``
+    must match it byte for byte."""
+    morpher = MeshMorpher(points, config)
+    jac = np.empty((3 * morpher.point_count, config.param_dim))
+    for j, unit in enumerate(np.eye(config.param_dim)):
+        jac[:, j] = morpher.displacement(control_grid(config, unit)).reshape(-1)
+    return jac
 
 
 def point_cloud(points) -> TriMesh:
@@ -496,14 +511,16 @@ def random_ffd_case(rng, degrees, param_dim: int, n_entries: int, n_points: int 
 
 def assert_ffd_invariants(config, points, outside, mu1, mu2, a: float, b: float):
     """The invariants the closed-form reduction relies on, for one lattice:
-    the zero morph is bitwise the identity, ``J`` is linear, ``J mu``
-    matches the grid-then-blend oracle, ``morph`` adds exactly ``J mu``
-    to the points (keeping a point where its displacement is zero), and
-    points outside the box get exactly zero rows. Tolerances are relative
+    ``J`` is byte for byte the unit-loop Jacobian, the zero morph is
+    bitwise the identity, ``J`` is linear, ``J mu`` matches the
+    grid-then-blend oracle, ``morph`` adds exactly ``J mu`` to the points
+    (keeping a point where its displacement is zero), and points outside
+    the box get exactly zero rows. Tolerances are relative
     to ``|J| |mu|``; the morphed points are compared bitwise, because
     rounding ``p + d`` at a large ``|p|`` can exceed a bound on ``d``."""
     reference = point_cloud(points)
     jac = displacement_jacobian(config, points)
+    assert jac.tobytes() == unit_loop_jacobian(config, points).tobytes()
     zero = morph(reference, jac, np.zeros(config.param_dim))
     assert zero.vertices.tobytes() == reference.vertices.tobytes()
 
@@ -528,7 +545,7 @@ def snapshot_geometry_pod(reference: TriMesh, config, params, rule=None):
     on the reference, and decompose it with ``pod.compute_pod``. Returns
     (basis, alpha) like ``manifold.build_geometry_pod``."""
     params = np.asarray(params, dtype=float)
-    morpher = MeshMorpher(reference.vertices, config.origin, config.axes, config.dims)
+    morpher = MeshMorpher(reference.vertices, config)
     centered = np.empty((3 * reference.vertex_count, params.shape[0]))
     for i, mu in enumerate(params):
         centered[:, i] = morpher.displacement(control_grid(config, mu)).reshape(-1)

@@ -759,3 +759,48 @@ class TestAtomicWrites:
         save_solution_database(tmp_path / "db", db)
         assert replaced == ["fields.bin", "index.csv"]
         assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["fields.bin", "index.csv"]
+
+    @staticmethod
+    def directory_artifact(kind, seed):
+        # Two seeds give two artifacts of one kind with the same shapes,
+        # so a mix of their files would load without complaint.
+        rng = np.random.default_rng(seed)
+        if kind == "space":
+            a0 = rng.uniform(-1, 1, 200)
+            alpha = np.column_stack([a0, 2.0 * a0 + 0.1, rng.uniform(-1, 1, 200)])
+            basis = compute_pod(rng.standard_normal((30, 6)))
+            basis = type(basis)(basis.modes[:, :3], basis.singular_values[:3], basis.center)
+            space = build_reduced_space(basis, ring_facets(basis), alpha)
+            return save_reduced_space, load_reduced_space, "space.json", space
+        db = SolutionDatabase(
+            rng.uniform(-1, 1, (5, 2)), rng.standard_normal((5, 20)), rng.standard_normal(5)
+        )
+        if kind == "database":
+            return save_solution_database, load_solution_database, "index.csv", db
+        model = build_rom(db.params, assemble(db.fields), db.objectives, TruncationRule.fixed(3))
+        return save_rom, load_rom, "interpolators.json", model
+
+    @pytest.mark.parametrize("kind", ["database", "space", "rom"])
+    def test_interrupted_rewrite_is_refused(self, tmp_path, monkeypatch, kind):
+        # The rewrite fails at the file written last: the directory holds
+        # the second artifact's payload and no index, which is refused
+        # with one line, never read beside the first artifact's index.
+        save, load, last, first = self.directory_artifact(kind, 1)
+        second = self.directory_artifact(kind, 2)[3]
+        directory = tmp_path / kind
+        save(directory, first)
+        write_atomic = artifacts.write_atomic
+
+        def failing_write(path, chunks):
+            if Path(path).name == last:
+                raise OSError("disk full")
+            write_atomic(path, chunks)
+
+        monkeypatch.setattr(artifacts, "write_atomic", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save(directory, second)
+        assert not (directory / last).exists()
+        with pytest.raises((ArtifactError, OSError)) as refused:
+            load(directory)
+        message = str(refused.value)
+        assert last in message and "\n" not in message

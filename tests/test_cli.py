@@ -139,6 +139,31 @@ class TestMorph:
         assert len(err) == 1 and err[0].startswith(f"error: weld tolerance {tol!r} ")
         assert not (root / "out").exists()
 
+    @pytest.mark.parametrize("mu, fmt", [
+        ("1e308", "binary"), ("1e308", "ascii"),  # the facet normals overflow
+        ("1e50", "binary"),  # float32 coordinates alone overflow
+        ("1e160", "ascii"),
+    ])
+    def test_overflowing_morph_is_refused_writing_nothing(self, workspace, capsys, mu, fmt):
+        root, cfg = workspace
+        assert run(cfg, "morph", "--mu", "0.1,0,0,0,0", "--format", fmt) == 0
+        path = root / "out" / "morphed.stl"
+        written = path.read_bytes()
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(cfg, "morph", "--mu", f"{mu},0,0,0,0", "--format", fmt)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # The notes of the reference, the lattice and the box come first.
+        err = captured.err.splitlines()
+        assert [line for line in err if line.startswith(("error:", "wrote"))] == [
+            f"error: --mu {mu},0,0,0,0: the morphed mesh overflows in the {fmt} STL"]
+        assert err[-1].startswith("error:")
+        assert path.read_bytes() == written
+        assert [p.name for p in (root / "out").iterdir()] == ["morphed.stl"]
+
     def test_ascii_output(self, workspace):
         root, cfg = workspace
         assert run(cfg, "morph", "--mu", "0.1,0,0,0,0", "--format", "ascii") == 0
@@ -493,6 +518,26 @@ class TestRomCommands:
         assert captured.err == ("error: --mu 1e200,0,0: the surrogate overflows this far "
                                 "from the training nodes\n")
         assert (root / "out" / "prediction.bin").read_bytes() == written
+
+    @pytest.mark.parametrize("stage", ["build-rom", "validate"])
+    def test_gaussian_epsilon_that_overflows_is_refused_writing_nothing(
+            self, workspace, capsys, stage):
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        assert run(cfg, "evaluate", "--sampling", "reduced") == 0
+        config = json.loads(cfg.read_text())
+        config["rom"] = {"epsilon": 1e300}
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        db = str(root / "out" / "db_reduced")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, stage, "--db", db, "--out", str(root / "eps")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epsilon 1e+300: (epsilon * r) ** 2 ")
+        assert not (root / "eps").exists()
 
     def test_non_finite_objective_fails_with_one_line(self, workspace, capsys):
         root, cfg = workspace

@@ -24,6 +24,7 @@ from helpers import (
     oracle_displacement,
     point_cloud,
     random_ffd_case,
+    unit_loop_jacobian,
 )
 
 
@@ -102,7 +103,8 @@ class TestToReference:
             [0.25, 0.5, 0.75],
         )
         # u = 2 lies outside the box, so the point does not take part.
-        morpher = MeshMorpher([[0.25, 0.5, 2.0]], np.zeros(3), np.eye(3), (1, 1, 1))
+        config = FfdConfig(np.zeros(3), np.eye(3), (1, 1, 1), (), 1)
+        morpher = MeshMorpher([[0.25, 0.5, 2.0]], config)
         np.testing.assert_array_equal(morpher.inside, [False])
 
     def test_non_orthogonal_axes_rejected(self):
@@ -311,6 +313,33 @@ class TestDisplacementJacobian:
             param_dim=default.param_dim,
         )
         assert np.all(displacement_jacobian(cfg, mesh.vertices) == 0.0)
+
+    def test_matches_unit_loop_on_the_reference_lattice(self):
+        mesh = make_sphere(41, 40)
+        cfg = default_config(mesh)
+        jac = displacement_jacobian(cfg, mesh.vertices)
+        assert jac.tobytes() == unit_loop_jacobian(cfg, mesh.vertices).tobytes()
+
+    def test_unnamed_parameter_gives_a_zero_column(self):
+        rng = np.random.default_rng(12)
+        config, points, _ = random_ffd_case(rng, (2, 2, 2), 2, 4)
+        shifted = tuple(MapEntry(2 * e.param, e.point, e.axis, e.weight) for e in config.entries)
+        config = FfdConfig(config.origin, config.axes, config.dims, shifted, 3)
+        jac = displacement_jacobian(config, points)
+        assert jac.tobytes() == unit_loop_jacobian(config, points).tobytes()
+        assert np.all(jac[:, 1] == 0.0) and not np.signbit(jac[:, 1]).any()
+
+    def test_opposite_weights_cancel_to_positive_zero(self):
+        rng = np.random.default_rng(13)
+        config, points, outside = random_ffd_case(rng, (2, 3, 2), 2, 3)
+        w = 0.7
+        point, axis = config.entries[0].point, config.entries[0].axis
+        entries = (*config.entries, MapEntry(2, point, axis, w), MapEntry(2, point, axis, -w))
+        config = FfdConfig(config.origin, config.axes, config.dims, entries, 3)
+        jac = displacement_jacobian(config, points)
+        assert jac.tobytes() == unit_loop_jacobian(config, points).tobytes()
+        assert np.all(jac[:, 2] == 0.0) and not np.signbit(jac[:, 2]).any()
+        assert jac[:, :2].reshape(-1, 3, 2)[~outside].any()
 
 
 class TestConfigSerialization:

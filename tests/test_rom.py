@@ -209,6 +209,31 @@ class TestFitInterpolator:
         with pytest.raises(SingularSystem):
             fit_one(nodes, values, "gaussian", epsilon=1e-8)
 
+    def test_gaussian_epsilon_that_overflows_is_refused_before_the_system(self, monkeypatch):
+        # The widest node distance is 2: (1e154 * 2) ** 2 overflows, while
+        # (5e153 * 2) ** 2 = 1e308 does not and gives the identity kernel.
+        nodes = np.array([[0.0], [0.5], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(fit_one(nodes, np.arange(3.0), "gaussian", 5e153).weights[:, 0]
+                          == np.arange(3.0))
+
+            def solved(*args):
+                raise AssertionError("the system was built and solved")
+
+            monkeypatch.setattr(rom, "_kernel_matrix", solved)
+            with pytest.raises(ValueError, match=r"^epsilon 1e\+154: .* node distance r = 2\.0;"):
+                fit_one(nodes, np.arange(3.0), "gaussian", 1e154)
+
+    @pytest.mark.parametrize("kernel", ["thin-plate", "linear-rbf"])
+    def test_other_kernels_do_not_read_epsilon(self, kernel):
+        nodes = np.random.default_rng(3).uniform(-1, 1, (7, 2))
+        values = np.arange(7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            large = fit_one(nodes, values, kernel, 1e300)
+        assert bits(large.weights) == bits(fit_one(nodes, values, kernel, 1.0).weights)
+
     @pytest.mark.parametrize("nodes", [[[0.0]], [[0.0], [np.nan]]])
     def test_zero_or_nan_eigenvalue_raises(self, nodes):
         # One linear-rbf node is the 1 x 1 zero system; a NaN node makes
