@@ -25,8 +25,8 @@ import numpy as np
 from .config import _read, _section
 from .errors import ArtifactError, EmptyDatabase
 from .manifold import Dependency, FeasiblePolygon, ReducedSpace
-from .pod import PodBasis
-from .rom import Interpolator, RomModel, SolutionDatabase
+from .pod import PodBasis, _center
+from .rom import Interpolator, RomModel, SolutionDatabase, _database_arrays
 
 _MAGIC_BASIS = b"SMPODBAS"
 _MAGIC_VECTOR = b"SMVECTOR"
@@ -70,30 +70,38 @@ def _save_binary(path, magic: bytes, dims, *payload):
     ])
 
 
+def _read_header(handle, path: Path, magic: bytes, ndim: int, count, rows: int | None = None):
+    """Check the head of a :func:`_save_binary` artifact with ``ndim``
+    dimensions, open as ``handle``: the magic string and version, then (with
+    ``rows`` given) that the first dimension equals ``rows``, then that the
+    payload is exactly ``count(*dims)`` floats. Returns the dimensions, with
+    ``handle`` at the payload."""
+    head = handle.read(len(magic) + 4)
+    if len(head) < len(magic) + 4 or head[: len(magic)] != magic:
+        raise ArtifactError(f"{path}: bad magic string, not a {magic.decode()} artifact")
+    (version,) = struct.unpack("<I", head[len(magic):])
+    if version != _VERSION:
+        raise ArtifactError(f"{path}: unsupported version {version}")
+    raw = handle.read(8 * ndim)
+    if len(raw) < 8 * ndim:
+        raise ArtifactError(f"{path}: truncated header")
+    dims = struct.unpack(f"<{ndim}Q", raw)
+    if rows is not None and dims[0] != rows:
+        raise ArtifactError(f"{path}: {dims[0]} rows, the index has {rows}")
+    expected = count(*dims)
+    size = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size != 8 * expected:
+        raise ArtifactError(f"{path}: payload is {size} bytes, expected {8 * expected}")
+    return dims
+
+
 def _load_binary(path: Path, magic: bytes, ndim: int, count, rows: int | None = None):
-    """Read a :func:`_save_binary` artifact with ``ndim`` dimensions: check
-    the magic string and version, then (with ``rows`` given) that the first
-    dimension equals ``rows``, then that the payload is exactly
-    ``count(*dims)`` floats, which one ``np.fromfile`` reads. Returns the
-    dimensions and the flat payload."""
+    """Read a :func:`_save_binary` artifact that :func:`_read_header`
+    accepts; one ``np.fromfile`` reads the payload. Returns the dimensions
+    and the flat payload."""
     with open(path, "rb") as handle:
-        head = handle.read(len(magic) + 4)
-        if len(head) < len(magic) + 4 or head[: len(magic)] != magic:
-            raise ArtifactError(f"{path}: bad magic string, not a {magic.decode()} artifact")
-        (version,) = struct.unpack("<I", head[len(magic):])
-        if version != _VERSION:
-            raise ArtifactError(f"{path}: unsupported version {version}")
-        raw = handle.read(8 * ndim)
-        if len(raw) < 8 * ndim:
-            raise ArtifactError(f"{path}: truncated header")
-        dims = struct.unpack(f"<{ndim}Q", raw)
-        if rows is not None and dims[0] != rows:
-            raise ArtifactError(f"{path}: {dims[0]} rows, the index has {rows}")
-        expected = count(*dims)
-        size = os.fstat(handle.fileno()).st_size - handle.tell()
-        if size != 8 * expected:
-            raise ArtifactError(f"{path}: payload is {size} bytes, expected {8 * expected}")
-        return dims, np.fromfile(handle, dtype="<f8", count=expected)
+        dims = _read_header(handle, path, magic, ndim, count, rows)
+        return dims, np.fromfile(handle, dtype="<f8", count=count(*dims))
 
 
 def save_pod_basis(path, basis: PodBasis):
@@ -254,8 +262,9 @@ def save_solution_database(directory, db: SolutionDatabase):
     save_csv(directory / "index.csv", header, rows)
 
 
-def load_solution_database(directory) -> SolutionDatabase:
-    directory = Path(directory)
+def _read_index(directory: Path):
+    """The parameter rows and objectives that a database's index.csv lists,
+    and the path of its fields.bin, which must exist."""
     index = directory / "index.csv"
     if not index.exists():
         raise ArtifactError(f"{index}: missing database index")
@@ -282,12 +291,35 @@ def load_solution_database(directory) -> SolutionDatabase:
     path = directory / "fields.bin"
     if not path.exists():
         raise ArtifactError(f"{path}: missing solution fields")
+    return np.asarray(params), np.asarray(objectives), path
+
+
+def load_solution_database(directory) -> SolutionDatabase:
+    params, objectives, path = _read_index(Path(directory))
     (rows, cols), fields = _load_binary(
         path, _MAGIC_MATRIX, 2, lambda r, c: r * c, rows=len(params)
     )
-    return SolutionDatabase(
-        np.asarray(params), fields.reshape(rows, cols), np.asarray(objectives)
-    )
+    return SolutionDatabase(params, fields.reshape(rows, cols), objectives)
+
+
+def load_snapshots(directory):
+    """The database at ``directory`` as :func:`rom.build_rom` takes it: its
+    parameter rows, :func:`pod.assemble` of its fields (the centred snapshot
+    matrix and its centre) and its objectives, each bitwise equal to what
+    :func:`load_solution_database` and ``assemble`` give. fields.bin is read
+    one row at a time into its column of the matrix, which is centred in
+    place, so the fields are held once. The checks and messages are those of
+    :func:`load_solution_database`."""
+    params, objectives, path = _read_index(Path(directory))
+    with open(path, "rb") as handle:
+        rows, cols = _read_header(handle, path, _MAGIC_MATRIX, 2, lambda r, c: r * c,
+                                  rows=len(params))
+        matrix, row = np.empty((cols, rows)), np.empty(cols, dtype="<f8")
+        for i in range(rows):
+            handle.readinto(row)
+            matrix[:, i] = row
+    params, _, objectives = _database_arrays(params, matrix.T, objectives)
+    return params, (matrix, _center(matrix)), objectives
 
 
 def _interp_to_dict(interp: Interpolator) -> dict:

@@ -149,20 +149,21 @@ def cmd_build_manifold(args, cfg: PipelineConfig) -> int:
 
 def _evaluate_samples(stub_cfg, geometry_for, params, vertex_count: int, jobs: int):
     """Morph plus solver run per sample, threadable (the heavy work is in
-    GIL-releasing numpy kernels). Each result is copied, in sample order, into
+    GIL-releasing numpy kernels). Each task copies its result into its row of
     one (n, vertex_count) field matrix and one objective vector, which are
-    returned; no per-sample field outlives its copy."""
+    returned; no per-sample field outlives its task."""
     fields = np.empty((len(params), vertex_count))
     objectives = np.empty(len(params))
 
-    def run(mu):
-        return solver.evaluate(geometry_for(mu), stub_cfg)
+    def run(i):
+        snapshot = solver.evaluate(geometry_for(params[i]), stub_cfg)
+        fields[i], objectives[i] = snapshot.field, snapshot.objective
 
     # The pool starts its threads on the first submit: none at --jobs 1.
+    tasks = range(len(params))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        snapshots = pool.map(run, params) if jobs > 1 else map(run, params)
-        for i, snapshot in enumerate(snapshots):
-            fields[i], objectives[i] = snapshot.field, snapshot.objective
+        for _ in pool.map(run, tasks) if jobs > 1 else map(run, tasks):
+            pass  # each result is None; reading it re-raises a task's error
     return fields, objectives
 
 
@@ -200,17 +201,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _snapshots(directory):
-    # A database's parameters, pod.assemble of its fields, and its objectives.
-    # The database is released on return: one snapshot matrix outlives it.
-    db = artifacts.load_solution_database(directory)
-    return db.params, pod.assemble(db.fields), db.objectives
-
-
 def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
     spectra, reports = {}, {}
     for name, directory in (("full", args.full), ("reduced", args.reduced)):
-        basis = pod.compute_pod(*_snapshots(directory)[1])  # untruncated
+        basis = pod.compute_pod(*artifacts.load_snapshots(directory)[1])  # untruncated
         reports[name] = pod.decay_report(basis)
         spectra[name] = basis.singular_values
 
@@ -229,8 +223,9 @@ def cmd_compare_decay(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_build_rom(args, cfg: PipelineConfig) -> int:
-    model = rom.build_rom(*_snapshots(args.db), cfg.solution_truncation, kernel=cfg.rom.kernel,
-                          epsilon=cfg.rom.epsilon, metadata={"seed": cfg.sampling.seed})
+    model = rom.build_rom(*artifacts.load_snapshots(args.db), cfg.solution_truncation,
+                          kernel=cfg.rom.kernel, epsilon=cfg.rom.epsilon,
+                          metadata={"seed": cfg.sampling.seed})
     _log_clamp("rom", cfg.solution_truncation, model.basis.rank)
     artifacts.save_rom(args.output, model)
     count = len(model.coefficients.nodes)

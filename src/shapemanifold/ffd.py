@@ -202,7 +202,8 @@ def morph(reference: TriMesh, jac: np.ndarray, mu) -> TriMesh:
     zero displacement leaves its coordinate untouched, ``-0.0`` included.
     """
     disp = (jac @ mu).reshape(-1, 3)
-    vertices = np.where(disp == 0.0, reference.vertices, reference.vertices + disp)
+    vertices = reference.vertices + disp
+    np.copyto(vertices, reference.vertices, where=disp == 0.0)
     return TriMesh(vertices, reference.facets)
 
 

@@ -373,22 +373,32 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     return TriMesh(points, labels.reshape(-1, 3))
 
 
-def _facet_cross(mesh: TriMesh) -> np.ndarray:
-    # Per-facet edge cross product as a (3, F) array, one row per axis:
-    # along the normal, twice the area long. Each coordinate is gathered on
-    # its own from a coordinate-major copy, with no (F, 3) row gathers, and
-    # the components are written out in the order np.cross rounds them.
-    x, y, z = mesh.vertices.T.copy()
+def _facet_cross(mesh: TriMesh, work: np.ndarray) -> np.ndarray:
+    # Per-facet edge cross product, along the normal and twice the area
+    # long, computed inside ``work``, a caller's (8, F) float array: the
+    # product ends in its first three rows, one per axis, which are
+    # returned; rows 3-7 are left as scratch. Each component is rounded as
+    # np.cross rounds it. The gathers clip instead of raising, which needs
+    # no copy of ``out``: a TriMesh has no index outside its vertices.
     f0, f1, f2 = mesh.facets.T
-    x0, y0, z0 = x[f0], y[f0], z[f0]
-    ax, ay, az = x[f1] - x0, y[f1] - y0, z[f1] - z0
-    bx, by, bz = x[f2] - x0, y[f2] - y0, z[f2] - z0
-    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    cx, az, ax, ay, bx, by, bz, t = work[:8]
+    for c, a, b in zip(mesh.vertices.T, (ax, ay, az), (bx, by, bz)):
+        np.take(c, f0, out=cx, mode="clip")  # the first corner
+        np.subtract(np.take(c, f1, out=a, mode="clip"), cx, out=a)
+        np.subtract(np.take(c, f2, out=b, mode="clip"), cx, out=b)
+    np.multiply(ay, bz, out=cx)
+    cx -= np.multiply(az, by, out=t)  # x: ay bz - az by
+    np.multiply(ax, bz, out=bz)
+    np.multiply(az, bx, out=az)
+    az -= bz  # y: az bx - ax bz, in row 1
+    np.multiply(ax, by, out=ax)
+    ax -= np.multiply(ay, bx, out=ay)  # z: ax by - ay bx, in row 2
+    return work[:3]
 
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
-    cx, cy, cz = _facet_cross(mesh)
+    cx, cy, cz = _facet_cross(mesh, np.empty((8, len(mesh.facets))))
     lengths = np.sqrt(cx * cx + cy * cy + cz * cz)
     n = np.column_stack([cx, cy, cz])
     ok = lengths > 0.0

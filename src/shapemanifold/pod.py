@@ -127,9 +127,14 @@ def assemble(fields):
     # ndarray.copy is always a copy; ascontiguousarray returns a view of
     # (1, N) and (N, 1) input, which the subtraction below would write.
     matrix = rows.reshape(len(rows), -1).T.copy()
+    return matrix, _center(matrix)
+
+
+def _center(matrix: np.ndarray) -> np.ndarray:
+    # The rule of assemble: subtract the mean column in place and return it.
     center = matrix.mean(axis=1)
     matrix -= center[:, None]
-    return matrix, center
+    return center
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:

@@ -57,24 +57,59 @@ class SolutionSnapshot:
 
 
 def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
-    """Run the synthetic solver on one geometry."""
-    v = mesh.vertices
-    if cfg.mode == "field-synthetic":
-        kx, ky, kz = cfg.frequency
-        values = cfg.amplitude * np.sin(kx * v[:, 0]) * np.cos(ky * v[:, 1])
-        values = values + kz * v[:, 2] ** 2
-        cx, cy, cz = _facet_cross(mesh)
-        areas = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
-        total = areas.sum()
-        if total > 0.0:
-            f0, f1, f2 = mesh.facets.T
-            facet_mean = (values[f0] + values[f1] + values[f2]) / 3
-            objective = float((areas * facet_mean).sum() / total)
-        else:  # fully degenerate tessellation; fall back to the plain mean
-            objective = float(values.mean())
-        return SolutionSnapshot(values, objective)
+    """Run the synthetic solver on one geometry. Settings with which its
+    arithmetic overflows on this geometry are refused with a ValueError
+    that names them."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if cfg.mode == "field-synthetic":
+                return _field_synthetic(mesh, cfg)
+            return _quadratic_centroid(mesh, cfg)
+    except FloatingPointError:
+        names = ("amplitude", "frequency") if cfg.mode == "field-synthetic" else ("target",)
+        settings = ", ".join(f"stub.{name} {getattr(cfg, name)!r}" for name in names)
+        raise ValueError(f"{settings}: the {cfg.mode} solver overflows on this "
+                         "geometry") from None
 
-    # quadratic-centroid
+
+def _field_synthetic(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
+    # The field amplitude sin(kx x) cos(ky y) + kz z ** 2, and its
+    # area-weighted facet mean, in place: the facet-length arrays are rows
+    # of one (8, F) workspace. Each ufunc runs on the operands, and in the
+    # order, of the plain expressions, so every value rounds as theirs do.
+    v = mesh.vertices
+    kx, ky, kz = cfg.frequency
+    values = np.multiply(kx, v[:, 0])
+    np.multiply(cfg.amplitude, np.sin(values, out=values), out=values)
+    term = np.multiply(ky, v[:, 1])
+    values *= np.cos(term, out=term)
+    term = np.square(v[:, 2], out=term)
+    term *= kz
+    values += term
+    work = np.empty((8, len(mesh.facets)))
+    areas, cy, cz = _facet_cross(mesh, work)
+    areas *= areas
+    areas += np.multiply(cy, cy, out=cy)
+    areas += np.multiply(cz, cz, out=cz)
+    areas = np.sqrt(areas, out=areas)
+    areas *= 0.5
+    total = areas.sum()
+    if total > 0.0:
+        f0, f1, f2 = mesh.facets.T
+        mean, corner = work[3:5]
+        np.take(values, f0, out=mean, mode="clip")
+        mean += np.take(values, f1, out=corner, mode="clip")
+        mean += np.take(values, f2, out=corner, mode="clip")
+        mean /= 3
+        mean *= areas
+        objective = float(mean.sum() / total)
+    else:  # fully degenerate tessellation; fall back to the plain mean
+        objective = float(values.mean())
+    return SolutionSnapshot(values, objective)
+
+
+def _quadratic_centroid(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
+    v = mesh.vertices
     target = np.asarray(cfg.target, dtype=float)
     values = ((v - target) ** 2).sum(axis=1)
     if cfg.region is None:

@@ -11,6 +11,7 @@ from shapemanifold.artifacts import (
     load_pod_basis,
     load_reduced_space,
     load_rom,
+    load_snapshots,
     load_solution_database,
     load_vector,
     save_coefficients_csv,
@@ -23,7 +24,7 @@ from shapemanifold.artifacts import (
     save_vector,
 )
 from shapemanifold.cli import main
-from shapemanifold.errors import ArtifactError
+from shapemanifold.errors import ArtifactError, DuplicateParams
 from shapemanifold.mesh import write_stl
 from shapemanifold.manifold import (
     build_reduced_space,
@@ -249,6 +250,41 @@ class TestDirectoryArtifacts:
         assert again.fields.tobytes() == fields.tobytes()
         assert again.fields.shape == (5, 7)
 
+    def test_snapshot_loader_matches_assemble_bitwise(self, tmp_path):
+        # A reference-size database: 80 fields of 10,102 vertices, spread over
+        # many magnitudes, with -0.0 and subnormal entries.
+        rng = np.random.default_rng(26)
+        fields = rng.standard_normal((80, 10_102)) * 10.0 ** rng.integers(-8, 8, (80, 10_102))
+        fields[0, :3] = [-0.0, 5e-324, -1.5e300]
+        db = SolutionDatabase(rng.uniform(-1, 1, (80, 3)), fields, rng.standard_normal(80))
+        save_solution_database(tmp_path / "db", db)
+        params, (matrix, center), objectives = load_snapshots(tmp_path / "db")
+        loaded = load_solution_database(tmp_path / "db")
+        want_matrix, want_center = assemble(loaded.fields)
+        for got, want in [(params, loaded.params), (matrix, want_matrix),
+                          (center, want_center), (objectives, loaded.objectives)]:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda db: db.fields.__setitem__((2, 3), np.inf), "database entries must be finite"),
+        (lambda db: db.params.__setitem__(3, db.params[1]),
+         "parameter rows 1 and 3 coincide within 1e-12"),
+    ], ids=["infinite_field", "duplicate_params"])
+    def test_snapshot_loader_checks_the_database(self, tmp_path, edit, message):
+        # The loader builds no SolutionDatabase, but makes its checks. The
+        # edit lands after the database's own checks, before it is saved.
+        rng = np.random.default_rng(5)
+        db = SolutionDatabase(rng.uniform(-1, 1, (5, 2)), rng.standard_normal((5, 6)),
+                              rng.standard_normal(5))
+        edit(db)
+        save_solution_database(tmp_path / "db", db)
+        for load in (load_solution_database, load_snapshots):
+            with pytest.raises((ValueError, DuplicateParams)) as info:
+                load(tmp_path / "db")
+            assert str(info.value) == message
+
     @staticmethod
     def damage_truncated(directory):
         path = directory / "fields.bin"
@@ -290,16 +326,11 @@ class TestDirectoryArtifacts:
     def test_bad_fields_file_cli_exits_with_one_line(self, tmp_path, capsys, damage):
         directory = self.saved_database_with_row_edit(tmp_path, lambda cols: None)
         message = getattr(self, f"damage_{damage}")(directory)
-        with pytest.raises(ArtifactError) as info:
-            load_solution_database(directory)
-        assert str(info.value) == message
-        config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
-        assert main(["build-rom", "--db", str(directory), "--config", str(config)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        for load in (load_solution_database, load_snapshots):
+            with pytest.raises(ArtifactError) as info:
+                load(directory)
+            assert str(info.value) == message
+        self.assert_stages_exit_with_one_line(tmp_path, capsys, directory, message)
 
     @pytest.mark.parametrize(
         "edit, reason",
@@ -318,26 +349,40 @@ class TestDirectoryArtifacts:
     )
     def test_malformed_index_row_names_the_file_and_line(self, tmp_path, edit, reason):
         directory = self.saved_database_with_row_edit(tmp_path, edit)
-        with pytest.raises(ArtifactError) as info:
-            load_solution_database(directory)
-        message = str(info.value)
-        assert message.startswith(f"{directory / 'index.csv'}: line 3: malformed row (")
-        assert reason in message
+        for load in (load_solution_database, load_snapshots):
+            with pytest.raises(ArtifactError) as info:
+                load(directory)
+            message = str(info.value)
+            assert message.startswith(f"{directory / 'index.csv'}: line 3: malformed row (")
+            assert reason in message
 
     def test_malformed_index_row_cli_exits_with_one_line(self, tmp_path, capsys):
         directory = self.saved_database_with_row_edit(
             tmp_path, lambda cols: cols.__setitem__(1, "x")
         )
+        self.assert_stages_exit_with_one_line(
+            tmp_path, capsys, directory,
+            f"{directory / 'index.csv'}: line 3: malformed row "
+            "(could not convert string to float: 'x')",
+        )
+
+    @staticmethod
+    def assert_stages_exit_with_one_line(tmp_path, capsys, directory, message):
+        # Both stages that read a database's snapshot matrix, with the
+        # database as either of compare-decay's two.
+        good = tmp_path / "good"
+        save_solution_database(good, SolutionDatabase(
+            [[0.0, 0.0], [1.0, 0.0]], [[0.0] * 5, [1.0] * 5], [0.0, 1.0]))
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
-        assert main(["build-rom", "--db", str(directory), "--config", str(config)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {directory / 'index.csv'}: line 3: malformed row "
-            "(could not convert string to float: 'x')\n"
-        )
-        assert not (tmp_path / "out").exists()
+        for argv in (["build-rom", "--db", directory],
+                     ["compare-decay", "--full", directory, "--reduced", good],
+                     ["compare-decay", "--full", good, "--reduced", directory]):
+            assert main([*map(str, argv), "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
     @staticmethod
     def saved_database_with_row_edit(tmp_path, edit):

@@ -1,18 +1,23 @@
+import itertools
 import json
 import re
 import shutil
 import tracemalloc
 import warnings
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
-from shapemanifold import cli, pod, rom
+from shapemanifold import cli, pod, rom, solver
 from shapemanifold.artifacts import load_rom, load_solution_database, save_solution_database
 from shapemanifold.cli import main
 from shapemanifold.ffd import default_config, displacement_jacobian, morph
+from shapemanifold.manifold import sample_ffd_params
 from shapemanifold.mesh import TriMesh, default_weld_tolerance, read_stl, weld, write_stl
 from shapemanifold.pod import TruncationRule
+from shapemanifold.solver import StubConfig
 
 from helpers import make_sphere
 
@@ -318,6 +323,62 @@ class TestEvaluate:
         assert not (root / "out").exists()
 
 
+    @pytest.mark.parametrize("argv, written", [
+        (["evaluate", "--sampling", "full"], "db_full"),
+        (["evaluate", "--sampling", "reduced"], "db_reduced"),
+        (["optimize", "--objective", "stub"], "optimization_trace.csv"),
+    ], ids=["evaluate-full", "evaluate-reduced", "optimize-stub"])
+    def test_overflowing_amplitude_is_refused_writing_nothing(
+            self, workspace, capsys, argv, written):
+        root, cfg = workspace
+        assert run(cfg, "build-manifold") == 0
+        config = json.loads(cfg.read_text())
+        config["stub"]["amplitude"] = 1e308  # the facet means overflow
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, *argv, "--jobs" if argv[0] == "evaluate" else "--seed", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: stub.amplitude 1e+308, stub.frequency (3.0, 2.0, 1.5): the "
+            "field-synthetic solver overflows on this geometry"]
+        assert captured.err.splitlines()[-1].startswith("error:")
+        assert not (root / "out" / written).exists()
+
+    def test_no_snapshot_outlives_its_copy(self, monkeypatch):
+        # Each task copies its snapshot into its row: at the start of a call
+        # only the other workers' snapshots may be alive, and none once the
+        # samples are in. Fields and objectives do not depend on --jobs.
+        mesh = make_sphere(8, 10)
+        ffd_cfg = default_config(mesh)
+        jac = displacement_jacobian(ffd_cfg, mesh.vertices)
+        params = sample_ffd_params(24, ffd_cfg.bounds, 7)
+        # Snapshots hash their field, an array: keyed by call number instead.
+        evaluate, alive, counts = solver.evaluate, weakref.WeakValueDictionary(), []
+        keys = itertools.count()
+
+        def tracked(geometry, stub_cfg):
+            counts.append(len(alive))
+            snapshot = evaluate(geometry, stub_cfg)
+            alive[next(keys)] = snapshot
+            return snapshot
+
+        monkeypatch.setattr(solver, "evaluate", tracked)
+        results = []
+        for jobs in (1, 2):
+            counts.clear()
+            results.append(cli._evaluate_samples(
+                StubConfig(), partial(morph, mesh, jac), params, mesh.vertex_count, jobs))
+            assert len(counts) == len(params)
+            assert max(counts) < jobs
+            assert len(alive) == 0
+        (fields1, objectives1), (fields2, objectives2) = results
+        assert fields1.tobytes() == fields2.tobytes()
+        assert objectives1.tobytes() == objectives2.tobytes()
+
+
 class TestCompareDecay:
     def test_identical_databases(self, workspace, capsys):
         root, cfg = workspace
@@ -372,7 +433,10 @@ class TestSnapshotMemory:
     beside the contiguous one, evaluate peaked at 2.26x and compare-decay at
     3.06x; with one preallocated matrix, centered in place, 1.23x and 2.06x.
     build-rom peaked at 3.71x while it kept the loaded database beside the
-    centred copy, and at 2.29x once the database is released after assemble."""
+    centred copy, and at 2.29x once the database is released after assemble.
+    Read row by row into the centred matrix, compare-decay peaks at 1.96x and
+    build-rom stays at 2.29x: here n is 0.42 V, and the n x n arrays of the
+    decomposition set both peaks."""
 
     @pytest.fixture(scope="class")
     def databases(self, tmp_path_factory):
