@@ -322,9 +322,8 @@ class TestEvaluate:
         assert captured.err == f"error: --n must be at least 1, got {n}\n"
         assert not (root / "out").exists()
 
-
     @pytest.mark.parametrize("argv, written", [
-        (["evaluate", "--sampling", "full"], "db_full"),
+        (["evaluate", "--sampling", "full", "--jobs", "2"], "db_full"),
         (["evaluate", "--sampling", "reduced"], "db_reduced"),
         (["optimize", "--objective", "stub"], "optimization_trace.csv"),
     ], ids=["evaluate-full", "evaluate-reduced", "optimize-stub"])
@@ -338,7 +337,7 @@ class TestEvaluate:
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(cfg, *argv, "--jobs" if argv[0] == "evaluate" else "--seed", "2") == 1
+            assert run(cfg, *argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
