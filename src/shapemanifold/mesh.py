@@ -63,14 +63,22 @@ class FacetSoup:
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Indexed triangle mesh: welded vertices plus facet index triples."""
+    """Indexed triangle mesh: welded vertices plus facet index triples.
+
+    ``vertices`` is a C-order (V, 3) float array and ``facets`` an (F, 3)
+    int64 array in Fortran order, so that ``facets.T`` holds each corner's
+    indices in one contiguous row. The solve gathers through those rows:
+    ``np.take`` copies a strided index before it gathers, and a C-order
+    column of ``facets`` is strided. Meshes derived from a reference share
+    its ``facets`` array, so each topology is laid out once.
+    """
 
     vertices: np.ndarray
     facets: np.ndarray
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        facets = np.ascontiguousarray(self.facets, dtype=np.int64)
+        facets = np.asfortranarray(self.facets, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must have shape (V, 3)")
         if facets.ndim != 2 or facets.shape[1] != 3:
@@ -375,17 +383,24 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
 
 def _facet_cross(mesh: TriMesh, work: np.ndarray) -> np.ndarray:
     # Per-facet edge cross product, along the normal and twice the area
-    # long, computed inside ``work``, a caller's (8, F) float array: the
-    # product ends in its first three rows, one per axis, which are
-    # returned; rows 3-7 are left as scratch. Each component is rounded as
-    # np.cross rounds it. The gathers clip instead of raising, which needs
-    # no copy of ``out``: a TriMesh has no index outside its vertices.
+    # long, computed inside ``work``, a caller's (8, n) float array with
+    # n >= max(F, V) from :func:`_workspace`: the product ends in the first
+    # F entries of its first three rows, one per axis, which are returned;
+    # rows 3-7 are left as scratch. Each component is rounded as np.cross
+    # rounds it. ``np.take`` copies a strided source or index before it
+    # gathers, so each coordinate column is copied once into row 7, free
+    # until the products, and all three corners are taken from there
+    # through the contiguous index rows of the Fortran-order facets. The
+    # gathers clip instead of raising, which needs no copy of ``out``: a
+    # TriMesh has no index outside its vertices.
     f0, f1, f2 = mesh.facets.T
-    cx, az, ax, ay, bx, by, bz, t = work[:8]
+    cx, az, ax, ay, bx, by, bz, t = work[:8, :len(f0)]
+    stage = work[7, :mesh.vertex_count]
     for c, a, b in zip(mesh.vertices.T, (ax, ay, az), (bx, by, bz)):
-        np.take(c, f0, out=cx, mode="clip")  # the first corner
-        np.subtract(np.take(c, f1, out=a, mode="clip"), cx, out=a)
-        np.subtract(np.take(c, f2, out=b, mode="clip"), cx, out=b)
+        np.copyto(stage, c)
+        np.take(stage, f0, out=cx, mode="clip")  # the first corner
+        np.subtract(np.take(stage, f1, out=a, mode="clip"), cx, out=a)
+        np.subtract(np.take(stage, f2, out=b, mode="clip"), cx, out=b)
     np.multiply(ay, bz, out=cx)
     cx -= np.multiply(az, by, out=t)  # x: ay bz - az by
     np.multiply(ax, bz, out=bz)
@@ -393,12 +408,18 @@ def _facet_cross(mesh: TriMesh, work: np.ndarray) -> np.ndarray:
     az -= bz  # y: az bx - ax bz, in row 1
     np.multiply(ax, by, out=ax)
     ax -= np.multiply(ay, bx, out=ay)  # z: ax by - ay bx, in row 2
-    return work[:3]
+    return work[:3, :len(f0)]
+
+
+def _workspace(mesh: TriMesh) -> np.ndarray:
+    # The (8, max(F, V)) scratch array of :func:`_facet_cross`; as wide as
+    # the facets on any mesh with at least as many facets as vertices.
+    return np.empty((8, max(len(mesh.facets), mesh.vertex_count)))
 
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
-    cx, cy, cz = _facet_cross(mesh, np.empty((8, len(mesh.facets))))
+    cx, cy, cz = _facet_cross(mesh, _workspace(mesh))
     lengths = np.sqrt(cx * cx + cy * cy + cz * cz)
     n = np.column_stack([cx, cy, cz])
     ok = lengths > 0.0

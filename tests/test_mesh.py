@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shapemanifold import mesh as mesh_module
+from shapemanifold.artifacts import load_reduced_space, save_reduced_space
 from shapemanifold.errors import DimensionMismatch, EmptyMesh, MalformedStl
 from shapemanifold.mesh import (
     FacetSoup,
@@ -18,6 +19,9 @@ from shapemanifold.mesh import (
     weld,
     write_stl,
 )
+from shapemanifold.ffd import default_config, displacement_jacobian, morph
+from shapemanifold.manifold import decode
+from shapemanifold.solver import StubConfig, evaluate
 
 from helpers import (
     ascii_stl_one_facet,
@@ -26,7 +30,9 @@ from helpers import (
     crowded_cells,
     make_sphere,
     make_tetra,
+    np_cross_evaluate,
     np_cross_facet_normals,
+    random_reduced_space,
     soup_of,
     written_normals,
 )
@@ -486,3 +492,91 @@ class TestFlatten:
         mirrored = unflatten(vec, mesh)
         np.testing.assert_array_equal(mirrored.facets, mesh.facets)
         np.testing.assert_array_equal(mirrored.vertices[:, 2], -mesh.vertices[:, 2])
+
+
+
+def assert_gather_layout(mesh: TriMesh) -> None:
+    # C-order vertices and Fortran-order int64 facets: each coordinate
+    # column is a row of the staging copy and each corner's index column a
+    # contiguous row of ``facets.T``, so the solve's gathers copy nothing.
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.flags.c_contiguous
+    assert mesh.facets.dtype == np.int64 and mesh.facets.flags.f_contiguous
+    assert all(row.flags.c_contiguous for row in mesh.facets.T)
+
+
+def assert_same_mesh_results(mesh: TriMesh, want: TriMesh) -> None:
+    # ``mesh`` holds the coordinates and connectivity of ``want``, built
+    # from C-order arrays; the solve matches the np.cross formula bit for
+    # bit and both STL formats write the bytes of ``want``.
+    assert_gather_layout(mesh)
+    assert bits(mesh.vertices) == bits(want.vertices)
+    assert np.array_equal(mesh.facets, want.facets)
+    for cfg in (StubConfig(), StubConfig(frequency=(1.0, 7.0, 0.3), amplitude=2.5)):
+        snap = evaluate(mesh, cfg)
+        field, objective = np_cross_evaluate(mesh, cfg)
+        assert snap.field.tobytes() == field.tobytes()
+        assert snap.objective == objective
+    for fmt in ("binary", "ascii"):
+        assert write_stl(mesh, fmt) == write_stl(want, fmt)
+
+
+def few_facets() -> tuple[np.ndarray, np.ndarray]:
+    # 3 facets over 50 vertices: the staging row is wider than the facets.
+    vertices = np.random.default_rng(3).standard_normal((50, 3))
+    return vertices, np.array([[0, 1, 2], [3, 4, 5], [10, 20, 49]])
+
+
+def sphere_arrays() -> tuple[np.ndarray, np.ndarray]:
+    sphere = make_sphere(9, 12, radius=0.8)
+    return np.array(sphere.vertices, order="C"), np.array(sphere.facets, order="C")
+
+
+LAYOUTS = {
+    "c_order": lambda v, f: (v.copy(), f.copy()),
+    "fortran": lambda v, f: (np.asfortranarray(v), np.asfortranarray(f)),
+    "int32": lambda v, f: (v, f.astype(np.int32)),
+    "strided": lambda v, f: (np.repeat(v, 2, axis=1)[:, ::2], np.repeat(f, 2, axis=1)[:, ::2]),
+}
+
+
+class TestGatherLayout:
+    """Every mesh gathers through contiguous rows, whatever its input layout,
+    and gives the results of C-order input."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("arrays", [sphere_arrays, few_facets])
+    def test_input_layouts(self, layout, arrays):
+        vertices, facets = arrays()
+        got_v, got_f = LAYOUTS[layout](vertices, facets)
+        if layout not in ("c_order", "int32"):
+            assert not (got_v.flags.c_contiguous and got_f.flags.c_contiguous)
+        assert_same_mesh_results(TriMesh(got_v, got_f), TriMesh(vertices, facets))
+
+    def test_weld(self):
+        vertices, facets = sphere_arrays()
+        mesh = weld(read_stl(write_stl(TriMesh(vertices, facets))), tol=1e-9)
+        assert_same_mesh_results(mesh, TriMesh(np.array(mesh.vertices, order="C"),
+                                               np.array(mesh.facets, order="C")))
+
+    def test_morph_shares_the_reference_facets(self):
+        reference = make_sphere(9, 12, radius=0.8)
+        cfg = default_config(reference)
+        jac = displacement_jacobian(cfg, reference.vertices)
+        mu = np.random.default_rng(4).uniform(*cfg.bounds.T)
+        morphed = morph(reference, jac, mu)
+        assert morphed.facets is reference.facets
+        assert_same_mesh_results(morphed, TriMesh(np.array(morphed.vertices, order="C"),
+                                                  np.array(reference.facets, order="C")))
+
+    def test_decode_and_the_loaded_reference(self, tmp_path):
+        rng = np.random.default_rng(6)
+        space = random_reduced_space(rng)
+        save_reduced_space(tmp_path / "space", space)
+        again = load_reduced_space(tmp_path / "space")
+        for reference in (space.reference, again.reference):
+            assert_gather_layout(reference)
+        assert again.facets is again.reference.facets
+        mesh = decode(again, again.bounding_box.mean(axis=1))
+        assert mesh.facets is again.reference.facets
+        assert_same_mesh_results(mesh, TriMesh(np.array(mesh.vertices, order="C"),
+                                               make_tetra().facets.copy(order="C")))

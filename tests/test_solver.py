@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ class TestFieldSynthetic:
         field, objective = np_cross_evaluate(padded, StubConfig())
         assert snap.field.tobytes() == field.tobytes()
         assert snap.objective == objective
+
+    @pytest.mark.parametrize("rings, segments", [(101, 101), (41, 40)])
+    def test_solve_makes_no_hidden_copies(self, rings, segments):
+        # The (8, F) workspace, the field and one V-length term: 8 (8F + 2V)
+        # bytes. A gather from a strided coordinate column or through a
+        # strided index column copies it first, 1.17x on the 101 x 101 sphere.
+        mesh = make_sphere(rings, segments)
+        evaluate(mesh, StubConfig())
+        tracemalloc.start()
+        try:
+            evaluate(mesh, StubConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mesh.facets) >= mesh.vertex_count
+        assert peak <= 1.05 * 8 * (8 * len(mesh.facets) + 2 * mesh.vertex_count)
 
     def test_zero_amplitude_zero_field(self):
         cfg = StubConfig(mode="field-synthetic", frequency=(1.0, 1.0, 0.0), amplitude=0.0)
