@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import _read, _section
-from .errors import ArtifactError, EmptyDatabase
+from .errors import ArtifactError, DuplicateParams, EmptyDatabase
 from .manifold import Dependency, FeasiblePolygon, ReducedSpace
 from .pod import PodBasis, _center
-from .rom import Interpolator, RomModel, SolutionDatabase, _database_arrays
+from .rom import Interpolator, RomModel, SolutionDatabase
 
 _MAGIC_BASIS = b"SMPODBAS"
 _MAGIC_VECTOR = b"SMVECTOR"
@@ -95,12 +95,12 @@ def _read_header(handle, path: Path, magic: bytes, ndim: int, count, rows: int |
     return dims
 
 
-def _load_binary(path: Path, magic: bytes, ndim: int, count, rows: int | None = None):
+def _load_binary(path: Path, magic: bytes, ndim: int, count):
     """Read a :func:`_save_binary` artifact that :func:`_read_header`
     accepts; one ``np.fromfile`` reads the payload. Returns the dimensions
     and the flat payload."""
     with open(path, "rb") as handle:
-        dims = _read_header(handle, path, magic, ndim, count, rows)
+        dims = _read_header(handle, path, magic, ndim, count)
         return dims, np.fromfile(handle, dtype="<f8", count=count(*dims))
 
 
@@ -169,8 +169,15 @@ def save_trace_csv(path, traces):
               for it, (mu, value) in enumerate(trace)))
 
 
-def _load_json(path, expected_format: str) -> dict:
-    path = Path(path)
+def _save_json(path, kind: str, body: dict):
+    """A JSON document of ``kind`` (a key of ``JSON_FORMATS``): its format
+    and version, then the keys of ``body`` in order."""
+    doc = {"format": JSON_FORMATS[kind], "version": _VERSION, **body}
+    _write_lines(path, [json.dumps(doc, indent=1)])
+
+
+def _load_json(path, kind: str) -> dict:
+    path, expected_format = Path(path), JSON_FORMATS[kind]
     try:
         data = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -198,9 +205,7 @@ def save_reduced_space(directory, space: ReducedSpace):
     (directory / "space.json").unlink(missing_ok=True)  # written last
     save_pod_basis(directory / "geometry_basis.bin", space.basis)
     _save_binary(directory / "facets.bin", _MAGIC_MATRIX, space.facets.shape, space.facets)
-    doc = {
-        "format": JSON_FORMATS["space"],
-        "version": _VERSION,
+    _save_json(directory / "space.json", "space", {
         "dependencies": [None if s is None else asdict(s) for s in space.dependencies],
         "polygon": None
         if space.polygon is None
@@ -209,8 +214,7 @@ def save_reduced_space(directory, space: ReducedSpace):
             "vertices": space.polygon.vertices.tolist(),
         },
         "bounding_box": space.bounding_box.tolist(),
-    }
-    _write_lines(directory / "space.json", [json.dumps(doc, indent=1)])
+    })
 
 
 def load_reduced_space(directory) -> ReducedSpace:
@@ -218,7 +222,7 @@ def load_reduced_space(directory) -> ReducedSpace:
     write, such as the ``free_indices`` of earlier versions, are ignored."""
     directory = Path(directory)
     path = directory / "space.json"
-    doc = _load_json(path, JSON_FORMATS["space"])
+    doc = _load_json(path, "space")
     basis = load_pod_basis(directory / "geometry_basis.bin")
     if basis.state_dim % 3:
         raise ArtifactError(f"{directory / 'geometry_basis.bin'}: {basis.state_dim} "
@@ -295,22 +299,12 @@ def _read_index(directory: Path):
 
 
 def load_solution_database(directory) -> SolutionDatabase:
-    params, objectives, path = _read_index(Path(directory))
-    (rows, cols), fields = _load_binary(
-        path, _MAGIC_MATRIX, 2, lambda r, c: r * c, rows=len(params)
-    )
-    return SolutionDatabase(params, fields.reshape(rows, cols), objectives)
-
-
-def load_snapshots(directory):
-    """The database at ``directory`` as :func:`rom.build_rom` takes it: its
-    parameter rows, :func:`pod.assemble` of its fields (the centred snapshot
-    matrix and its centre) and its objectives, each bitwise equal to what
-    :func:`load_solution_database` and ``assemble`` give. fields.bin is read
-    one row at a time into its column of the matrix, which is centred in
-    place, so the fields are held once. The checks and messages are those of
-    :func:`load_solution_database`."""
-    params, objectives, path = _read_index(Path(directory))
+    """The database at ``directory``, the one reader of its fields.bin: each
+    row is read into its column of one C-order V x n matrix, and ``fields``
+    is that matrix's transposed view. A failed database check names the
+    directory."""
+    directory = Path(directory)
+    params, objectives, path = _read_index(directory)
     with open(path, "rb") as handle:
         rows, cols = _read_header(handle, path, _MAGIC_MATRIX, 2, lambda r, c: r * c,
                                   rows=len(params))
@@ -318,8 +312,21 @@ def load_snapshots(directory):
         for i in range(rows):
             handle.readinto(row)
             matrix[:, i] = row
-    params, _, objectives = _database_arrays(params, matrix.T, objectives)
-    return params, (matrix, _center(matrix)), objectives
+    try:
+        return SolutionDatabase(params, matrix.T, objectives)
+    except (ValueError, DuplicateParams) as exc:
+        raise ArtifactError(f"{directory}: {exc}") from exc
+
+
+def load_snapshots(directory):
+    """The database at ``directory`` as :func:`rom.build_rom` takes it: its
+    parameter rows, :func:`pod.assemble` of its fields (the centred snapshot
+    matrix and its centre) and its objectives, each bitwise equal to what
+    ``assemble`` gives. The database's own matrix is centred in place, so
+    the fields are held once."""
+    db = load_solution_database(directory)
+    matrix = db.fields.T
+    return db.params, (matrix, _center(matrix)), db.objectives
 
 
 def _interp_to_dict(interp: Interpolator) -> dict:
@@ -344,9 +351,7 @@ def save_rom(directory, model: RomModel):
     directory = Path(directory)
     (directory / "interpolators.json").unlink(missing_ok=True)  # written last
     save_pod_basis(directory / "solution_basis.bin", model.basis)
-    doc = {
-        "format": JSON_FORMATS["rom"],
-        "version": _VERSION,
+    _save_json(directory / "interpolators.json", "rom", {
         "kernel": model.coefficients.kernel,
         "epsilon": model.coefficients.epsilon,
         "nodes": model.coefficients.nodes.tolist(),
@@ -354,14 +359,13 @@ def save_rom(directory, model: RomModel):
         "objective": _interp_to_dict(model.objective),
         "objective_mean": model.objective_mean,
         "metadata": model.metadata,
-    }
-    _write_lines(directory / "interpolators.json", [json.dumps(doc, indent=1)])
+    })
 
 
 def load_rom(directory) -> RomModel:
     directory = Path(directory)
     path = directory / "interpolators.json"
-    doc = _load_json(path, JSON_FORMATS["rom"])
+    doc = _load_json(path, "rom")
     basis = load_pod_basis(directory / "solution_basis.bin")
     with _fields_of(path):
         shared = (_read(doc["kernel"], "str", "kernel"),
@@ -381,14 +385,11 @@ def save_validation(path, errors: np.ndarray, summary: dict, kernel: str,
     """Leave-one-out report as ``rom.loo_error`` returns it: per-sample
     errors and their mean and max, plus the snapshot count, the kernel and
     the configured epsilon (null: each fold takes its own default)."""
-    doc = {
-        "format": JSON_FORMATS["validation"],
-        "version": _VERSION,
+    _save_json(path, "validation", {
         "snapshot_count": len(errors),
         "kernel": kernel,
         "epsilon": epsilon,
         "mean": summary["mean"],
         "max": summary["max"],
         "errors": np.asarray(errors, dtype=float).tolist(),
-    }
-    _write_lines(path, [json.dumps(doc, indent=1)])
+    })

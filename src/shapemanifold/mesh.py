@@ -78,17 +78,20 @@ class TriMesh:
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        facets = np.asfortranarray(self.facets, dtype=np.int64)
+        facets = np.asarray(self.facets)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must have shape (V, 3)")
         if facets.ndim != 2 or facets.shape[1] != 3:
             raise ValueError("facets must have shape (F, 3)")
         if not np.isfinite(vertices).all():
             raise ValueError("non-finite vertex coordinate")
+        # The cast to int64 would truncate; integer arrays need no test.
+        if facets.dtype.kind not in "iu" and not np.all(np.floor(facets) == facets):
+            raise ValueError("facet indices must be integers")
         if facets.size and (facets.min() < 0 or facets.max() >= len(vertices)):
             raise ValueError("facet index outside vertex range")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "facets", np.asfortranarray(facets, dtype=np.int64))
 
     @property
     def vertex_count(self) -> int:

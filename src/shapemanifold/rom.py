@@ -26,44 +26,37 @@ _RESIDUAL_RTOL = 1e-8
 _SCAN_BUDGET = 1 << 17
 
 
-def _database_arrays(params, fields, objectives):
-    """A :class:`SolutionDatabase`'s checks: its arrays as floats, params and
-    fields 2-D with one row per sample, once the row counts agree, every
-    entry is finite and no two parameter rows coincide."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    objectives = np.asarray(objectives, dtype=float).reshape(-1)
-    m = params.shape[0]
-    if fields.shape[0] != m or objectives.size != m:
-        raise ValueError("database row counts disagree")
-    if not all(np.isfinite(a).all() for a in (params, fields, objectives)):
-        raise ValueError("database entries must be finite")
-    # Chebyshev distance of every pair i < j below 1e-12, one parameter
-    # column at a time and a block of rows at a time so that memory stays
-    # bounded; the first hit in row-major (i, j) order is the one reported.
-    block = max(1, _SCAN_BUDGET // max(1, params.size))
-    for start in range(0, m, block):
-        rows = params[start:start + block]
-        close = np.ones((rows.shape[0], m), dtype=bool)
-        for k in range(params.shape[1]):
-            close &= np.abs(rows[:, k, None] - params[None, :, k]) < 1e-12
-        pairs = np.argwhere(np.triu(close, start + 1))
-        if pairs.size:
-            i, j = pairs[0]
-            raise DuplicateParams(f"parameter rows {start + i} and {j} coincide within 1e-12")
-    return params, fields, objectives
-
-
 @dataclass(frozen=True)
 class SolutionDatabase:
-    """Parameter rows, solution fields (one row per sample), objectives."""
+    """Parameter rows, solution fields (one row per sample), objectives; the
+    one checker of a database. Float arrays are kept, not copied."""
 
     params: np.ndarray
     fields: np.ndarray
     objectives: np.ndarray
 
     def __post_init__(self):
-        params, fields, objectives = _database_arrays(self.params, self.fields, self.objectives)
+        params = np.atleast_2d(np.asarray(self.params, dtype=float))
+        fields = np.atleast_2d(np.asarray(self.fields, dtype=float))
+        objectives = np.asarray(self.objectives, dtype=float).reshape(-1)
+        m = params.shape[0]
+        if fields.shape[0] != m or objectives.size != m:
+            raise ValueError("database row counts disagree")
+        if not all(np.isfinite(a).all() for a in (params, fields, objectives)):
+            raise ValueError("database entries must be finite")
+        # Chebyshev distance of every pair i < j below 1e-12, one parameter
+        # column at a time and a block of rows at a time so that memory stays
+        # bounded; the first hit in row-major (i, j) order is the one reported.
+        block = max(1, _SCAN_BUDGET // max(1, params.size))
+        for start in range(0, m, block):
+            rows = params[start:start + block]
+            close = np.ones((rows.shape[0], m), dtype=bool)
+            for k in range(params.shape[1]):
+                close &= np.abs(rows[:, k, None] - params[None, :, k]) < 1e-12
+            pairs = np.argwhere(np.triu(close, start + 1))
+            if pairs.size:
+                i, j = pairs[0]
+                raise DuplicateParams(f"parameter rows {start + i} and {j} coincide within 1e-12")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "objectives", objectives)

@@ -1246,7 +1246,9 @@ def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, 
     bit for bit in their saved shapes, the loaded modes are C-contiguous,
     and the files hold the documented layout: magic, version, uint64
     dimensions, float64 payload (modes column-major, facet indices as
-    integer-valued floats)."""
+    integer-valued floats). Fortran-order fields write the same bytes, and
+    ``load_snapshots`` gives a C-contiguous matrix and a centre bitwise
+    those of ``pod.assemble`` of the loaded fields."""
     header = struct.pack("<I", 1)
     # Signed unit columns: exactly orthonormal, with -0.0 off the diagonal.
     modes = -np.eye(state_dim)[:, rng.permutation(state_dim)[:rank]]
@@ -1282,6 +1284,18 @@ def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, 
     )
     again = artifacts.load_solution_database(directory / "db").fields
     assert again.shape == (rows, cols) and bits(again) == bits(fields)
+    artifacts.save_solution_database(directory / "fortran", rom.SolutionDatabase(
+        db.params, np.asfortranarray(fields), db.objectives))
+    assert (directory / "fortran" / "fields.bin").read_bytes() == path.read_bytes()
+    # 1 to 8 rows reach the (1, V) and (V, 1) shapes; a column holding both
+    # extremes centres on inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, (matrix, center), objectives = artifacts.load_snapshots(directory / "db")
+        want_matrix, want_center = pod.assemble(again)
+    assert matrix.flags.c_contiguous
+    for got, want in [(params, db.params), (matrix, want_matrix), (center, want_center),
+                      (objectives, db.objectives)]:
+        assert got.shape == want.shape and bits(got) == bits(want)
 
     vertices = special_floats(rng, 3 * state_dim)
     space = ReducedSpace(

@@ -272,18 +272,23 @@ class TestDirectoryArtifacts:
         (lambda db: db.params.__setitem__(3, db.params[1]),
          "parameter rows 1 and 3 coincide within 1e-12"),
     ], ids=["infinite_field", "duplicate_params"])
-    def test_snapshot_loader_checks_the_database(self, tmp_path, edit, message):
-        # The loader builds no SolutionDatabase, but makes its checks. The
-        # edit lands after the database's own checks, before it is saved.
+    def test_snapshot_loader_checks_the_database(self, tmp_path, capsys, edit, message):
+        # The edit lands after the database's own checks, before it is saved;
+        # the loaders refuse it with SolutionDatabase's message, naming the
+        # database, and so does every stage that reads it.
         rng = np.random.default_rng(5)
         db = SolutionDatabase(rng.uniform(-1, 1, (5, 2)), rng.standard_normal((5, 6)),
                               rng.standard_normal(5))
         edit(db)
-        save_solution_database(tmp_path / "db", db)
+        directory = tmp_path / "db"
+        save_solution_database(directory, db)
+        message = f"{directory}: {message}"
         for load in (load_solution_database, load_snapshots):
-            with pytest.raises((ValueError, DuplicateParams)) as info:
-                load(tmp_path / "db")
+            with pytest.raises(ArtifactError) as info:
+                load(directory)
             assert str(info.value) == message
+            assert isinstance(info.value.__cause__, (ValueError, DuplicateParams))
+        self.assert_stages_exit_with_one_line(tmp_path, capsys, directory, message)
 
     @staticmethod
     def damage_truncated(directory):
@@ -368,14 +373,14 @@ class TestDirectoryArtifacts:
 
     @staticmethod
     def assert_stages_exit_with_one_line(tmp_path, capsys, directory, message):
-        # Both stages that read a database's snapshot matrix, with the
-        # database as either of compare-decay's two.
+        # Every stage that reads a database, with the database as either of
+        # compare-decay's two.
         good = tmp_path / "good"
         save_solution_database(good, SolutionDatabase(
             [[0.0, 0.0], [1.0, 0.0]], [[0.0] * 5, [1.0] * 5], [0.0, 1.0]))
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"reference_stl": "ref.stl", "output_dir": "out"}))
-        for argv in (["build-rom", "--db", directory],
+        for argv in (["build-rom", "--db", directory], ["validate", "--db", directory],
                      ["compare-decay", "--full", directory, "--reduced", good],
                      ["compare-decay", "--full", good, "--reduced", directory]):
             assert main([*map(str, argv), "--config", str(config)]) == 1

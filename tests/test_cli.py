@@ -613,7 +613,7 @@ class TestRomCommands:
         assert run(cfg, "build-rom", "--db", str(index.parent)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: database entries must be finite\n"
+        assert captured.err == f"error: {index.parent}: database entries must be finite\n"
         assert not (root / "out" / "rom" / "interpolators.json").exists()
 
     def test_missing_rom_field_clean_error(self, workspace, capsys):

@@ -535,6 +535,8 @@ LAYOUTS = {
     "c_order": lambda v, f: (v.copy(), f.copy()),
     "fortran": lambda v, f: (np.asfortranarray(v), np.asfortranarray(f)),
     "int32": lambda v, f: (v, f.astype(np.int32)),
+    # Integer-valued floats, as facets.bin stores them.
+    "float": lambda v, f: (v, f.astype(float)),
     "strided": lambda v, f: (np.repeat(v, 2, axis=1)[:, ::2], np.repeat(f, 2, axis=1)[:, ::2]),
 }
 
@@ -548,9 +550,18 @@ class TestGatherLayout:
     def test_input_layouts(self, layout, arrays):
         vertices, facets = arrays()
         got_v, got_f = LAYOUTS[layout](vertices, facets)
-        if layout not in ("c_order", "int32"):
+        if layout not in ("c_order", "int32", "float"):
             assert not (got_v.flags.c_contiguous and got_f.flags.c_contiguous)
         assert_same_mesh_results(TriMesh(got_v, got_f), TriMesh(vertices, facets))
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, -0.5, np.nan])
+    def test_non_integer_facet_indices_are_refused(self, bad):
+        # The int64 cast would truncate 1.9 to 1: refused instead, with no
+        # warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^facet indices must be integers$"):
+                TriMesh(np.eye(3), [[0, 1, bad]])
 
     def test_weld(self):
         vertices, facets = sphere_arrays()
