@@ -1287,8 +1287,8 @@ def assert_binary_artifacts_round_trip(directory, rng, state_dim, rank, length, 
     artifacts.save_solution_database(directory / "fortran", rom.SolutionDatabase(
         db.params, np.asfortranarray(fields), db.objectives))
     assert (directory / "fortran" / "fields.bin").read_bytes() == path.read_bytes()
-    # 1 to 8 rows reach the (1, V) and (V, 1) shapes; a column holding both
-    # extremes centres on inf.
+    # 1 to 8 rows reach the (1, V) and (V, 1) shapes; a column whose sum
+    # overflows centres on inf.
     with np.errstate(over="ignore", invalid="ignore"):
         params, (matrix, center), objectives = artifacts.load_snapshots(directory / "db")
         want_matrix, want_center = pod.assemble(again)
