@@ -272,7 +272,10 @@ def _read_index(directory: Path):
     index = directory / "index.csv"
     if not index.exists():
         raise ArtifactError(f"{index}: missing database index")
-    lines = index.read_text().strip().splitlines()
+    try:
+        lines = index.read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{index}: not valid text ({exc})") from exc
     if len(lines) < 2:
         raise EmptyDatabase(f"{index}: no samples recorded")
     header = lines[0].split(",")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import artifacts, ffd, manifold, optimize, pod, rom, solver
 from .config import PipelineConfig, load_pipeline_config
-from .errors import ShapeManifoldError
+from .errors import EmptyMesh, MalformedStl, ShapeManifoldError
 from .mesh import (
     TriMesh,
     default_weld_tolerance,
@@ -43,7 +43,10 @@ def _log(message: str):
 
 def _load_reference(cfg: PipelineConfig) -> TriMesh:
     data = Path(cfg.reference_stl).read_bytes()
-    soup = read_stl(data)
+    try:
+        soup = read_stl(data)
+    except (MalformedStl, EmptyMesh) as exc:
+        raise type(exc)(f"{cfg.reference_stl}: {exc}") from exc
     tol = cfg.weld_tolerance
     if tol is None:
         tol = default_weld_tolerance(soup)

@@ -225,7 +225,7 @@ def load_pipeline_config(
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict) or "reference_stl" not in data:
         raise ArtifactError(f"{path}: config must set 'reference_stl'")

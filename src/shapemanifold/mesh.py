@@ -28,15 +28,21 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyMesh, MalformedStl
 
-# Binary STL facet record: normal, three vertices, attribute byte count.
+# Binary STL facet record, 50 bytes: normal, three corners, attribute word.
 _FACET_DTYPE = np.dtype([
     ("normal", "<f4", (3,)),
-    ("v0", "<f4", (3,)),
-    ("v1", "<f4", (3,)),
-    ("v2", "<f4", (3,)),
+    ("corners", "<f4", (3, 3)),
     ("attr", "<u2"),
 ])
 _BINARY_HEADER = b"shapemanifold"
+# One ASCII facet exactly as write_stl prints it. Its tokens after "facet"
+# are the reader's grammar: keywords in any case, and a number per %.17g.
+_ASCII_FACET = (
+    "  facet normal %.17g %.17g %.17g\n    outer loop\n"
+    + "      vertex %.17g %.17g %.17g\n" * 3
+    + "    endloop\n  endfacet\n"
+)
+_FACET_WORDS = _ASCII_FACET.split()[1:]
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,7 @@ def _read_binary(data: bytes) -> FacetSoup:
             f"for {count} facets"
         )
     records = np.frombuffer(data, dtype=_FACET_DTYPE, count=count, offset=84)
-    corners = np.stack(
-        [records["v0"], records["v1"], records["v2"]], axis=1
-    ).astype(float)
-    return FacetSoup(corners)
+    return FacetSoup(records["corners"].astype(float))
 
 
 def _read_ascii(data: bytes) -> FacetSoup:
@@ -143,49 +146,34 @@ def _read_ascii(data: bytes) -> FacetSoup:
     except UnicodeDecodeError as exc:
         raise MalformedStl(f"ASCII STL is not valid text: {exc}") from exc
     pos = 0
+    numbers: list[float] = []
 
-    def next_token() -> str:
+    def expect(word: str):
+        # Take the next token as ``word`` of the facet template.
         nonlocal pos
         if pos >= len(tokens):
             raise MalformedStl("ASCII STL ended unexpectedly")
         tok = tokens[pos]
         pos += 1
-        return tok
-
-    def expect(word: str):
-        tok = next_token()
-        if tok.lower() != word:
-            raise MalformedStl(f"expected '{word}', found '{tok}'")
-
-    def floats(n: int) -> list[float]:
-        out = []
-        for _ in range(n):
-            tok = next_token()
+        if word == "%.17g":
             try:
-                out.append(float(tok))
+                numbers.append(float(tok))
             except ValueError as exc:
                 raise MalformedStl(f"expected a number, found '{tok}'") from exc
-        return out
-
-    corners = []
-    expect("solid")
-    while pos < len(tokens):
-        tok = next_token()
-        low = tok.lower()
-        if low == "facet":
-            expect("normal")
-            floats(3)  # recomputed on output, not kept
-            expect("outer")
-            expect("loop")
-            tri = []
-            for _ in range(3):
-                expect("vertex")
-                tri.append(floats(3))
-            if pos < len(tokens) and tokens[pos].lower() == "vertex":
+        elif tok.lower() != word:
+            if word == "endloop" and tok.lower() == "vertex":
                 raise MalformedStl("facet loop has more than three vertices")
-            expect("endloop")
-            expect("endfacet")
-            corners.append(tri)
+            raise MalformedStl(f"expected '{word}', found '{tok}'")
+
+    expect("solid")
+    # Tokens outside a facet and other than these keywords are part of the
+    # solid name; names may contain arbitrary words.
+    while pos < len(tokens):
+        low = tokens[pos].lower()
+        pos += 1
+        if low == "facet":
+            for word in _FACET_WORDS:
+                expect(word)
         elif low == "endsolid":
             # Consume the optional solid name up to the next "solid" block.
             while pos < len(tokens) and tokens[pos].lower() != "solid":
@@ -194,12 +182,10 @@ def _read_ascii(data: bytes) -> FacetSoup:
                 pos += 1  # the next "solid"
         elif low == "vertex":
             raise MalformedStl("vertex outside a facet loop")
-        else:
-            # Part of the solid name; names may contain arbitrary words.
-            continue
-    if not corners:
+    if not numbers:
         raise EmptyMesh("ASCII STL contains no facets")
-    return FacetSoup(np.array(corners, dtype=float))
+    # Twelve numbers per facet: the stored normal, not kept, then the corners.
+    return FacetSoup(np.array(numbers).reshape(-1, 12)[:, 3:].reshape(-1, 3, 3))
 
 
 def read_stl(data: bytes) -> FacetSoup:
@@ -384,20 +370,21 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     return TriMesh(points, labels.reshape(-1, 3))
 
 
-def _facet_cross(mesh: TriMesh, work: np.ndarray) -> np.ndarray:
+def _facet_cross(mesh: TriMesh) -> np.ndarray:
     # Per-facet edge cross product, along the normal and twice the area
-    # long, computed inside ``work``, a caller's (8, n) float array with
-    # n >= max(F, V) from :func:`_workspace`: the product ends in the first
-    # F entries of its first three rows, one per axis, which are returned;
-    # rows 3-7 are left as scratch. Each component is rounded as np.cross
-    # rounds it. ``np.take`` copies a strided source or index before it
-    # gathers, so each coordinate column is copied once into row 7, free
-    # until the products, and all three corners are taken from there
-    # through the contiguous index rows of the Fortran-order facets. The
-    # gathers clip instead of raising, which needs no copy of ``out``: a
-    # TriMesh has no index outside its vertices.
+    # long, computed inside one (8, max(F, V)) scratch array, as wide as the
+    # facets on any mesh with at least as many facets as vertices. Returns
+    # the array's first F columns: rows 0-2 hold the product, one per axis,
+    # and rows 3-7 are free for the caller. Each component is rounded as
+    # np.cross rounds it. ``np.take`` copies a strided source or index
+    # before it gathers, so each coordinate column is copied once into row
+    # 7, free until the products, and all three corners are taken from
+    # there through the contiguous index rows of the Fortran-order facets.
+    # The gathers clip instead of raising, which needs no copy of ``out``:
+    # a TriMesh has no index outside its vertices.
     f0, f1, f2 = mesh.facets.T
-    cx, az, ax, ay, bx, by, bz, t = work[:8, :len(f0)]
+    work = np.empty((8, max(len(f0), mesh.vertex_count)))
+    cx, az, ax, ay, bx, by, bz, t = work[:, :len(f0)]
     stage = work[7, :mesh.vertex_count]
     for c, a, b in zip(mesh.vertices.T, (ax, ay, az), (bx, by, bz)):
         np.copyto(stage, c)
@@ -411,18 +398,12 @@ def _facet_cross(mesh: TriMesh, work: np.ndarray) -> np.ndarray:
     az -= bz  # y: az bx - ax bz, in row 1
     np.multiply(ax, by, out=ax)
     ax -= np.multiply(ay, bx, out=ay)  # z: ax by - ay bx, in row 2
-    return work[:3, :len(f0)]
-
-
-def _workspace(mesh: TriMesh) -> np.ndarray:
-    # The (8, max(F, V)) scratch array of :func:`_facet_cross`; as wide as
-    # the facets on any mesh with at least as many facets as vertices.
-    return np.empty((8, max(len(mesh.facets), mesh.vertex_count)))
+    return work[:, :len(f0)]
 
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
-    cx, cy, cz = _facet_cross(mesh, _workspace(mesh))
+    cx, cy, cz = _facet_cross(mesh)[:3]
     lengths = np.sqrt(cx * cx + cy * cy + cz * cz)
     n = np.column_stack([cx, cy, cz])
     ok = lengths > 0.0
@@ -443,24 +424,13 @@ def write_stl(mesh: TriMesh, fmt: str = "binary") -> bytes:
     if fmt == "binary":
         records = np.zeros(len(mesh.facets), dtype=_FACET_DTYPE)
         records["normal"] = normals
-        records["v0"] = tri[:, 0]
-        records["v1"] = tri[:, 1]
-        records["v2"] = tri[:, 2]
+        records["corners"] = tri
         header = _BINARY_HEADER.ljust(80, b"\x00")
         return header + struct.pack("<I", len(records)) + records.tobytes()
     if fmt == "ascii":
-        lines = ["solid shapemanifold"]
-        for nrm, corners in zip(normals, tri):
-            lines.append(
-                "  facet normal {:.17g} {:.17g} {:.17g}".format(*nrm)
-            )
-            lines.append("    outer loop")
-            for p in corners:
-                lines.append("      vertex {:.17g} {:.17g} {:.17g}".format(*p))
-            lines.append("    endloop")
-            lines.append("  endfacet")
-        lines.append("endsolid shapemanifold")
-        return ("\n".join(lines) + "\n").encode("ascii")
+        rows = np.hstack([normals, tri.reshape(-1, 9)]).tolist()
+        body = "".join(_ASCII_FACET % tuple(row) for row in rows)
+        return f"solid shapemanifold\n{body}endsolid shapemanifold\n".encode("ascii")
     raise ValueError(f"unknown STL format {fmt!r}")
 
 

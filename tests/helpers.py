@@ -11,6 +11,9 @@ parameter's entries once, and the geometry-POD oracle morphs every
 sample through the FFD oracle and decomposes the snapshot matrix
 instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
+The STL oracles are the token-by-token ASCII reader and line-by-line ASCII
+writer that ``mesh``'s one facet template replaced, and a binary reader
+that unpacks one record at a time with ``struct``.
 The leave-one-out oracle rebuilds every fold as a database of the kept
 full-length fields, as ``rom.loo_error`` did before it moved the folds
 into the fields' span and sliced them from arrays.
@@ -38,7 +41,8 @@ import warnings
 import numpy as np
 
 from shapemanifold import artifacts, pod, rom
-from shapemanifold.errors import CollinearPoints
+from shapemanifold import mesh as mesh_module
+from shapemanifold.errors import CollinearPoints, EmptyMesh, MalformedStl
 from shapemanifold.ffd import (
     FfdConfig,
     MapEntry,
@@ -57,7 +61,7 @@ from shapemanifold.manifold import (
     decode,
     fit_feasible_polygon,
 )
-from shapemanifold.mesh import FacetSoup, TriMesh, flatten, unflatten, weld
+from shapemanifold.mesh import FacetSoup, TriMesh, flatten, read_stl, unflatten, weld, write_stl
 from shapemanifold.optimize import _DIAMETER_TOL, _SPREAD_TOL, _nelder_mead
 
 
@@ -634,6 +638,176 @@ def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert got.facets.tobytes() == want.facets.tobytes()
     return got
+
+
+def loop_read_ascii(data: bytes) -> FacetSoup:
+    """Read ASCII STL token by token, with one ``expect`` or ``floats`` call
+    per keyword or number group of a facet. ``mesh.read_stl`` must give its
+    corners, or its exception type and message, on every ASCII input."""
+    try:
+        tokens = data.decode("ascii", errors="strict").split()
+    except UnicodeDecodeError as exc:
+        raise MalformedStl(f"ASCII STL is not valid text: {exc}") from exc
+    pos = 0
+
+    def next_token() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise MalformedStl("ASCII STL ended unexpectedly")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def expect(word: str):
+        tok = next_token()
+        if tok.lower() != word:
+            raise MalformedStl(f"expected '{word}', found '{tok}'")
+
+    def floats(n: int) -> list[float]:
+        out = []
+        for _ in range(n):
+            tok = next_token()
+            try:
+                out.append(float(tok))
+            except ValueError as exc:
+                raise MalformedStl(f"expected a number, found '{tok}'") from exc
+        return out
+
+    corners = []
+    expect("solid")
+    while pos < len(tokens):
+        tok = next_token()
+        low = tok.lower()
+        if low == "facet":
+            expect("normal")
+            floats(3)
+            expect("outer")
+            expect("loop")
+            tri = []
+            for _ in range(3):
+                expect("vertex")
+                tri.append(floats(3))
+            if pos < len(tokens) and tokens[pos].lower() == "vertex":
+                raise MalformedStl("facet loop has more than three vertices")
+            expect("endloop")
+            expect("endfacet")
+            corners.append(tri)
+        elif low == "endsolid":
+            while pos < len(tokens) and tokens[pos].lower() != "solid":
+                pos += 1
+            if pos < len(tokens):
+                pos += 1
+        elif low == "vertex":
+            raise MalformedStl("vertex outside a facet loop")
+    if not corners:
+        raise EmptyMesh("ASCII STL contains no facets")
+    return FacetSoup(np.array(corners, dtype=float))
+
+
+def loop_read_binary(data: bytes) -> FacetSoup:
+    """Read binary STL one 50-byte record at a time with ``struct``."""
+    if len(data) < 84:
+        raise MalformedStl("binary STL shorter than header plus count")
+    (count,) = struct.unpack_from("<I", data, 80)
+    if count == 0:
+        raise EmptyMesh("binary STL declares zero facets")
+    expected = 84 + 50 * count
+    if len(data) < expected:
+        raise MalformedStl(
+            f"binary STL truncated: {len(data)} bytes, {expected} required for {count} facets"
+        )
+    corners = [struct.unpack_from("<9f", data, 84 + 50 * i + 12) for i in range(count)]
+    return FacetSoup(np.array(corners).reshape(-1, 3, 3))
+
+
+def loop_read_stl(data: bytes) -> FacetSoup:
+    """``read_stl`` through the loop readers, with its format detection."""
+    if not data:
+        raise MalformedStl("empty byte stream")
+    return (loop_read_ascii if mesh_module._looks_ascii(data) else loop_read_binary)(data)
+
+
+def loop_write_ascii(mesh: TriMesh) -> bytes:
+    """ASCII STL printed line by line: ``write_stl(mesh, "ascii")`` must
+    give these bytes."""
+    lines = ["solid shapemanifold"]
+    for nrm, corners in zip(mesh_module._facet_normals(mesh), mesh.vertices[mesh.facets]):
+        lines.append("  facet normal {:.17g} {:.17g} {:.17g}".format(*nrm))
+        lines.append("    outer loop")
+        for p in corners:
+            lines.append("      vertex {:.17g} {:.17g} {:.17g}".format(*p))
+        lines.append("    endloop")
+        lines.append("  endfacet")
+    lines.append("endsolid shapemanifold")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# Tokens an edit may insert: keywords in three cases, numbers the reader
+# takes (signed zero, extremes, nan, inf, underscores) and ones it refuses.
+STL_VOCABULARY = [
+    b"solid", b"endsolid", b"facet", b"normal", b"outer", b"loop", b"vertex",
+    b"endloop", b"endfacet", b"SOLID", b"EndSolid", b"FACET", b"Vertex", b"ENDLOOP",
+    b"0", b"-0", b"1.5e300", b"4.9e-324", b"nan", b"-inf", b"1_0", b"0x1", b"1e", b".",
+    b"name", b"x",
+]
+
+
+# Edit kinds of mutated_ascii_stl and their weights.
+_STL_EDITS = ("delete", "insert", "replace", "duplicate", "case", "solid", "vertex",
+              "non-ascii", "truncate")
+_STL_EDIT_WEIGHTS = np.array([3, 3, 3, 2, 3, 2, 2, 1, 2]) / 21
+
+
+def mutated_ascii_stl(rng) -> bytes:
+    """``write_stl`` ASCII output of a tetrahedron or a small sphere after
+    one to three edits: a token deleted, inserted, replaced or duplicated,
+    a keyword's case changed, an extra solid opened, a fourth vertex line,
+    a non-ASCII byte, or the text truncated at a random byte."""
+    base = make_tetra() if rng.integers(2) else make_sphere(3, 4)
+    tokens = write_stl(base, "ascii").split()
+    cut = None
+    for _ in range(int(rng.integers(1, 4))):
+        kind = _STL_EDITS[rng.choice(len(_STL_EDITS), p=_STL_EDIT_WEIGHTS)]
+        i = int(rng.integers(len(tokens) + 1))
+        j = min(i, len(tokens) - 1)
+        word = STL_VOCABULARY[int(rng.integers(len(STL_VOCABULARY)))]
+        if kind == "insert" or not tokens:
+            tokens.insert(i, word)
+        elif kind == "delete":
+            del tokens[j]
+        elif kind == "replace":
+            tokens[j] = word
+        elif kind == "duplicate":
+            tokens.insert(j, tokens[j])
+        elif kind == "case":
+            tokens[j] = tokens[j].upper() if rng.integers(2) else tokens[j].title()
+        elif kind == "solid":  # close the solid and open another, in part or whole
+            extra = [b"endsolid", b"part", b"solid", b"second", b"part"]
+            tokens[i:i] = extra[:int(rng.integers(1, 6))]
+        elif kind == "vertex":  # a vertex line again, right after itself
+            starts = [k for k, tok in enumerate(tokens) if tok == b"vertex"] or [j]
+            k = starts[int(rng.integers(len(starts)))]
+            tokens[k:k] = tokens[k:k + 4]
+        elif kind == "non-ascii":
+            tokens[j] = tokens[j] + b"\xe9"
+        else:
+            cut = rng.random()
+    data = b"\n".join(tokens) + b"\n"
+    return data if cut is None else data[:max(1, int(cut * len(data)))]
+
+
+def stl_outcome(read, data: bytes):
+    """The corner bytes ``read`` gives for ``data``, or its error's type and
+    message."""
+    try:
+        return read(data).corners.tobytes()
+    except (MalformedStl, EmptyMesh) as exc:
+        return type(exc), str(exc)
+
+
+def assert_read_matches_loop_on_mutated_ascii(rng) -> None:
+    data = mutated_ascii_stl(rng)
+    assert stl_outcome(read_stl, data) == stl_outcome(loop_read_stl, data), data
 
 
 def written_normals(data: bytes) -> np.ndarray:

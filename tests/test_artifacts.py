@@ -371,6 +371,19 @@ class TestDirectoryArtifacts:
             "(could not convert string to float: 'x')",
         )
 
+    def test_index_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        directory = self.saved_database_with_row_edit(tmp_path, lambda cols: None)
+        index = directory / "index.csv"
+        index.write_bytes(b"\xff" + index.read_bytes())
+        message = (f"{index}: not valid text ('utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte)")
+        for load in (load_solution_database, load_snapshots):
+            with pytest.raises(ArtifactError) as info:
+                load(directory)
+            assert str(info.value) == message
+            assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        self.assert_stages_exit_with_one_line(tmp_path, capsys, directory, message)
+
     @staticmethod
     def assert_stages_exit_with_one_line(tmp_path, capsys, directory, message):
         # Every stage that reads a database, with the database as either of

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import shutil
+import struct
 import tracemalloc
 import warnings
 import weakref
@@ -1004,6 +1005,34 @@ class TestEmptyPaths:
             line = f"{cfg}: invalid configuration (reference_stl is empty; give a path)"
         before = sorted(root.rglob("*"))
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+        assert sorted(root.rglob("*")) == before
+
+
+class TestUnreadableInputs:
+    """A reference STL that the reader refuses, and a config that is not
+    UTF-8 text, are refused in one line that names the file."""
+
+    @pytest.mark.parametrize("case", ["truncated_ascii", "zero_facets", "config"])
+    @pytest.mark.parametrize("argv", [["morph", "--mu", "0,0,0,0,0"], ["build-manifold"],
+                                      ["evaluate", "--sampling", "full"]],
+                             ids=["morph", "build-manifold", "evaluate-full"])
+    def test_refused_with_one_line_naming_the_file(self, workspace, capsys, case, argv):
+        root, cfg = workspace
+        stl = cfg.resolve().parent / "sphere.stl"
+        if case == "truncated_ascii":
+            stl.write_bytes(b"solid x\nfacet normal 0 0 1\n")
+            line = f"{stl}: ASCII STL ended unexpectedly"
+        elif case == "zero_facets":
+            stl.write_bytes(b"x" * 80 + struct.pack("<I", 0))
+            line = f"{stl}: binary STL declares zero facets"
+        else:
+            cfg.write_bytes(b"\xff" + cfg.read_bytes())
+            line = (f"{cfg}: not valid JSON ('utf-8' codec can't decode byte 0xff in "
+                    "position 0: invalid start byte)")
+        before = sorted(root.rglob("*"))
+        assert run(cfg, *argv) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {line}\n")
         assert sorted(root.rglob("*")) == before

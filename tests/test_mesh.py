@@ -25,9 +25,11 @@ from shapemanifold.solver import StubConfig, evaluate
 
 from helpers import (
     ascii_stl_one_facet,
+    assert_read_matches_loop_on_mutated_ascii,
     assert_weld_matches_loop,
     bits,
     crowded_cells,
+    loop_write_ascii,
     make_sphere,
     make_tetra,
     np_cross_evaluate,
@@ -134,6 +136,48 @@ class TestReadStl:
         text = ascii_stl_one_facet().replace(b"vertex 1 0 0", b"vertex nan 0 0")
         with pytest.raises(MalformedStl):
             read_stl(text)
+
+
+def one_facet_ascii_edit(old: bytes, new: bytes) -> bytes:
+    text = ascii_stl_one_facet()
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+# Every reader refusal: its input, exception type and exact message.
+STL_MESSAGES = {
+    "empty": (b"", MalformedStl, "empty byte stream"),
+    "ended": (b"solid x\nfacet normal 0 0 1\n", MalformedStl, "ASCII STL ended unexpectedly"),
+    "keyword": (one_facet_ascii_edit(b"outer loop", b"outer lop"), MalformedStl,
+                "expected 'loop', found 'lop'"),
+    "number": (one_facet_ascii_edit(b"vertex 1 0 0", b"vertex one 0 0"), MalformedStl,
+               "expected a number, found 'one'"),
+    "fourth_vertex": (one_facet_ascii_edit(b"vertex 0 1 0", b"vertex 0 1 0 vertex 1 1 0"),
+                      MalformedStl, "facet loop has more than three vertices"),
+    "stray_vertex": (b"solid x\nvertex 0 0 0\nendsolid x\n", MalformedStl,
+                     "vertex outside a facet loop"),
+    "not_text": (b"solid \xff\n", MalformedStl,
+                 "ASCII STL is not valid text: 'ascii' codec can't decode byte 0xff in "
+                 "position 6: ordinal not in range(128)"),
+    "no_facets": (b"solid empty\nendsolid empty\n", EmptyMesh, "ASCII STL contains no facets"),
+    "nan": (one_facet_ascii_edit(b"vertex 1 0 0", b"vertex nan 0 0"), MalformedStl,
+            "non-finite vertex coordinate in STL data"),
+    "zero_facets": (b"x" * 80 + struct.pack("<I", 0), EmptyMesh,
+                    "binary STL declares zero facets"),
+    "short_binary": (b"x" * 83, MalformedStl, "binary STL shorter than header plus count"),
+    "truncated_binary": (one_facet_binary()[:80] + struct.pack("<I", 3) + one_facet_binary()[84:],
+                         MalformedStl, "binary STL truncated: 134 bytes, 234 required for 3 "
+                         "facets"),
+}
+
+
+@pytest.mark.parametrize("case", STL_MESSAGES)
+def test_stl_reader_messages(case):
+    data, kind, message = STL_MESSAGES[case]
+    with pytest.raises(kind) as info:
+        read_stl(data)
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 class TestWeld:
@@ -459,6 +503,43 @@ class TestWriteStl:
         data = write_stl(mesh, fmt)
         monkeypatch.setattr(mesh_module, "_facet_normals", np_cross_facet_normals)
         assert data == write_stl(mesh, fmt)
+
+
+def extreme_meshes():
+    # Signed zeros; subnormal coordinates, whose cross products underflow
+    # to a zero normal; facets in the planes x = 1e300 and x = -DBL_MAX; and
+    # 1e75-scale corners, whose cross products' squares stay finite.
+    rng = np.random.default_rng(8)
+    sphere = make_sphere(4, 5, radius=0.3)
+    zeros = sphere.vertices.copy()
+    zeros[np.abs(zeros) < 0.2] = -0.0
+    tiny = np.array([[5e-324, 0.0, -0.0], [1e-310, -2.5e-320, 0.0], [-0.0, 3e-318, 1e-308]])
+    huge = np.array([[1e300, 0.25, -1.0], [1e300, 1.0, 0.5], [1e300, -0.5, 2.0],
+                     [-1.7976931348623157e308, 0.0, 0.0], [-1.7976931348623157e308, 1.0, 0.0],
+                     [-1.7976931348623157e308, 0.0, 3.0]])
+    large = rng.uniform(-1.0, 1.0, (9, 3)) * 1e75
+    return {
+        "signed_zeros": TriMesh(zeros, sphere.facets),
+        "subnormal": TriMesh(tiny, [[0, 1, 2], [2, 1, 0]]),
+        "huge": TriMesh(huge, [[0, 1, 2], [3, 5, 4]]),
+        "large": TriMesh(large, np.arange(9).reshape(3, 3)),
+        "sphere": make_sphere(7, 9, radius=0.6),
+    }
+
+
+@pytest.mark.parametrize("case", list(extreme_meshes()))
+def test_ascii_writer_matches_the_line_loop(case):
+    mesh = extreme_meshes()[case]
+    data = write_stl(mesh, "ascii")
+    assert data == loop_write_ascii(mesh)
+    # %.17g round-trips every double, subnormals and signed zeros included.
+    assert read_stl(data).corners.tobytes() == mesh.vertices[mesh.facets].tobytes()
+
+
+def test_mutated_ascii_reads_as_the_token_loop():
+    # Fixed-seed twin of test_stl_properties.py.
+    for seed in range(1000):
+        assert_read_matches_loop_on_mutated_ascii(np.random.default_rng(seed))
 
 
 class TestFlatten:
