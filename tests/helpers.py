@@ -752,10 +752,10 @@ STL_VOCABULARY = [
 ]
 
 
-# Edit kinds of mutated_ascii_stl and their weights.
+# Edit kinds of mutated_ascii_stl and their relative weights.
 _STL_EDITS = ("delete", "insert", "replace", "duplicate", "case", "solid", "vertex",
               "non-ascii", "truncate")
-_STL_EDIT_WEIGHTS = np.array([3, 3, 3, 2, 3, 2, 2, 1, 2]) / 21
+_STL_EDIT_WEIGHTS = np.array([3, 3, 3, 2, 3, 2, 2, 1, 2]) / 21  # sums to one
 
 
 def mutated_ascii_stl(rng) -> bytes:
