@@ -25,6 +25,7 @@ import numpy as np
 from .config import _read, _section
 from .errors import ArtifactError, DuplicateParams, EmptyDatabase
 from .manifold import Dependency, FeasiblePolygon, ReducedSpace
+from .mesh import parse_number
 from .pod import PodBasis, _center
 from .rom import Interpolator, RomModel, SolutionDatabase
 
@@ -290,7 +291,7 @@ def _read_index(directory: Path):
             sample_id = int(cols[0])
             if sample_id != number - 2:
                 raise ValueError(f"sample_id {sample_id}, expected {number - 2}")
-            values = [float(c) for c in cols[1:]]
+            values = [parse_number(c) for c in cols[1:]]
         except ValueError as exc:
             raise ArtifactError(f"{index}: line {number}: malformed row ({exc})") from exc
         params.append(values[:-1])

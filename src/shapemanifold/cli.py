@@ -29,6 +29,7 @@ from .errors import EmptyMesh, MalformedStl, ShapeManifoldError
 from .mesh import (
     TriMesh,
     default_weld_tolerance,
+    parse_number,
     read_stl,
     weld,
     write_stl,
@@ -74,7 +75,7 @@ def _resolve_ffd(cfg: PipelineConfig, mesh: TriMesh) -> ffd.FfdConfig:
 
 def _parse_mu(text: str, expected: int) -> np.ndarray:
     try:
-        mu = np.array([float(tok) for tok in text.split(",")])
+        mu = np.array([parse_number(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ShapeManifoldError(f"cannot parse parameter vector {text!r}") from exc
     if not np.isfinite(mu).all():

@@ -140,6 +140,17 @@ def _read_binary(data: bytes) -> FacetSoup:
     return FacetSoup(records["corners"].astype(float))
 
 
+def parse_number(token: str) -> float:
+    """The float that ``token`` spells, read as :func:`float` reads it,
+    for the ASCII tokens without ``_`` only: ``float`` also takes
+    digit-group underscores (``1_0`` is 10) and non-ASCII digits, which no
+    writer of these files prints. ``nan`` and ``inf`` are numbers here; the
+    readers refuse them later. Raises ``ValueError`` as ``float`` does."""
+    if token.isascii() and "_" not in token:
+        return float(token)
+    raise ValueError(f"could not convert string to float: {token!r}")
+
+
 def _read_ascii(data: bytes) -> FacetSoup:
     try:
         tokens = data.decode("ascii", errors="strict").split()
@@ -157,7 +168,7 @@ def _read_ascii(data: bytes) -> FacetSoup:
         pos += 1
         if word == "%.17g":
             try:
-                numbers.append(float(tok))
+                numbers.append(parse_number(tok))
             except ValueError as exc:
                 raise MalformedStl(f"expected a number, found '{tok}'") from exc
         elif tok.lower() != word:
@@ -372,16 +383,18 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
 
 def _facet_cross(mesh: TriMesh) -> np.ndarray:
     # Per-facet edge cross product, along the normal and twice the area
-    # long, computed inside one (8, max(F, V)) scratch array, as wide as the
-    # facets on any mesh with at least as many facets as vertices. Returns
-    # the array's first F columns: rows 0-2 hold the product, one per axis,
-    # and rows 3-7 are free for the caller. Each component is rounded as
-    # np.cross rounds it. ``np.take`` copies a strided source or index
-    # before it gathers, so each coordinate column is copied once into row
-    # 7, free until the products, and all three corners are taken from
-    # there through the contiguous index rows of the Fortran-order facets.
-    # The gathers clip instead of raising, which needs no copy of ``out``:
-    # a TriMesh has no index outside its vertices.
+    # long, and its length, computed inside one (8, max(F, V)) scratch
+    # array, as wide as the facets on any mesh with at least as many facets
+    # as vertices. Returns the array's first F columns: rows 0-2 hold the
+    # product, one per axis, row 3 its length, and rows 4-7 are free for
+    # the caller. Each component is rounded as np.cross rounds it, and the
+    # length as the square root of the sum of squares in axis order.
+    # ``np.take`` copies a strided source or index before it gathers, so
+    # each coordinate column is copied once into row 7, free until the
+    # products, and all three corners are taken from there through the
+    # contiguous index rows of the Fortran-order facets. The gathers clip
+    # instead of raising, which needs no copy of ``out``: a TriMesh has no
+    # index outside its vertices.
     f0, f1, f2 = mesh.facets.T
     work = np.empty((8, max(len(f0), mesh.vertex_count)))
     cx, az, ax, ay, bx, by, bz, t = work[:, :len(f0)]
@@ -398,18 +411,42 @@ def _facet_cross(mesh: TriMesh) -> np.ndarray:
     az -= bz  # y: az bx - ax bz, in row 1
     np.multiply(ax, by, out=ax)
     ax -= np.multiply(ay, bx, out=ay)  # z: ax by - ay bx, in row 2
+    np.multiply(cx, cx, out=ay)
+    ay += np.multiply(az, az, out=t)
+    ay += np.multiply(ax, ax, out=t)
+    np.sqrt(ay, out=ay)  # the length, in row 3
     return work[:, :len(f0)]
 
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
-    cx, cy, cz = _facet_cross(mesh)[:3]
-    lengths = np.sqrt(cx * cx + cy * cy + cz * cz)
+    cx, cy, cz, lengths = _facet_cross(mesh)[:4]
     n = np.column_stack([cx, cy, cz])
     ok = lengths > 0.0
     n[ok] /= lengths[ok, None]
     n[~ok] = 0.0
     return n
+
+
+def _facet_average(mesh: TriMesh, values: np.ndarray) -> float:
+    # The area-weighted mean over the facets of the per-vertex ``values``,
+    # each facet taking the mean of its corners: the plain mean of
+    # ``values`` when every facet is degenerate. Each ufunc runs on the
+    # operands, and in the order, of ``0.5 * norm(cross)`` and of the
+    # (F, 3) gather's mean, so every value rounds as theirs do; each gather
+    # reads a contiguous source through a contiguous index row.
+    areas, mean, corner = _facet_cross(mesh)[3:6]
+    areas *= 0.5
+    total = areas.sum()
+    if not total > 0.0:
+        return float(values.mean())
+    f0, f1, f2 = mesh.facets.T
+    np.take(values, f0, out=mean, mode="clip")
+    mean += np.take(values, f1, out=corner, mode="clip")
+    mean += np.take(values, f2, out=corner, mode="clip")
+    mean /= 3
+    mean *= areas
+    return float(mean.sum() / total)
 
 
 def write_stl(mesh: TriMesh, fmt: str = "binary") -> bytes:

@@ -78,16 +78,15 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(kernel: str, r: np.ndarray, epsilon: float) -> np.ndarray:
+    # ``kernel`` is one of _KERNELS: Interpolator and fit_interpolator check it.
     if kernel == "gaussian":
         return np.exp(-((epsilon * r) ** 2))
     if kernel == "linear-rbf":
         return r
-    if kernel == "thin-plate":
-        out = np.zeros_like(r)
-        mask = r > 0.0
-        out[mask] = r[mask] ** 2 * np.log(r[mask])
-        return out
-    raise ValueError(f"unknown kernel {kernel!r}")
+    out = np.zeros_like(r)  # thin-plate
+    mask = r > 0.0
+    out[mask] = r[mask] ** 2 * np.log(r[mask])
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,6 +105,10 @@ class Interpolator:
     tail: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kernel not in _KERNELS:
+            raise ValueError(f"kernel must be one of {_KERNELS}")
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
         if (self.tail is not None) != (self.kernel == "thin-plate"):
             raise ValueError("an affine tail goes with the thin-plate kernel only")
         if self.nodes.ndim != 2:

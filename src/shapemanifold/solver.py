@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-from .mesh import TriMesh, _facet_cross
+from .mesh import TriMesh, _facet_average
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,9 @@ def evaluate(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
 
 
 def _field_synthetic(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
-    # The field amplitude sin(kx x) cos(ky y) + kz z ** 2, and its
-    # area-weighted facet mean, in place: the facet-length arrays are rows
-    # of the (8, F) scratch view that _facet_cross returns. Each ufunc runs
-    # on the operands, and in the order, of the plain expressions, so every
-    # value rounds as theirs do. Every gather reads a contiguous source
-    # through a contiguous index row, so none makes a hidden copy.
+    # The field amplitude sin(kx x) cos(ky y) + kz z ** 2, in place: each
+    # ufunc runs on the operands, and in the order, of the plain expression,
+    # so every value rounds as it does.
     v = mesh.vertices
     kx, ky, kz = cfg.frequency
     values = np.multiply(kx, v[:, 0])
@@ -88,26 +85,7 @@ def _field_synthetic(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:
     term = np.square(v[:, 2], out=term)
     term *= kz
     values += term
-    work = _facet_cross(mesh)
-    areas, cy, cz = work[:3]
-    areas *= areas
-    areas += np.multiply(cy, cy, out=cy)
-    areas += np.multiply(cz, cz, out=cz)
-    areas = np.sqrt(areas, out=areas)
-    areas *= 0.5
-    total = areas.sum()
-    if total > 0.0:
-        f0, f1, f2 = mesh.facets.T
-        mean, corner = work[3:5]
-        np.take(values, f0, out=mean, mode="clip")
-        mean += np.take(values, f1, out=corner, mode="clip")
-        mean += np.take(values, f2, out=corner, mode="clip")
-        mean /= 3
-        mean *= areas
-        objective = float(mean.sum() / total)
-    else:  # fully degenerate tessellation; fall back to the plain mean
-        objective = float(values.mean())
-    return SolutionSnapshot(values, objective)
+    return SolutionSnapshot(values, _facet_average(mesh, values))
 
 
 def _quadratic_centroid(mesh: TriMesh, cfg: StubConfig) -> SolutionSnapshot:

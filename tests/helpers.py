@@ -35,6 +35,7 @@ for its endpoint sign tests.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import warnings
 
@@ -640,6 +641,12 @@ def assert_weld_matches_loop(soup: FacetSoup, tol: float) -> TriMesh:
     return got
 
 
+# The decimal-float grammar, ASCII digits only and no digit-group
+# underscores: the numbers Python's float reads that the readers take.
+DECIMAL_FLOAT = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)",
+                           re.ASCII | re.IGNORECASE)
+
+
 def loop_read_ascii(data: bytes) -> FacetSoup:
     """Read ASCII STL token by token, with one ``expect`` or ``floats`` call
     per keyword or number group of a facet. ``mesh.read_stl`` must give its
@@ -667,10 +674,9 @@ def loop_read_ascii(data: bytes) -> FacetSoup:
         out = []
         for _ in range(n):
             tok = next_token()
-            try:
-                out.append(float(tok))
-            except ValueError as exc:
-                raise MalformedStl(f"expected a number, found '{tok}'") from exc
+            if not DECIMAL_FLOAT.fullmatch(tok):
+                raise MalformedStl(f"expected a number, found '{tok}'")
+            out.append(float(tok))
         return out
 
     corners = []
@@ -743,7 +749,8 @@ def loop_write_ascii(mesh: TriMesh) -> bytes:
 
 
 # Tokens an edit may insert: keywords in three cases, numbers the reader
-# takes (signed zero, extremes, nan, inf, underscores) and ones it refuses.
+# takes (signed zero, extremes, nan, inf) and ones it refuses (digit-group
+# underscores among them).
 STL_VOCABULARY = [
     b"solid", b"endsolid", b"facet", b"normal", b"outer", b"loop", b"vertex",
     b"endloop", b"endfacet", b"SOLID", b"EndSolid", b"FACET", b"Vertex", b"ENDLOOP",

@@ -475,6 +475,9 @@ class TestDirectoryArtifacts:
             lambda doc: doc.update(nodes="not nodes"),
             lambda doc: doc.update(objective_mean=None),
             lambda doc: doc.update(metadata=[1, 2]),
+            lambda doc: doc.update(epsilon=0),
+            lambda doc: doc.update(epsilon=-2),
+            lambda doc: doc.update(kernel="foo"),
         ],
     )
     def test_malformed_rom_fields_name_the_file(self, tmp_path, edit):

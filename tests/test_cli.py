@@ -1038,6 +1038,134 @@ class TestUnreadableInputs:
         assert sorted(root.rglob("*")) == before
 
 
+def _set_json(path, **values):
+    doc = json.loads(path.read_text())
+    doc.update(values)
+    path.write_text(json.dumps(doc))
+
+
+def _edit_bytes(path, start, data):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:start] + data + raw[start + len(data):])
+
+
+class TestRefusedInputs:
+    """Each refusal that a stage reaches on a damaged input: exit 1, one
+    exact ``error:`` line, and nothing written. Every run works on its own
+    copy of one chain's output."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("refusals")
+        (root / "sphere.stl").write_bytes(write_stl(make_sphere(8, 10), "binary"))
+        cfg = root / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "reference_stl": "sphere.stl",
+            "output_dir": "out",
+            "sampling": {"n_train": 50, "n_reduced": 10},
+            "optimizer": {"starts": 2, "budget": 30},
+        }))
+        for argv in (["build-manifold"], ["evaluate", "--sampling", "reduced"], ["build-rom"]):
+            assert run(cfg, *argv) == 0
+        return root, cfg
+
+    def refused(self, chain, capsys, name, edit, argv):
+        """Runs ``argv`` on a copy of the chain's output after ``edit(copy)``,
+        which may return another config to run with; returns the copy and
+        the one stderr line, after checking that the run exits 1, prints
+        nothing to stdout and writes nothing."""
+        root, cfg = chain
+        out = root / "runs" / name
+        shutil.copytree(root / "out", out)
+        cfg = edit(out) or cfg
+
+        def stats():
+            return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.rglob("*")}
+
+        before = stats()
+        capsys.readouterr()
+        assert run(cfg, *argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stats() == before
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return out, lines[0]
+
+    @pytest.mark.parametrize("mu, message", [
+        ("a,0,0", "cannot parse parameter vector 'a,0,0'"),
+        ("1_0,0,0", "cannot parse parameter vector '1_0,0,0'"),
+        ("١.5,0,0", "cannot parse parameter vector '١.5,0,0'"),
+        ("0,0", "expected 3 parameter components, got 2"),
+    ], ids=["word", "underscore", "non_ascii_digit", "short"])
+    def test_mu(self, chain, capsys, mu, message):
+        _, line = self.refused(chain, capsys, f"mu-{mu}", lambda out: None,
+                               ["predict", "--mu", mu])
+        assert line == f"error: {message}"
+
+    def test_index_column_layout(self, chain, capsys):
+        def edit(out):
+            index = out / "db_reduced" / "index.csv"
+            index.write_text(index.read_text().replace("sample_id,", "sample,", 1))
+
+        out, line = self.refused(chain, capsys, "layout", edit, ["build-rom"])
+        assert line == f"error: {out / 'db_reduced' / 'index.csv'}: unexpected column layout"
+
+    @pytest.mark.parametrize("case", ["version", "truncated"])
+    def test_fields_header(self, chain, capsys, case):
+        def edit(out):
+            path = out / "db_reduced" / "fields.bin"
+            if case == "version":
+                _edit_bytes(path, 8, struct.pack("<I", 2))
+            else:
+                path.write_bytes(path.read_bytes()[:20])  # one of two dimensions
+
+        out, line = self.refused(chain, capsys, f"fields-{case}", edit, ["build-rom"])
+        message = "unsupported version 2" if case == "version" else "truncated header"
+        assert line == f"error: {out / 'db_reduced' / 'fields.bin'}: {message}"
+
+    @pytest.mark.parametrize("case", ["not_json", "version"])
+    def test_rom_document(self, chain, capsys, case):
+        def edit(out):
+            path = out / "rom" / "interpolators.json"
+            if case == "version":
+                _set_json(path, version=2)
+            else:
+                path.write_text("{")
+
+        out, line = self.refused(chain, capsys, f"rom-{case}", edit,
+                                 ["predict", "--mu", "0,0,0"])
+        message = ("unsupported version 2" if case == "version" else
+                   "not a JSON document (Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1))")
+        assert line == f"error: {out / 'rom' / 'interpolators.json'}: {message}"
+
+    def test_config_without_reference_stl(self, chain, capsys):
+        def edit(out):
+            path = out / "nostl.json"
+            path.write_text(json.dumps({"output_dir": "out"}))
+            return path
+
+        out, line = self.refused(chain, capsys, "nostl", edit, ["build-rom"])
+        assert line == f"error: {out / 'nostl.json'}: config must set 'reference_stl'"
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"epsilon": 0}, "epsilon must be positive"),
+        ({"epsilon": -2}, "epsilon must be positive"),
+        ({"kernel": "foo"}, f"kernel must be one of {rom._KERNELS}"),
+    ], ids=["epsilon_zero", "epsilon_negative", "kernel"])
+    @pytest.mark.parametrize("argv", [["predict", "--mu", "0,0,0"], ["optimize"]],
+                             ids=["predict", "optimize"])
+    def test_hand_edited_interpolant(self, chain, capsys, change, problem, argv):
+        # A loaded interpolant is checked as a fitted one is.
+        name = f"interp-{argv[0]}-{'-'.join(map(str, change.values()))}"
+        out, line = self.refused(
+            chain, capsys, name,
+            lambda out: _set_json(out / "rom" / "interpolators.json", **change), argv)
+        assert line == (f"error: {out / 'rom' / 'interpolators.json'}: missing or malformed "
+                        f"field ({ValueError(problem)!r})")
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_sampling(self, workspace):
         root, cfg = workspace

@@ -54,6 +54,19 @@ class TestFieldSynthetic:
         assert snap.field.tobytes() == field.tobytes()
         assert snap.objective == objective
 
+    def test_fully_degenerate_mesh_takes_the_plain_mean(self):
+        # Every facet lies on one line, so no facet has area: the weighted
+        # mean of np_cross_evaluate is 0 / 0, and the objective is the plain
+        # mean of its field instead.
+        line = np.outer(np.arange(4.0), [1.0, 2.0, 3.0])
+        mesh = TriMesh(line, [[0, 1, 2], [1, 2, 3], [0, 0, 3]])
+        snap = evaluate(mesh, StubConfig())
+        with np.errstate(invalid="ignore"):
+            field, objective = np_cross_evaluate(mesh, StubConfig())
+        assert np.isnan(objective)
+        assert snap.field.tobytes() == field.tobytes()
+        assert snap.objective == float(field.mean())
+
     @pytest.mark.parametrize("rings, segments", [(101, 101), (41, 40)])
     def test_solve_makes_no_hidden_copies(self, rings, segments):
         # The (8, F) workspace, the field and one V-length term: 8 (8F + 2V)
