@@ -1135,9 +1135,12 @@ class TestRefusedInputs:
 
         out, line = self.refused(chain, capsys, f"rom-{case}", edit,
                                  ["predict", "--mu", "0,0,0"])
-        message = ("unsupported version 2" if case == "version" else
-                   "not a JSON document (Expecting property name enclosed in double quotes: "
-                   "line 1 column 2 (char 1))")
+        message = "unsupported version 2"
+        if case == "not_json":
+            try:
+                json.loads("{")
+            except json.JSONDecodeError as exc:
+                message = f"not a JSON document ({exc})"
         assert line == f"error: {out / 'rom' / 'interpolators.json'}: {message}"
 
     def test_config_without_reference_stl(self, chain, capsys):

@@ -22,10 +22,6 @@ READ = ["-0.0", "1E0", ".5", "5.", "+1e-3", "5e-324", "2.5e-310",
         "1.7976931348623157e308"]
 
 
-def test_float_takes_the_refused_tokens():
-    assert [float(tok) for tok in REFUSED if tok != "_1"] == [10.0, 1e10, 1.0]
-
-
 def test_ascii_stl_numbers():
     for tok in REFUSED + READ:
         text = ascii_stl_one_facet().replace(b"vertex 1 0 0", f"vertex {tok} 0 0".encode())
@@ -60,10 +56,10 @@ def test_index_csv_numbers(tmp_path):
             assert bits(again.objectives[1]) == bits(float(tok))
             assert bits(again.fields) == bits(db.fields)
         else:
-            message = f"{index}: line 2: malformed row (could not convert string to float: {tok!r})"
             with pytest.raises(ArtifactError) as caught:
                 load_solution_database(tmp_path / "db")
-            assert str(caught.value) == message
+            assert str(caught.value) == (f"{index}: line 2: malformed row "
+                                         f"(could not convert string to float: {tok!r})")
 
 
 def test_mu_numbers():
