@@ -288,6 +288,10 @@ def _read_index(directory: Path):
         try:
             if len(cols) != len(header):
                 raise ValueError(f"{len(cols)} columns, the header has {len(header)}")
+            # The number rule of mesh.parse_number: int, like float, also
+            # reads digit-group underscores and non-ASCII digits.
+            if not cols[0].isascii() or "_" in cols[0]:
+                raise ValueError(f"invalid literal for int() with base 10: {cols[0]!r}")
             sample_id = int(cols[0])
             if sample_id != number - 2:
                 raise ValueError(f"sample_id {sample_id}, expected {number - 2}")

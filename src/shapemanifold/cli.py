@@ -51,7 +51,10 @@ def _load_reference(cfg: PipelineConfig) -> TriMesh:
     tol = cfg.weld_tolerance
     if tol is None:
         tol = default_weld_tolerance(soup)
-    mesh = weld(soup, tol)
+    try:
+        mesh = weld(soup, tol)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.reference_stl}: weld_tolerance: {exc}") from exc
     _log(f"reference: {mesh.vertex_count} vertices, {len(mesh.facets)} facets")
     return mesh
 

@@ -7,8 +7,11 @@ reference produces coordinate vectors with one shared layout. Welding is
 done once, on the reference geometry; deformed geometries are obtained by
 transforming the welded vertex list, never by re-welding.
 
-The weld is array code: one stable sort finds the distinct corners, and
-a cheap exact test finds the candidates that may share a cell of width
+The weld is array code. One sort of a hash of each corner's coordinate
+bits groups the equal corners; a check by coordinates finds any two
+different corners that share a hash, and then a sort by the coordinates
+themselves groups the corners instead, so the grouping is exact. A cheap
+exact test then finds the candidates that may share a cell of width
 ``tol``, or a neighbouring one, with another point. Two integer cells are
 at most one step apart on every axis exactly when, for one shift ``s`` in
 {0, 1}**3, ``(c + s) >> 1`` agrees on all three axes (the shift that makes
@@ -228,32 +231,70 @@ def read_stl(data: bytes) -> FacetSoup:
 
 def default_weld_tolerance(soup: FacetSoup) -> float:
     """Scale-relative default: 1e-8 times the bounding-box diagonal."""
-    # Reduce over whole facet rows, nine coordinates wide, and fold the
-    # three corners afterwards: the same bounds, in fewer and wider passes.
-    rows = soup.corners.reshape(-1, 9)
-    high = rows.max(axis=0).reshape(3, 3).max(axis=0)
-    low = rows.min(axis=0).reshape(3, 3).min(axis=0)
+    # One reduction per bound and axis over a strided coordinate column:
+    # faster than a reduction along the rows of the (3F, 3) corners.
+    columns = soup.corners.reshape(-1, 3).T
+    high = np.array([c.max() for c in columns])
+    low = np.array([c.min() for c in columns])
     diag = float(np.linalg.norm(high - low))
     return 1e-8 * diag
+
+
+# Odd multiplier of the row and cell-triple hashes (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    # One uint64 hash per row of the (n, 3) uint64 ``bits``, equal for equal
+    # rows. Each xor-shift carries high bits down: doubles read from float32
+    # have 29 zero low bits, and a multiply alone only carries bits up.
+    h = np.zeros(len(bits), dtype=np.uint64)
+    shifted = np.empty_like(h)
+    for column in bits.T:
+        h ^= column
+        h *= _MIX
+        h ^= np.right_shift(h, np.uint64(32), out=shifted)
+    return h
+
+
+def _run_starts(folded: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # Mask of the rows of ``folded[order]`` that differ from the row before,
+    # gathered and compared one coordinate column at a time. Indexing reads
+    # the strided column in place, where np.take would first copy it.
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for column in folded.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return starts
 
 
 def _first_occurrences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Number the distinct rows of ``points`` in order of first occurrence.
     # Returns the row of each distinct point's first occurrence (ascending)
     # and each row's distinct-point number. Adding 0.0 folds -0.0 onto
-    # +0.0, because the two compare equal as coordinates.
+    # +0.0, because the two compare equal as coordinates; equal rows then
+    # have equal bits and equal hashes. In hash order, equal rows are
+    # adjacent unless a row lies between them that differs but shares
+    # their hash, so a run that starts within a hash is the one sign of a
+    # collision; the rows are then ordered by their coordinates, where
+    # equal rows are always adjacent.
     folded = points + 0.0
-    order = np.lexsort(folded.T)
-    ordered = folded[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    del folded, ordered  # the numbering needs neither copy of the points
-    heads = order[starts]  # the sort is stable: the earliest row of each run
+    hashes = _row_hashes(folded.view(np.uint64))
+    order = np.argsort(hashes)
+    starts = _run_starts(folded, order)
+    later = np.flatnonzero(starts)[1:]
+    if (hashes[order[later]] == hashes[order[later - 1]]).any():
+        order = np.lexsort(folded.T)
+        starts = _run_starts(folded, order)
+    del folded, hashes, later  # the numbering needs no copy of the points
+    runs = np.flatnonzero(starts)
+    heads = np.minimum.reduceat(order, runs)  # whatever the order within a run
     by_first = np.argsort(heads)
     number = np.empty(len(heads), dtype=np.int64)
     number[by_first] = np.arange(len(heads))
     labels = np.empty(len(order), dtype=np.int64)
-    labels[order] = number[np.cumsum(starts) - 1]
+    labels[order] = np.repeat(number, np.diff(runs, append=len(order)))
     return heads[by_first], labels
 
 
@@ -261,10 +302,6 @@ def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     # Position of each key in the sorted ``table``, or -1 where it is absent.
     pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
     return np.where(table[pos] == keys, pos, -1)
-
-
-# Odd multiplier of the cell-triple hash (2**64 over the golden ratio).
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _block_keys(cells: np.ndarray) -> list[np.ndarray]:
@@ -340,12 +377,17 @@ def weld(soup: FacetSoup, tol: float) -> TriMesh:
     order (facet by facet, corner by corner), so two welds of the same
     soup with the same tolerance produce identical meshes.
 
-    Corners with equal coordinates (``-0.0`` equals ``+0.0``) are one point,
-    found by one stable sort; each vertex keeps the coordinates of its
-    first occurrence. For ``tol > 0`` the distinct points are hashed into
-    cubic cells of width ``tol``, so a match can only lie in the 27 cells
-    around a point. A point with no other point in those cells becomes a
-    vertex of its own, whatever the visiting order. The remaining points
+    Corners with equal coordinates (``-0.0`` equals ``+0.0``) are one point;
+    each vertex keeps the coordinates of its first occurrence. The corners
+    are sorted once by a hash of their coordinate bits, and each run of
+    equal neighbours in that order is one point. Equal corners hash
+    equal, but equal hashes need not be equal corners: when two
+    neighbours share a hash yet differ, the corners are sorted by their
+    coordinates instead and the runs are read from that order. For
+    ``tol > 0`` the distinct points are hashed into cubic cells of width
+    ``tol``, so a match can only lie in the 27 cells around a point. A
+    point with no other point in those cells becomes a vertex of its own,
+    whatever the visiting order. The remaining points
     are visited in first-occurrence order: each takes the first registered
     vertex within ``tol``, probing the cells in a fixed offset order and
     each cell in registration order, or else registers as a new vertex.
@@ -420,12 +462,10 @@ def _facet_cross(mesh: TriMesh) -> np.ndarray:
 
 def _facet_normals(mesh: TriMesh) -> np.ndarray:
     # Recomputed from winding, (F, 3); degenerate facets get a zero normal.
-    cx, cy, cz, lengths = _facet_cross(mesh)[:4]
-    n = np.column_stack([cx, cy, cz])
-    ok = lengths > 0.0
-    n[ok] /= lengths[ok, None]
-    n[~ok] = 0.0
-    return n
+    cross = _facet_cross(mesh)
+    lengths = cross[3, :, None]
+    return np.divide(cross[:3].T, lengths, out=np.zeros((len(lengths), 3)),
+                     where=lengths > 0.0)
 
 
 def _facet_average(mesh: TriMesh, values: np.ndarray) -> float:
@@ -457,14 +497,18 @@ def write_stl(mesh: TriMesh, fmt: str = "binary") -> bytes:
     starting with ``shapemanifold``.
     """
     normals = _facet_normals(mesh)
-    tri = mesh.vertices[mesh.facets]
     if fmt == "binary":
-        records = np.zeros(len(mesh.facets), dtype=_FACET_DTYPE)
+        # The records are written in place, attribute words left zero. The
+        # float32 cast rounds each coordinate alike before or after the gather.
+        out = bytearray(84 + _FACET_DTYPE.itemsize * len(normals))
+        out[:len(_BINARY_HEADER)] = _BINARY_HEADER
+        struct.pack_into("<I", out, 80, len(normals))
+        records = np.frombuffer(out, dtype=_FACET_DTYPE, offset=84)
         records["normal"] = normals
-        records["corners"] = tri
-        header = _BINARY_HEADER.ljust(80, b"\x00")
-        return header + struct.pack("<I", len(records)) + records.tobytes()
+        records["corners"] = np.take(mesh.vertices.astype("<f4"), mesh.facets, axis=0)
+        return bytes(out)
     if fmt == "ascii":
+        tri = mesh.vertices[mesh.facets]
         rows = np.hstack([normals, tri.reshape(-1, 9)]).tolist()
         body = "".join(_ASCII_FACET % tuple(row) for row in rows)
         return f"solid shapemanifold\n{body}endsolid shapemanifold\n".encode("ascii")

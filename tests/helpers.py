@@ -12,8 +12,10 @@ sample through the FFD oracle and decomposes the snapshot matrix
 instead of using the closed form. The weld oracle is the
 per-corner dictionary loop that the sort-based ``mesh.weld`` replaced.
 The STL oracles are the token-by-token ASCII reader and line-by-line ASCII
-writer that ``mesh``'s one facet template replaced, and a binary reader
-that unpacks one record at a time with ``struct``.
+writer that ``mesh``'s one facet template replaced, a binary reader
+that unpacks one record at a time with ``struct``, and the binary writer
+that filled a separate record array from the float64 corners before
+``write_stl`` wrote the records in place.
 The leave-one-out oracle rebuilds every fold as a database of the kept
 full-length fields, as ``rom.loo_error`` did before it moved the folds
 into the fields' span and sliced them from arrays.
@@ -746,6 +748,17 @@ def loop_write_ascii(mesh: TriMesh) -> bytes:
         lines.append("  endfacet")
     lines.append("endsolid shapemanifold")
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def record_write_binary(mesh: TriMesh) -> bytes:
+    """Binary STL from one zeroed record array that is filled with the
+    ``np.cross`` normals and the float64 corners, then serialised after the
+    header and count: ``write_stl(mesh, "binary")`` must give these bytes."""
+    records = np.zeros(len(mesh.facets), dtype=mesh_module._FACET_DTYPE)
+    records["normal"] = np_cross_facet_normals(mesh)
+    records["corners"] = mesh.vertices[mesh.facets]
+    header = b"shapemanifold".ljust(80, b"\x00")
+    return header + struct.pack("<I", len(records)) + records.tobytes()
 
 
 # Tokens an edit may insert: keywords in three cases, numbers the reader

@@ -142,7 +142,9 @@ class TestMorph:
             code = run(cfg, "morph", "--mu", "0,0,0,0,0")
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: weld tolerance {tol!r} ")
+        assert err == [f"error: {root / 'sphere.stl'}: weld_tolerance: weld tolerance {tol!r} "
+                       "is too small for coordinates of size 1.0: cell numbers would "
+                       "overflow int64"]
         assert not (root / "out").exists()
 
     @pytest.mark.parametrize("mu, fmt", [
@@ -1102,6 +1104,20 @@ class TestRefusedInputs:
         _, line = self.refused(chain, capsys, f"mu-{mu}", lambda out: None,
                                ["predict", "--mu", mu])
         assert line == f"error: {message}"
+
+    @pytest.mark.parametrize("row, cell", [(0, "0_0"), (1, "١")],
+                             ids=["underscore", "non_ascii_digit"])
+    def test_index_sample_id(self, chain, capsys, row, cell):
+        # int reads both cells as the row's own id, 0 and 1.
+        def edit(out):
+            index = out / "db_reduced" / "index.csv"
+            lines = index.read_text().splitlines()
+            lines[row + 1] = cell + lines[row + 1][len(str(row)):]
+            index.write_text("\n".join(lines) + "\n")
+
+        out, line = self.refused(chain, capsys, f"id-{cell}", edit, ["build-rom"])
+        assert line == (f"error: {out / 'db_reduced' / 'index.csv'}: line {row + 2}: malformed "
+                        f"row (invalid literal for int() with base 10: {cell!r})")
 
     def test_index_column_layout(self, chain, capsys):
         def edit(out):

@@ -35,6 +35,7 @@ from helpers import (
     np_cross_evaluate,
     np_cross_facet_normals,
     random_reduced_space,
+    record_write_binary,
     soup_of,
     written_normals,
 )
@@ -404,6 +405,16 @@ class TestWeldMatchesLoop:
         mesh = assert_weld_matches_loop(soup, tol)
         assert mesh.vertex_count == 10102
 
+    @pytest.mark.parametrize("tol", [0.0, None])
+    def test_reference_sphere_soup(self, tol):
+        # The float64 corners, whose bits the row hash reads unrounded.
+        sphere = make_sphere(101, 101)
+        soup = soup_of(sphere.vertices[sphere.facets])
+        if tol is None:
+            tol = default_weld_tolerance(soup)
+        mesh = assert_weld_matches_loop(soup, tol)
+        assert mesh.vertex_count == 10102
+
 
 class TestTinyTolerance:
     """A tolerance for which some coordinate reaches ``2**62 * tol`` is
@@ -506,7 +517,8 @@ class TestWriteStl:
 
 
 def extreme_meshes():
-    # Signed zeros; subnormal coordinates, whose cross products underflow
+    # Signed zeros, with facets that repeat a corner or lie on a line;
+    # subnormal coordinates, whose cross products underflow
     # to a zero normal; facets in the planes x = 1e300 and x = -DBL_MAX; and
     # 1e75-scale corners, whose cross products' squares stay finite.
     rng = np.random.default_rng(8)
@@ -518,7 +530,11 @@ def extreme_meshes():
                      [-1.7976931348623157e308, 0.0, 0.0], [-1.7976931348623157e308, 1.0, 0.0],
                      [-1.7976931348623157e308, 0.0, 3.0]])
     large = rng.uniform(-1.0, 1.0, (9, 3)) * 1e75
+    n = sphere.vertex_count
+    line = [[2.0, -0.0, 0.0], [3.0, -0.0, 0.0], [4.0, -0.0, 0.0]]
+    flat = [[0, 0, 1], [n, n + 1, n + 2], [1, 1, 1]]
     return {
+        "degenerate": TriMesh(np.vstack([zeros, line]), np.vstack([sphere.facets, flat])),
         "signed_zeros": TriMesh(zeros, sphere.facets),
         "subnormal": TriMesh(tiny, [[0, 1, 2], [2, 1, 0]]),
         "huge": TriMesh(huge, [[0, 1, 2], [3, 5, 4]]),
@@ -534,6 +550,14 @@ def test_ascii_writer_matches_the_line_loop(case):
     assert data == loop_write_ascii(mesh)
     # %.17g round-trips every double, subnormals and signed zeros included.
     assert read_stl(data).corners.tobytes() == mesh.vertices[mesh.facets].tobytes()
+
+
+@pytest.mark.parametrize("case", list(extreme_meshes()))
+def test_binary_writer_matches_the_record_array(case):
+    mesh = extreme_meshes()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # float32 overflow in "huge"
+        assert write_stl(mesh, "binary") == record_write_binary(mesh)
 
 
 def test_mutated_ascii_reads_as_the_token_loop():

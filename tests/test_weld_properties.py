@@ -8,6 +8,8 @@ is checked on its own against the pairwise crowded set, on int64 cells
 that repeat, neighbour each other and sit at both ends of the range.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ def soups(draw):
 @hypothesis.given(soups(), st.sampled_from([0.0, UNIT, 1.5 * UNIT, 3 * UNIT]))
 def test_weld_matches_loop(soup, tol):
     assert_weld_matches_loop(soup, tol)
+
+
+def sign_of_x(bits):
+    # A row hash with two values: rows that differ collide all the time.
+    return bits[:, 0] >> np.uint64(63)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(soups(), st.sampled_from([0.0, UNIT, 1.5 * UNIT, 3 * UNIT]))
+def test_weld_matches_loop_when_row_hashes_collide(soup, tol):
+    # Colliding rows send the weld to its sort by coordinates.
+    with mock.patch.object(mesh, "_row_hashes", sign_of_x):
+        assert_weld_matches_loop(soup, tol)
 
 
 TOP = 2**63 - 1
